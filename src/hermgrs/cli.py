@@ -262,7 +262,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in range(1, ctx.q + 1):
         r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads)
-        witness_w = puncture.constructive_witness(ctx, k).weight()
         rows.append(
             {
                 "p": ctx.p,
@@ -271,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "k": k,
                 "dim": r.dim,
                 "formula": r.formula,
-                "witness_weight": witness_w,
+                "witness_weight": r.witness_weight,
                 "exhaustive_weight": r.weight if r.mode == "exhaustive" else None,
                 "mode": r.mode,
                 "agrees": r.agrees,

@@ -7,8 +7,11 @@ multiplication is index addition mod q^2-1 and addition goes through a Zech
 logarithm table (zech[d] = log(1 + w^d)).
 
 The subfield GF(q) is realized as the Frobenius-fixed set {x : x^q = x}
-inside the same context; a compact relabelling 0..q-1 with its own small
-add/mul tables backs all GF(q) linear algebra elsewhere in the package.
+inside the same context, with a compact relabelling 0..q-1 (in log order)
+and its own small add/mul tables.  A second, additive labelling of GF(q)
+(coordinates in the polynomial basis 1, b, ..., b^(h-1) of a generator b)
+turns addition into XOR for p = 2 and into addition mod p for q = p; the
+GF(q) row reduction in ``linalg`` works in it.
 
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
@@ -119,17 +122,30 @@ class SubfieldTables:
     """Compact GF(q) arithmetic: elements relabelled 0..q-1.
 
     Label 0 is the zero element and label c >= 1 is w^((q+1)(c-1)).  The
-    tables are small (q <= 64) and drive all GF(q) matrix work via numpy
-    fancy indexing.
+    tables are small (q <= 64) and work through numpy fancy indexing.
+
+    The ``*_code`` tables are the same arithmetic on additive codes: code
+    sum_j d_j p^j (0 <= d_j < p) is the element sum_j d_j b^j, where
+    b = w^(q+1) generates GF(q)*.  Code addition is digitwise mod p, so it
+    is XOR when p = 2 and addition mod p when q = p; ``add_code`` covers
+    the other q.  Code 0 is the zero element and code 1 is the one.
     """
 
     q: int
+    p: int
+    h: int
     add: np.ndarray  # (q, q) uint8
     mul: np.ndarray  # (q, q) uint8
     neg: np.ndarray  # (q,)   uint8
     inv: np.ndarray  # (q,)   uint8, inv[0] = 0 placeholder
     idx_of_compact: np.ndarray  # (q,)  int64: compact label -> field index
     compact_of_idx: np.ndarray  # (q^2,) int64: field index -> label, -1 if not in GF(q)
+    code_of_label: np.ndarray  # (q,)   uint8: compact label -> additive code
+    label_of_code: np.ndarray  # (q,)   uint8: additive code -> compact label
+    add_code: np.ndarray  # (q, q) uint8
+    mul_code: np.ndarray  # (q, q) uint8
+    neg_code: np.ndarray  # (q,)   uint8
+    inv_code: np.ndarray  # (q,)   uint8, inv_code[0] = 0 placeholder
 
 
 class FieldCtx:
@@ -215,14 +231,40 @@ class FieldCtx:
         neg = compact_of_idx[self.vneg(idx_of_compact)]
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = compact_of_idx[self._vinv0(idx_of_compact[1:])]
+
+        # additive codes: code sum_j d_j p^j is the element sum_j d_j b^j
+        p, h = self.p, self.h
+        codes = np.arange(q, dtype=np.int64)
+        digits = (codes[:, None] // p ** np.arange(h, dtype=np.int64)[None, :]) % p
+        digit_idx = self._idx_of_poly[digits]  # d_j as an element of GF(p)
+        b = int(idx_of_compact[min(2, q - 1)])  # w^(q+1); for q = 2, b = 1
+        basis = np.array([self.pow_i(b, j) for j in range(h)], dtype=np.int64)
+        label_of_code = compact_of_idx[self.vsum(self.vmul(digit_idx, basis[None, :]))]
+        assert len(set(label_of_code.tolist())) == q, "1, b, ..., b^(h-1) is not a GF(p)-basis"
+        code_of_label = np.empty(q, dtype=np.int64)
+        code_of_label[label_of_code] = codes
+        add_code = code_of_label[add[label_of_code[:, None], label_of_code[None, :]]]
+        mul_code = code_of_label[mul[label_of_code[:, None], label_of_code[None, :]]]
+        if p == 2:
+            assert np.array_equal(add_code, codes[:, None] ^ codes[None, :])
+        elif h == 1:
+            assert np.array_equal(add_code, (codes[:, None] + codes[None, :]) % p)
         self.fq = SubfieldTables(
             q=q,
+            p=p,
+            h=h,
             add=add.astype(np.uint8),
             mul=mul.astype(np.uint8),
             neg=neg.astype(np.uint8),
             inv=inv.astype(np.uint8),
             idx_of_compact=idx_of_compact,
             compact_of_idx=compact_of_idx,
+            code_of_label=code_of_label.astype(np.uint8),
+            label_of_code=label_of_code.astype(np.uint8),
+            add_code=add_code.astype(np.uint8),
+            mul_code=mul_code.astype(np.uint8),
+            neg_code=code_of_label[neg[label_of_code]].astype(np.uint8),
+            inv_code=code_of_label[inv[label_of_code]].astype(np.uint8),
         )
 
         # decomposition of GF(q^2) over GF(q) wrt the basis {1, xi}, where xi

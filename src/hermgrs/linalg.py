@@ -1,9 +1,14 @@
 """GF(q) matrix machinery on compact labels, plus weight enumeration engines.
 
 Matrices are numpy uint8 arrays of compact GF(q) labels (see
-``field.SubfieldTables``); all arithmetic goes through the q x q lookup
-tables by fancy indexing, which keeps row reduction and codeword
-enumeration fast without any per-element Python arithmetic.
+``field.SubfieldTables``).  Row reduction, kernels and row-space membership
+convert their input to additive codes, work there, and convert the result
+back: in codes, adding a multiple of a pivot row is one gather from the q
+precomputed multiples of that row plus one addition (XOR for p = 2, a
+uint8 add and a conditional subtract for q = p, and one table gather for
+the other q).  The weight enumerators work on the labels directly, through
+the q x q add/mul tables by fancy indexing.  No path does per-element
+Python arithmetic.
 
 The certified minimum-weight search enumerates row combinations of an RREF
 basis by the number of nonzero combination coefficients ("level" j).  A
@@ -29,65 +34,112 @@ from .field import SubfieldTables
 _BLOCK = 1 << 15
 
 
+def _code_adder(fq: SubfieldTables):
+    """In-place sum dst += src of two uint8 arrays of additive codes."""
+    if fq.p == 2:
+
+        def add_xor(dst: np.ndarray, src: np.ndarray) -> None:
+            np.bitwise_xor(dst, src, out=dst)
+
+        return add_xor
+    if fq.h == 1:
+        p = np.uint8(fq.p)
+
+        def add_mod_p(dst: np.ndarray, src: np.ndarray) -> None:
+            np.add(dst, src, out=dst)  # < 2p <= 122, no overflow
+            np.minimum(dst, dst - p, out=dst)  # dst - p wraps around when dst < p
+
+        return add_mod_p
+    # one gather from the flattened table; a uint16 index is the fastest take
+    flat, q = fq.add_code.ravel(), np.uint16(fq.q)
+
+    def add_table(dst: np.ndarray, src: np.ndarray) -> None:
+        dst[...] = flat.take(dst.astype(np.uint16) * q + src)
+
+    return add_table
+
+
+def _code_sum(fq: SubfieldTables, X: np.ndarray) -> np.ndarray:
+    """Column sums of a (t, n) array of additive codes: digitwise mod p."""
+    if fq.p == 2:
+        return np.bitwise_xor.reduce(X, axis=0)
+    pows = fq.p ** np.arange(fq.h, dtype=np.int64)
+    digits = (X[:, :, None].astype(np.int64) // pows) % fq.p  # (t, n, h)
+    return ((digits.sum(axis=0) % fq.p) @ pows).astype(np.uint8)
+
+
 def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over GF(q).
 
     Returns (nonzero rows, pivot column indices); the input is not modified.
+    Row r is zero left of its pivot column c when c is reached, so only
+    columns c.. are updated.  Every row takes its multiple of the pivot row
+    in place, the pivot row itself and the rows with a zero in column c
+    adding the zero multiple: this is cheaper than gathering and scattering
+    just the rows the pivot touches.
     """
-    M = np.array(mat, dtype=np.uint8, copy=True)
+    M = np.asarray(mat, dtype=np.uint8)
     if M.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    rows, cols = M.shape
-    ADD, MUL, NEG, INV = fq.add, fq.mul, fq.neg, fq.inv
+    A = fq.code_of_label[M]
+    rows, cols = A.shape
+    add = _code_adder(fq)
+    MUL, NEG, INV = fq.mul_code, fq.neg_code, fq.inv_code
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] = MUL[INV[M[r, c]], M[r]]
-        colvals = M[:, c].copy()
-        colvals[r] = 0
-        mask = colvals != 0
-        if mask.any():
-            M[mask] = ADD[M[mask], MUL[NEG[colvals[mask]][:, None], M[r][None, :]]]
+            A[[r, pr]] = A[[pr, r]]
+        row = MUL[INV[A[r, c]], A[r, c:]]
+        A[r, c:] = row
+        coef = A[:, c].copy()
+        coef[r] = 0
+        if coef.any():
+            multiples = MUL[NEG[:, None], row[None, :]]  # multiples[a] = -a * row
+            add(A[:, c:], multiples[coef])
         pivots.append(c)
         r += 1
-    return M[:r], tuple(pivots)
+    return fq.label_of_code[A[:r]], tuple(pivots)
 
 
 def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
     """RREF basis of the right null space {x : mat @ x = 0} over GF(q)."""
     R, pivots = rref(fq, mat)
-    cols = mat.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    if not free:
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    if not free.size:
         return np.empty((0, cols), dtype=np.uint8)
-    NEG = fq.neg
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(pivots):
-            basis[row, p] = NEG[R[i, f]]
+    # the kernel vector of free column f is e_f - sum_i R[i, f] e_(pivot i)
+    basis = np.zeros((free.size, cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = fq.neg[R[:, free]].T
     canon, _ = rref(fq, basis)
     return canon
 
 
 def reduce_against(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
-    """Remainder of v after elimination by the RREF rows R."""
-    ADD, MUL, NEG = fq.add, fq.mul, fq.neg
-    out = np.array(v, dtype=np.uint8, copy=True)
-    for i, p in enumerate(pivots):
-        c = out[p]
-        if c:
-            out = ADD[out, MUL[NEG[c], R[i]]]
-    return out
+    """Remainder of v after elimination by the RREF rows R.
+
+    R is the identity on its pivot columns, so eliminating row i never
+    changes v on the other pivots, and the remainder is
+    v - sum_i v[pivot i] R_i.
+    """
+    v = np.asarray(v, dtype=np.uint8)
+    coeffs = v[list(pivots)]
+    used = np.flatnonzero(coeffs)
+    if not used.size:
+        return v.copy()
+    code = fq.code_of_label
+    terms = fq.mul_code[fq.neg_code[code[coeffs[used]]][:, None], code[R[used]]]
+    return fq.label_of_code[_code_sum(fq, np.vstack([code[v][None, :], terms]))]
 
 
 def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:

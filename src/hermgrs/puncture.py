@@ -41,13 +41,14 @@ class PunctureVector:
     __slots__ = ("ctx", "v")
 
     def __init__(self, ctx: FieldCtx, compact: np.ndarray):
-        v = np.asarray(compact, dtype=np.uint8)
-        if v.shape != (ctx.q2 + 1,):
+        arr = np.asarray(compact)
+        if arr.shape != (ctx.q2 + 1,):
             raise ValidationRefused(f"puncture vector must have length q^2+1 = {ctx.q2 + 1}")
-        if v.size and int(v.max()) >= ctx.q:
+        # range check before the uint8 cast, which would wrap 257 and -255 to 1
+        if arr.dtype.kind not in "iu" or int(arr.min()) < 0 or int(arr.max()) >= ctx.q:
             raise ValidationRefused("puncture vector entries must be GF(q) labels")
         self.ctx = ctx
-        self.v = v
+        self.v = arr.astype(np.uint8)
 
     @classmethod
     def from_felts(cls, ctx: FieldCtx, entries: list[Felt]) -> PunctureVector:
@@ -244,13 +245,37 @@ def u_space_generators(ctx: FieldCtx, k: int) -> list[UPoly]:
 
 
 def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
-    """P(C) as the row-reduced evaluations of the structured space."""
+    """P(C) as the row-reduced evaluations of the structured space.
+
+    Evaluates the ``u_space_generators`` in their order, one slot row i at
+    a time (which bounds the temporaries): the pair generator of slot
+    (i, j) with coefficient c in {1, xi} takes the value
+    Tr(c a^(iq+j)) = c a^(iq+j) + (c a^(iq+j))^q at a, and the diagonal
+    generator of slot i the value a^(i(q+1)).
+    """
     _check_k(ctx, k)
-    q2 = ctx.q2
-    gens = u_space_generators(ctx, k)
-    if not gens:
+    q, q2 = ctx.q, ctx.q2
+    if k > q:
         return PunctureBasis(ctx, k, "u_space", np.empty((0, q2 + 1), dtype=np.uint8), ())
-    stacked = np.stack([g.vector().v for g in gens])
+    pts = ctx.points_idx()
+    coeffs = np.array([ctx.one.i, ctx.xi_idx], dtype=np.int64)
+
+    def labels(vals: np.ndarray) -> np.ndarray:
+        comp = ctx.fq.compact_of_idx[vals]
+        if int(comp.min()) < 0:
+            raise SelfCheckFailed("evaluation left GF(q); the structured form is violated")
+        return comp.astype(np.uint8)
+
+    blocks = []
+    for i in range(q - k):
+        mono = ctx.vpow_outer(pts, i * q + np.arange(i + 1, q, dtype=np.int64))  # (q-1-i, q^2)
+        scaled = ctx.vmul(coeffs[None, :, None], mono[:, None, :])  # (q-1-i, 2, q^2)
+        blocks.append(labels(ctx.vadd(scaled, ctx.vfrob(scaled)).reshape(-1, q2)))
+    blocks.append(labels(ctx.vpow_outer(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64))))
+    evals = np.concatenate(blocks)
+    stacked = np.zeros((evals.shape[0], q2 + 1), dtype=np.uint8)
+    stacked[:, :q2] = evals
+    stacked[-1, q2] = 1  # the coefficient coordinate carries h_(q-k), the last diagonal slot
     canon, pivots = linalg.rref(ctx.fq, stacked)
     return PunctureBasis(ctx, k, "u_space", canon, pivots)
 
@@ -359,6 +384,7 @@ class PuncMinWeight:
     agrees: bool
     scanned: int
     note: str = ""
+    witness_weight: int | None = None  # weight of the verified constructive witness
 
 
 def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> PuncMinWeight:
@@ -386,7 +412,7 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
         witness = PunctureVector(ctx, res.witness)
         return PuncMinWeight(
             q, k, basis.dim, res.weight, witness, "exhaustive", formula,
-            res.weight == formula, res.scanned,
+            res.weight == formula, res.scanned, witness_weight=upper_vec.weight(),
         )
     if upper_vec.weight() != formula:
         raise SelfCheckFailed(
@@ -394,7 +420,7 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
         )
     return PuncMinWeight(
         q, k, basis.dim, formula, upper_vec, "constructive", formula, True, res.scanned,
-        note="proven formula; verified witness attains it",
+        note="proven formula; verified witness attains it", witness_weight=upper_vec.weight(),
     )
 
 

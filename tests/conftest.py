@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from hermgrs.field import make_field
+
+# Tier-1 runs the same examples every time and writes no example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -170,3 +170,63 @@ class ReferenceField:
         assert self.mul(out[-1], self.x()) == self.one()
         assert len(set(out)) == order
         return out
+
+
+def labels_to_felts(ctx: FieldCtx, mat) -> list[list[Felt]]:
+    """Compact GF(q) labels (nested sequences) as scalar field elements."""
+    return [[ctx.compact_to_felt(int(c)) for c in row] for row in mat]
+
+
+def felts_to_labels(ctx: FieldCtx, rows: list[list[Felt]]) -> list[list[int]]:
+    return [[int(ctx.fq.compact_of_idx[x.i]) for x in row] for row in rows]
+
+
+def felt_rref(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> tuple[list[list[Felt]], list[int]]:
+    """Reduced row echelon form by scalar Felt elimination: (nonzero rows, pivots)."""
+    m = [row[:] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def felt_kernel(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> list[list[Felt]]:
+    """RREF basis of {x : rows @ x = 0}: one vector per free column."""
+    R, pivots = felt_rref(ctx, rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [ctx.zero] * ncols
+        vec[f] = ctx.one
+        for i, p in enumerate(pivots):
+            vec[p] = -R[i][f]
+        basis.append(vec)
+    return felt_rref(ctx, basis, ncols)[0]
+
+
+def felt_in_row_space(ctx: FieldCtx, rows: list[list[Felt]], v: list[Felt], ncols: int) -> bool:
+    """Membership by rank: adding v to the rows does not raise the rank."""
+    return len(felt_rref(ctx, rows + [v], ncols)[1]) == len(felt_rref(ctx, rows, ncols)[1])
+
+
+def felt_matvec_is_zero(ctx: FieldCtx, rows: list[list[Felt]], v: list[Felt]) -> bool:
+    for row in rows:
+        total = ctx.zero
+        for a, b in zip(row, v):
+            total = total + a * b
+        if total:
+            return False
+    return True

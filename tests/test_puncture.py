@@ -11,6 +11,7 @@ from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 from hermgrs.puncture import (
     PunctureVector,
     UPoly,
+    constructive_witness,
     g_form_vector,
     membership,
     min_weight_formula,
@@ -173,6 +174,20 @@ def test_membership_basics(ctx4):
     assert not membership(basis, PunctureVector(ctx4, v))
 
 
+def test_puncture_vector_rejects_labels_outside_gf_q(ctx4):
+    """Out-of-range entries are refused, not wrapped by the uint8 cast."""
+    for bad in (257, -255, ctx4.q, -1):
+        v = np.zeros(ctx4.q2 + 1, dtype=np.int64)
+        v[5] = bad
+        with pytest.raises(ValidationRefused):
+            PunctureVector(ctx4, v)
+    with pytest.raises(ValidationRefused):
+        PunctureVector(ctx4, np.full(ctx4.q2 + 1, 1.5))
+    v = np.zeros(ctx4.q2 + 1, dtype=np.int64)
+    v[5] = ctx4.q - 1
+    assert PunctureVector(ctx4, v).support() == (6,)
+
+
 def test_membership_of_random_g_form(small_grid):
     rng = random.Random(23)
     for ctx, k in small_grid:
@@ -218,6 +233,13 @@ def test_min_weight_pc_exhaustive_cells(ctx4, ctx5):
     assert (r.weight, r.mode) == (8, "exhaustive")
     assert r.witness is not None and r.witness.weight() == 8
     assert membership(puncture_direct(ctx4, 3), r.witness)
+
+
+def test_min_weight_pc_carries_the_constructive_witness_weight(small_grid, ctx4):
+    cells = [(ctx, k, 10) for ctx, k in small_grid] + [(ctx4, k, 10**8) for k in (2, 3)]
+    for ctx, k, cap in cells:  # constructive mode, then exhaustive mode
+        r = min_weight_pc(ctx, k, cap=cap)
+        assert r.witness_weight == constructive_witness(ctx, k).weight()
 
 
 def test_min_weight_pc_trivial_for_large_k(ctx4):
