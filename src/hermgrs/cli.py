@@ -238,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "n": code.n, "k": code.k, "d": code.n - code.k + 1,
             "verified_d": mds in ("minors", "enumeration"),
         },
-        "quantum": list(grscode.quantum_params(code).quantum) if self_orth else None,
+        "quantum": list(grscode.CodeParams.of_self_orthogonal(code).quantum) if self_orth else None,
     }
     claims = {}
     if "self_orthogonal" in record:

@@ -124,10 +124,10 @@ def _assemble(
             "a Hermitian self-orthogonal code must be at least twice its dimension long"
         )
     code = grscode.truncate_scale(grscode.build_rs(ctx, k), vector)
-    if not grscode.is_hermitian_self_orthogonal(code):
+    if grscode.hermitian_gram(code).any():
         raise SelfCheckFailed(f"{family}: Gram matrix is nonzero on a constructed code")
     mds = grscode.mds_status(code, mds_cap=mds_cap, enum_cap=enum_cap)
-    params = grscode.quantum_params(code)
+    params = grscode.CodeParams.of_self_orthogonal(code)
     checks = {
         "factored_identity": identity_ok,
         "zero_count_matches_prediction": True,

@@ -173,7 +173,6 @@ class FieldCtx:
         self.modulus = _find_modulus(p, 2 * h)
         self._build_tables()
         self._build_subfield()
-        self._elems_cache: tuple[Felt, ...] | None = None
 
     # ------------------------------------------------------------------
     # table construction
@@ -419,9 +418,7 @@ class FieldCtx:
 
     def elems(self) -> tuple[Felt, ...]:
         """The canonical enumeration a_1, ..., a_(q^2) of all field elements."""
-        if self._elems_cache is None:
-            self._elems_cache = tuple(Felt(self, i) for i in range(self.q2))
-        return self._elems_cache
+        return tuple(Felt(self, i) for i in range(self.q2))
 
     def points_idx(self) -> np.ndarray:
         """Index array of the enumeration (identity, by the representation)."""

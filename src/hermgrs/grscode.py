@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from .field import Felt, FieldCtx, make_field, solve_norm
 from .puncture import PunctureVector
@@ -40,6 +41,14 @@ class CodeParams:
         nq, kq, dq, _ = self.quantum
         if nq < kq + 2 * (dq - 1):
             raise ValidationRefused("quantum Singleton bound violated")
+
+    @classmethod
+    def of_self_orthogonal(cls, code: GrsCode) -> CodeParams:
+        """Parameters of a code whose Hermitian Gram matrix is already known to vanish."""
+        n, k, q = code.n, code.k, code.ctx.q
+        if n < 2 * k:
+            raise ValidationRefused(f"self-orthogonal parameters need n >= 2k; got n={n}, k={k}")
+        return cls(n=n, k=k, d=n - k + 1, alphabet=code.ctx.q2, quantum=(n, n - 2 * k, k + 1, q))
 
 
 class GrsCode:
@@ -142,24 +151,12 @@ def hermitian_gram(code: GrsCode) -> np.ndarray:
     pts = code.eval_points_idx()
     n_eval = pts.size
     lam = ctx.vnorm(code.thetas[:n_eval])
-    # the power matrix depends only on (support, k); cache it per context so
-    # scanning many scalings of one support stays cheap
-    cache = getattr(ctx, "_gram_pow_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._gram_pow_cache = cache
-    key = (k, code.support)
-    powers = cache.get(key)
-    if powers is None:
-        exps = np.array([r * q + s for r in range(k) for s in range(k)], dtype=np.int64)
-        powers = ctx.vpow_outer(pts, exps)  # (k^2, n_eval)
-        if len(cache) < 8:
-            cache[key] = powers
-    # row-chunked so the digit-sum gather stays within a few megabytes
+    exps = np.array([r * q + s for r in range(k) for s in range(k)], dtype=np.int64)
+    # row-chunked to bound the power matrix and the digit-sum gather
     chunk = max(1, (2 * 10**6) // max(n_eval, 1))
     sums = np.concatenate(
         [
-            ctx.vsum(ctx.vmul(lam[None, :], powers[lo : lo + chunk]), axis=1)
+            ctx.vsum(ctx.vmul(lam[None, :], ctx.vpow_outer(pts, exps[lo : lo + chunk])), axis=1)
             for lo in range(0, k * k, chunk)
         ]
     )
@@ -220,41 +217,29 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
 
 
 def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:
-    """Minimum Hamming weight by full enumeration of the row space."""
-    ctx, k, n = code.ctx, code.k, code.n
+    """Minimum Hamming weight by full enumeration of the row space.
+
+    ``linalg.span_weights`` runs over the q^2 multiples of each generator
+    row, with Zech-logarithm addition.
+    """
+    ctx, k = code.ctx, code.k
     total = ctx.q2**k
     if total > cap:
         raise CapExceeded(f"row space has (q^2)^{k} = {total} words, above the cap {cap}")
-    best = n + 1
-    block = 1 << 15
-    for lo in range(1, total, block):
-        hi = min(lo + block, total)
-        msgs = np.empty((hi - lo, k), dtype=np.int64)
-        ints = np.arange(lo, hi, dtype=np.int64)
-        for r in range(k - 1, -1, -1):
-            ints, rem = np.divmod(ints, ctx.q2)
-            msgs[:, r] = rem
-        acc = ctx.vmul(msgs[:, 0][:, None], code.gen[0][None, :])
-        for r in range(1, k):
-            acc = ctx.vadd(acc, ctx.vmul(msgs[:, r][:, None], code.gen[r][None, :]))
-        w = int(np.count_nonzero(acc, axis=1).min())
-        best = min(best, w)
-    return best
+    multiples = ctx.vmul(ctx.points_idx()[None, :, None], code.gen[:, None, :])  # (k, q^2, n)
+    return linalg.span_weights(ctx.vadd, multiples)[1]
 
 
-def quantum_params(code: GrsCode, verified_d: bool = False) -> CodeParams:
+def quantum_params(code: GrsCode) -> CodeParams:
     """Parameters ((n, n-2k, k+1))_q of the derived quantum code.
 
-    Requires Hermitian self-orthogonality.  The quantum distance reported
-    is the MDS value k+1 of the Hermitian dual; it can in principle be
-    larger (coset minimum weights are not computed).
+    Requires Hermitian self-orthogonality, which it checks.  The quantum
+    distance reported is the MDS value k+1 of the Hermitian dual; it can in
+    principle be larger (coset minimum weights are not computed).
     """
     if not is_hermitian_self_orthogonal(code):
         raise ValidationRefused("quantum parameters require a Hermitian self-orthogonal code")
-    n, k, q = code.n, code.k, code.ctx.q
-    if n < 2 * k:
-        raise ValidationRefused(f"self-orthogonal parameters need n >= 2k; got n={n}, k={k}")
-    return CodeParams(n=n, k=k, d=n - k + 1, alphabet=code.ctx.q2, quantum=(n, n - 2 * k, k + 1, q))
+    return CodeParams.of_self_orthogonal(code)
 
 
 def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = 10**6) -> str:
@@ -282,8 +267,8 @@ def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = 10**6) -> 
 # serialization
 # ----------------------------------------------------------------------
 def code_to_dict(code: GrsCode, *, self_orthogonal: bool, mds: str) -> dict:
-    """JSON form of a code record (schema 1)."""
-    params = quantum_params(code) if self_orthogonal else None
+    """JSON form of a code record (schema 1), given its self-orthogonality verdict."""
+    params = CodeParams.of_self_orthogonal(code) if self_orthogonal else None
     n, k, q = code.n, code.k, code.ctx.q
     verified = mds in ("minors", "enumeration")
     return {
@@ -302,13 +287,28 @@ def code_to_dict(code: GrsCode, *, self_orthogonal: bool, mds: str) -> dict:
     }
 
 
+def _strict_int(value) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"expected an integer, got {value!r}")
+    return value
+
+
+def _strict_int_list(value) -> list[int]:
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"expected a list of integers, got {value!r}")
+    return [_strict_int(x) for x in value]
+
+
 def code_from_dict(obj: dict) -> GrsCode:
     """Rebuild a code from its JSON record, validating the schema strictly."""
     try:
-        p, h, k = int(obj["p"]), int(obj["h"]), int(obj["k"])
-        support = [int(i) for i in obj["support"]]
-        thetas = [int(t) for t in obj["thetas"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        if "schema" in obj and _strict_int(obj["schema"]) != 1:
+            raise MalformedInput(f"unsupported schema {obj['schema']!r}; expected 1")
+        p, h, k = (_strict_int(obj[key]) for key in ("p", "h", "k"))
+        support = _strict_int_list(obj["support"])
+        thetas = _strict_int_list(obj["thetas"])
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"missing or ill-typed code field: {exc}") from exc
     try:
         ctx = make_field(p, h)

@@ -1,4 +1,4 @@
-"""GF(q) matrix machinery on compact labels, plus weight enumeration engines.
+"""GF(q) matrix machinery on compact labels, plus the row-space enumerator.
 
 Matrices are numpy uint8 arrays of compact GF(q) labels (see
 ``field.SubfieldTables``).  Row reduction, kernels and row-space membership
@@ -6,9 +6,13 @@ convert their input to additive codes, work there, and convert the result
 back: in codes, adding a multiple of a pivot row is one gather from the q
 precomputed multiples of that row plus one addition (XOR for p = 2, a
 uint8 add and a conditional subtract for q = p, and one table gather for
-the other q).  The weight enumerators work on the labels directly, through
-the q x q add/mul tables by fancy indexing.  No path does per-element
-Python arithmetic.
+the other q).  No path does per-element Python arithmetic.
+
+``span_weights`` is the one full row-space enumerator: given the scalar
+multiples of each row and an addition, it meets in the middle over any
+alphabet.  The weight distribution and the full-enumeration branch of the
+minimum-weight search call it on GF(q) rows in additive codes, and
+``grscode.min_weight`` on GF(q^2) generator rows with Zech-log addition.
 
 The certified minimum-weight search enumerates row combinations of an RREF
 basis by the number of nonzero combination coefficients ("level" j).  A
@@ -167,15 +171,6 @@ def _coeff_block(q: int, j: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _combine(fq: SubfieldTables, sub: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """All combinations coeffs @ sub over GF(q): (B, j) x (j, N) -> (B, N)."""
-    ADD, MUL = fq.add, fq.mul
-    acc = MUL[coeffs[:, 0][:, None], sub[0][None, :]]
-    for t in range(1, sub.shape[0]):
-        acc = ADD[acc, MUL[coeffs[:, t][:, None], sub[t][None, :]]]
-    return acc
-
-
 def _combine_grouped(fq: SubfieldTables, subs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Combinations for a group of subsets at once: (S, j, N) x (C, j) -> (S, C, N)."""
     ADD, MUL = fq.add, fq.mul
@@ -187,47 +182,76 @@ def _combine_grouped(fq: SubfieldTables, subs: np.ndarray, coeffs: np.ndarray) -
     return acc
 
 
-def _span(fq: SubfieldTables, rows: np.ndarray) -> np.ndarray:
-    """All q^r words of the row space of the given rows, coefficient-major."""
-    n = rows.shape[1]
-    ADD, MUL = fq.add, fq.mul
-    out = np.zeros((1, n), dtype=np.uint8)
-    scalars = np.arange(fq.q, dtype=np.uint8)
-    for row in rows:
-        multiples = MUL[scalars[:, None], row[None, :]]  # (q, n)
-        out = ADD[multiples[:, None, :], out[None, :, :]].reshape(-1, n)
+def _span(add, multiples: np.ndarray) -> np.ndarray:
+    """All words of the span of the given rows, coefficient-major (last row slowest)."""
+    out = np.zeros((1, multiples.shape[2]), dtype=multiples.dtype)
+    for mult in multiples:
+        out = add(mult[:, None, :], out[None, :, :]).reshape(-1, out.shape[1])
     return out
 
 
-def _full_enum_min(
-    fq: SubfieldTables, basis: np.ndarray, threads: int
-) -> tuple[int, np.ndarray, int]:
-    """Minimum nonzero weight by meet-in-the-middle full enumeration."""
-    m, n = basis.shape
-    half = m // 2
-    A = _span(fq, basis[:half])  # word 0 is the zero word
-    B = _span(fq, basis[half:])
-    ADD = fq.add
-    block = max(1, _BLOCK // max(len(A), 1))
-    ranges = [(lo, min(lo + block, len(B))) for lo in range(0, len(B), block)]
+def span_weights(
+    add, multiples: np.ndarray, threads: int = 1
+) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+    """Weights of every word of a row space, by meet-in-the-middle enumeration.
 
-    def one(rng: tuple[int, int]) -> tuple[int, int, int]:
-        lo, hi = rng
-        words = ADD[B[lo:hi, None, :], A[None, :, :]]
-        wts = np.count_nonzero(words, axis=2)
-        if lo == 0:
-            wts[0, 0] = n + 1  # exclude the zero word
-        flat = int(wts.argmin())
-        return int(wts.reshape(-1)[flat]), lo + flat // len(A), flat % len(A)
+    ``multiples[r, c]`` is the c-th scalar multiple of row r, for every
+    scalar of the alphabet (c = 0 the zero multiple), and ``add`` adds two
+    broadcast arrays of entries.  The words are the sums of a word of the
+    span A of the first m//2 rows and one of the span B of the others,
+    visited B-major, one block of about ``_BLOCK`` words at a time; threads
+    split the work only at block boundaries.
 
-    if threads > 1 and len(ranges) > 1:
+    Returns (counts indexed by weight with the zero word at index 0, the
+    minimum nonzero weight, the first word of that weight in the visiting
+    order); the last two are None when no word is nonzero.
+    """
+    m, _, n = multiples.shape
+    A = _span(add, multiples[: m // 2])
+    B = _span(add, multiples[m // 2 :])
+    block = max(1, _BLOCK // len(A))
+
+    def one(lo: int) -> tuple[np.ndarray, int, int]:
+        words = add(B[lo : lo + block, None, :], A[None, :, :])
+        wts = np.count_nonzero(words, axis=2).ravel()
+        counts = np.bincount(wts, minlength=n + 1)
+        nonzero = np.flatnonzero(counts[1:])
+        if not nonzero.size:
+            return counts, n + 1, 0
+        w = int(nonzero[0]) + 1
+        return counts, w, lo * len(A) + int(np.argmax(wts == w))
+
+    starts = range(0, len(B), block)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, ranges))
+            results = list(ex.map(one, starts))
     else:
-        results = [one(rng) for rng in ranges]
-    best_w, bi, ai = min(results, key=lambda t: t[0])  # ties: earliest block wins
-    witness = ADD[B[bi], A[ai]]
-    return best_w, witness, len(A) * len(B) - 1
+        results = [one(lo) for lo in starts]
+    counts = np.sum([c for c, _, _ in results], axis=0)
+    _, best_w, at = min(results, key=lambda t: t[1])  # ties: earliest block wins
+    if best_w > n:
+        return counts, None, None
+    bi, ai = divmod(at, len(A))
+    return counts, best_w, add(B[bi], A[ai])
+
+
+def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
+    """``span_weights`` of GF(q) rows of compact labels.
+
+    The scalars stay in label order, so the words come in the same order as
+    on labels, but they are added as additive codes; the witness comes back
+    as labels.
+    """
+    add_into = _code_adder(fq)
+
+    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)).copy()
+        add_into(out, b)
+        return out
+
+    labels = fq.mul[np.arange(fq.q, dtype=np.uint8)[None, :, None], rows[:, None, :]]
+    counts, weight, witness = span_weights(add, fq.code_of_label[labels], threads)
+    return counts, weight, None if witness is None else fq.label_of_code[witness]
 
 
 def min_weight_scan(
@@ -267,11 +291,10 @@ def min_weight_scan(
 
     full = fq.q**m
     if full <= cap and full <= 2 * sum(level_cost):
-        w, vec, cnt = _full_enum_min(fq, basis, threads)
-        scanned += cnt
+        _, w, vec = _label_span_weights(fq, basis, threads)
         if best_w is None or w < best_w:
             best_w, best_vec = w, vec
-        return ScanResult(True, best_w, best_vec, scanned)
+        return ScanResult(True, best_w, best_vec, full - 1)
 
     ADD = fq.add
     nonzero = basis != 0
@@ -339,31 +362,8 @@ def weight_distribution(
     Returns counts indexed by weight (the zero word included at index 0).
     Refuses when the row space holds more than ``cap`` words.
     """
-    m, n = basis.shape
+    m = basis.shape[0]
     total = fq.q**m
     if total > cap:
         raise CapExceeded(f"row space has q^{m} = {total} words, above the cap {cap}")
-    counts = np.zeros(n + 1, dtype=np.int64)
-    counts[0] = 1
-    for j in range(1, m + 1):
-        per_subset = (fq.q - 1) ** j
-
-        def one(S: tuple[int, ...]) -> np.ndarray:
-            sub = basis[list(S)]
-            c = np.zeros(n + 1, dtype=np.int64)
-            for lo in range(0, per_subset, _BLOCK):
-                hi = min(lo + _BLOCK, per_subset)
-                acc = _combine(fq, sub, _coeff_block(fq.q, j, lo, hi))
-                wts = np.count_nonzero(acc, axis=1)
-                c += np.bincount(wts, minlength=n + 1)
-            return c
-
-        subsets = list(itertools.combinations(range(m), j))
-        if threads > 1 and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                for c in ex.map(one, subsets):
-                    counts += c
-        else:
-            for S in subsets:
-                counts += one(S)
-    return counts
+    return _label_span_weights(fq, basis, threads)[0]

@@ -219,8 +219,9 @@ def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> Punctur
     # the coefficient coordinate enters only the (r,s) = (k-1,k-1) condition
     rows[2 * (k * k - 1), q2] = 1
     kernel = linalg.kernel_basis(ctx.fq, rows)
-    canon, pivots = linalg.rref(ctx.fq, kernel)
-    return PunctureBasis(ctx, k, "direct", canon, pivots)
+    # the kernel is in RREF already: each row's pivot is its first nonzero column
+    pivots = tuple(np.argmax(kernel != 0, axis=1).tolist())
+    return PunctureBasis(ctx, k, "direct", kernel, pivots)
 
 
 def u_space_generators(ctx: FieldCtx, k: int) -> list[UPoly]:

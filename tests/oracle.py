@@ -8,6 +8,8 @@ the context's modulus.
 
 from __future__ import annotations
 
+import itertools
+
 from hermgrs.field import Felt, FieldCtx
 
 
@@ -230,3 +232,19 @@ def felt_matvec_is_zero(ctx: FieldCtx, rows: list[list[Felt]], v: list[Felt]) ->
         if total:
             return False
     return True
+
+
+def felt_span_weights(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> tuple[list[int], int | None]:
+    """(weight counts of all GF(q) combinations of the rows, minimum nonzero weight).
+
+    One scalar combination per coefficient vector, zero word included.
+    """
+    scalars = ctx.subfield_elems()
+    counts = [0] * (ncols + 1)
+    for coeffs in itertools.product(scalars, repeat=len(rows)):
+        word = [ctx.zero] * ncols
+        for a, row in zip(coeffs, rows):
+            word = [x + a * y for x, y in zip(word, row)]
+        counts[sum(1 for x in word if x)] += 1
+    lightest = next((w for w in range(1, ncols + 1) if counts[w]), None)
+    return counts, lightest

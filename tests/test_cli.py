@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hermgrs import grscode
 from hermgrs.cli import main
 
 
@@ -254,3 +255,30 @@ def test_seed_changes_are_echoed(tmp_path):
           "--output", str(b)])
     assert json.loads(a.read_text())["config"]["seed"] == 1
     assert json.loads(b.read_text())["config"]["seed"] == 2
+
+
+def test_construct_and_verify_compute_the_gram_once_each(tmp_path, capsys, monkeypatch):
+    calls = []
+    gram = grscode.hermitian_gram
+    monkeypatch.setattr(grscode, "hermitian_gram", lambda code: calls.append(code) or gram(code))
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    assert len(calls) == 1
+    rc, vdoc = run_json(capsys, ["verify", str(out)])
+    assert rc == 0 and vdoc["result"]["quantum"] == [12, 4, 5, 5]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("key,value", [("k", 4.9), ("p", 5.5), ("k", True), ("schema", 99),
+                                       ("h", "1")])
+def test_verify_refuses_coercible_fields_with_exit_4(tmp_path, capsys, key, value):
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["result"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 4
+    assert "malformed input" in capsys.readouterr().err

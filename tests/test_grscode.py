@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hermgrs.errors import CapExceeded, MalformedInput, ValidationRefused
 from hermgrs.field import make_field
@@ -271,3 +274,62 @@ def test_malformed_records_rejected(ctx5, mutate):
     mutate(record)
     with pytest.raises(MalformedInput):
         code_from_dict(record)
+
+
+@st.composite
+def small_codes(draw):
+    """Random truncated, column-scaled GRS codes with at most 9^3 codewords.
+
+    Half the draws keep the code's field, k and n but take a systematic
+    generator [I | R] with random R instead: independent rows, in general
+    neither MDS nor Hermitian self-orthogonal.
+    """
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    k = draw(st.integers(1, 3 if ctx.q2 <= 9 else 2))
+    n = draw(st.integers(k, min(ctx.q2 + 1, 8)))
+    support = sorted(draw(st.lists(st.integers(1, ctx.q2 + 1), min_size=n, max_size=n, unique=True)))
+    thetas = draw(st.lists(st.integers(1, ctx.q2 - 1), min_size=n, max_size=n))
+    code = GrsCode(ctx, k, tuple(support), np.array(thetas, dtype=np.int64))
+    if draw(st.booleans()):
+        entry = st.integers(0, ctx.q2 - 1)
+        rest = draw(st.lists(st.lists(entry, min_size=n - k, max_size=n - k), min_size=k, max_size=k))
+        gen = np.hstack([np.eye(k, dtype=np.int64), np.array(rest, dtype=np.int64).reshape(k, n - k)])
+        code = SimpleNamespace(ctx=ctx, k=k, n=n, gen=gen)  # element index 1 is the one
+    return code
+
+
+@given(small_codes())
+def test_min_weight_matches_scalar_enumeration(code):
+    assert min_weight(code) == oracle.code_min_weight_enum(code)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("k", 4.9),
+        ("k", 2.0),
+        ("k", True),
+        ("p", 5.5),
+        ("h", "1"),
+        ("schema", 99),
+        ("schema", True),
+        ("schema", "1"),
+        ("thetas", lambda r: [float(t) for t in r["thetas"]]),
+        ("support", lambda r: [str(i) for i in r["support"]]),
+        ("support", lambda r: [True] + r["support"][1:]),
+        ("support", lambda r: "".join(map(str, r["support"]))),
+    ],
+)
+def test_code_records_with_non_integer_fields_rejected(ctx5, key, value):
+    code = truncate_scale(build_rs(ctx5, 2), small_support_witness(ctx5, 2))
+    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    record[key] = value(record) if callable(value) else value
+    with pytest.raises(MalformedInput):
+        code_from_dict(record)
+
+
+def test_code_record_without_schema_key_accepted(ctx5):
+    code = truncate_scale(build_rs(ctx5, 2), small_support_witness(ctx5, 2))
+    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    del record["schema"]
+    assert np.array_equal(code_from_dict(record).gen, code.gen)

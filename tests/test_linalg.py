@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hermgrs import linalg
@@ -16,6 +16,7 @@ from oracle import (
     felt_kernel,
     felt_matvec_is_zero,
     felt_rref,
+    felt_span_weights,
     felts_to_labels,
     labels_to_felts,
 )
@@ -149,3 +150,78 @@ def test_additive_codes_carry_the_label_arithmetic(q):
         assert np.array_equal(fq.add_code, a ^ b)
     elif q == p:
         assert np.array_equal(fq.add_code, (a + b) % p)
+
+
+# the fields the enumerator is checked at, against a scalar reference
+ENUM_QS = (2, 3, 4, 5, 7, 8, 9)
+ENUM_MAX_WORDS = 729
+
+
+def _label_span_weights(ctx, rows, threads=1):
+    """``span_weights`` of GF(q) label rows added through the label tables.
+
+    The package adds GF(q) words as additive codes; its witnesses must be
+    the words this reference order finds.
+    """
+    fq = ctx.fq
+    multiples = fq.mul[np.arange(fq.q)[None, :, None], rows[:, None, :]]
+    return linalg.span_weights(lambda a, b: fq.add[a, b], multiples, threads)
+
+
+@st.composite
+def independent_rows(draw):
+    """(ctx, labels): m independent random GF(q) rows, q^m <= ENUM_MAX_WORDS."""
+    q = draw(st.sampled_from(ENUM_QS))
+    ctx = make_field(*FIELDS[q])
+    m = draw(st.integers(1, max(j for j in range(1, 10) if q**j <= ENUM_MAX_WORDS)))
+    n = draw(st.integers(m, 9))
+    label = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(label, min_size=n, max_size=n), min_size=m, max_size=m))
+    assume(len(felt_rref(ctx, labels_to_felts(ctx, rows), n)[1]) == m)
+    return ctx, np.array(rows, dtype=np.uint8)
+
+
+@given(independent_rows())
+def test_span_weights_matches_scalar_enumeration(case):
+    ctx, rows = case
+    n = rows.shape[1]
+    counts, weight, witness = _label_span_weights(ctx, rows)
+    ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
+    assert counts.tolist() == ref_counts
+    assert weight == ref_weight
+    assert witness.dtype == np.uint8 and np.count_nonzero(witness) == weight
+    assert felt_in_row_space(ctx, labels_to_felts(ctx, rows), labels_to_felts(ctx, [witness])[0], n)
+    # the package's GF(q) callers, which enumerate in additive codes
+    assert linalg.weight_distribution(ctx.fq, rows).tolist() == ref_counts
+    R = linalg.rref(ctx.fq, rows)[0]
+    scan = linalg.min_weight_scan(ctx.fq, R)
+    assert scan.scanned == ctx.q ** len(R) - 1  # the full-enumeration branch
+    assert scan.weight == weight
+    assert np.array_equal(scan.witness, _label_span_weights(ctx, R)[2])  # the same word as on labels
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
+def test_enumeration_is_independent_of_threads_and_block_size(monkeypatch, block):
+    """The witness is the first lightest word in B-major order however the work is split."""
+    ctx = make_field(3, 1)
+    rows = np.random.default_rng(3).integers(0, 3, size=(7, 10)).astype(np.uint8)
+    R, _ = linalg.rref(ctx.fq, rows)
+    ref_counts, ref_weight, ref_witness = _label_span_weights(ctx, rows)
+    ref_scan = linalg.min_weight_scan(ctx.fq, R)
+    assert ref_scan.scanned == 3 ** len(R) - 1  # the full-enumeration branch
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    for threads in (1, 2):
+        counts, weight, witness = _label_span_weights(ctx, rows, threads)
+        assert np.array_equal(counts, ref_counts) and weight == ref_weight
+        assert np.array_equal(witness, ref_witness)
+        assert np.array_equal(linalg.weight_distribution(ctx.fq, rows, threads=threads), ref_counts)
+        scan = linalg.min_weight_scan(ctx.fq, R, threads=threads)
+        assert (scan.weight, scan.scanned) == (ref_scan.weight, ref_scan.scanned)
+        assert np.array_equal(scan.witness, ref_scan.witness)
+
+
+def test_span_weights_of_no_rows_is_the_zero_word():
+    ctx = make_field(2, 2)
+    counts, weight, witness = _label_span_weights(ctx, np.zeros((0, 5), dtype=np.uint8))
+    assert counts.tolist() == [1, 0, 0, 0, 0, 0]
+    assert weight is None and witness is None

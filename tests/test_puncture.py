@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hermgrs import linalg
 from hermgrs.errors import CapExceeded, ValidationRefused
 from hermgrs.field import Felt, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
@@ -304,3 +305,14 @@ def test_weight_distribution(ctx2, ctx4):
     assert counts[17] == 0  # no full-weight word at (q, k) = (4, 3)
     with pytest.raises(CapExceeded):
         weight_distribution(ctx4, 2, cap=100)
+
+
+def test_direct_basis_reads_its_pivots_off_the_kernel(small_grid, monkeypatch):
+    shapes = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda fq, mat: shapes.append(mat.shape) or rref(fq, mat))
+    for ctx, k in small_grid:
+        shapes.clear()
+        direct = puncture_direct(ctx, k)
+        assert len(shapes) == 2  # the system, then the kernel vectors inside kernel_basis
+        assert direct.pivots == rref(ctx.fq, direct.matrix)[1] == u_space_basis(ctx, k).pivots
