@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 from . import constructions, grscode, puncture
 from .errors import CapExceeded, MalformedInput, ValidationRefused
-from .field import FieldCtx, make_field
+from .field import MAX_Q, FieldCtx, make_field
 from .poly import Poly
 
 SCHEMA = 1
@@ -39,6 +39,8 @@ SWEEP_COLUMNS = [
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValidationRefused(f"q={q} is not a prime power")
+    if q > MAX_Q:  # before the trial division, which would run up to q
+        raise ValidationRefused(f"q={q} exceeds the supported cap {MAX_Q}")
     for p in range(2, q + 1):
         if q % p == 0:
             h = 0
@@ -413,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationRefused(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ValidationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)

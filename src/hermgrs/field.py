@@ -158,13 +158,17 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, h: int):
+        # bound p before the trial division and h before the power, so that
+        # huge inputs are refused at once
+        if p > MAX_Q:
+            raise ValidationRefused(f"p={p} exceeds the supported cap {MAX_Q}")
         if not _is_prime(p):
             raise ValidationRefused(f"p={p} is not prime")
         if h < 1:
             raise ValidationRefused(f"h={h} must be a positive integer")
+        if h >= MAX_Q.bit_length() or p**h > MAX_Q:  # p^h >= 2^h > MAX_Q for the larger h
+            raise ValidationRefused(f"q={p}^{h} exceeds the supported cap {MAX_Q}")
         q = p**h
-        if q > MAX_Q:
-            raise ValidationRefused(f"q=p^h={q} exceeds the supported cap {MAX_Q}")
         self.p = p
         self.h = h
         self.q = q

@@ -9,10 +9,11 @@ uint8 add and a conditional subtract for q = p, and one table gather for
 the other q).  No path does per-element Python arithmetic.
 
 ``span_weights`` is the one full row-space enumerator: given the scalar
-multiples of each row and an addition, it meets in the middle over any
-alphabet.  The weight distribution and the full-enumeration branch of the
-minimum-weight search call it on GF(q) rows in additive codes, and
-``grscode.min_weight`` on GF(q^2) generator rows with Zech-log addition.
+multiples of each row, an addition and a negation, it meets in the middle
+over any alphabet.  The weight distribution and the full-enumeration
+branch of the minimum-weight search call it on GF(q) rows in additive
+codes, and ``grscode.min_weight`` on GF(q^2) generator rows with Zech-log
+arithmetic.
 
 The certified minimum-weight search enumerates row combinations of an RREF
 basis by the number of nonzero combination coefficients ("level" j).  A
@@ -21,6 +22,13 @@ pivot columns, hence weight >= j; therefore scanning levels 1..w-1 in full
 certifies that a found weight w is the true minimum.  Subsets whose rows
 have at least ``best`` columns touched by exactly one row are skipped: such
 columns cannot cancel, so no combination from the subset can beat ``best``.
+Inside a subset the coefficients are split in two halves A and B, whose
+combinations are gathered, as additive codes, from the scalar multiples of
+every basis row, built once per scan.
+
+Both enumerators weigh a word a + b without forming it: a + b is zero
+exactly where b == -a, so its weight is the number of columns where b
+differs from -a.  Only the word returned as the witness is added up.
 """
 
 from __future__ import annotations
@@ -171,15 +179,9 @@ def _coeff_block(q: int, j: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _combine_grouped(fq: SubfieldTables, subs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Combinations for a group of subsets at once: (S, j, N) x (C, j) -> (S, C, N)."""
-    ADD, MUL = fq.add, fq.mul
-    if subs.shape[1] == 0:
-        return np.zeros((subs.shape[0], 1, subs.shape[2]), dtype=np.uint8)
-    acc = MUL[coeffs[None, :, 0, None], subs[:, None, 0, :]]
-    for t in range(1, subs.shape[1]):
-        acc = ADD[acc, MUL[coeffs[None, :, t, None], subs[:, None, t, :]]]
-    return acc
+def _code_multiples(fq: SubfieldTables, rows: np.ndarray) -> np.ndarray:
+    """(n, m, q) additive codes: [i, r, c] is entry i of the label-c multiple of row r."""
+    return fq.code_of_label[fq.mul][rows.T]  # one gather of q-entry table rows
 
 
 def _span(add, multiples: np.ndarray) -> np.ndarray:
@@ -190,17 +192,28 @@ def _span(add, multiples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entries x != y summed over the first axis of the broadcast pair.
+
+    The first axis runs over the columns, so the count adds whole slices,
+    in the narrowest unsigned type that holds the column count.
+    """
+    return np.add.reduce((x != y).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(x)))
+
+
 def span_weights(
-    add, multiples: np.ndarray, threads: int = 1
+    add, neg, multiples: np.ndarray, threads: int = 1
 ) -> tuple[np.ndarray, int | None, np.ndarray | None]:
     """Weights of every word of a row space, by meet-in-the-middle enumeration.
 
     ``multiples[r, c]`` is the c-th scalar multiple of row r, for every
-    scalar of the alphabet (c = 0 the zero multiple), and ``add`` adds two
-    broadcast arrays of entries.  The words are the sums of a word of the
-    span A of the first m//2 rows and one of the span B of the others,
-    visited B-major, one block of about ``_BLOCK`` words at a time; threads
-    split the work only at block boundaries.
+    scalar of the alphabet (c = 0 the zero multiple), ``add`` adds two
+    broadcast arrays of entries and ``neg`` negates one.  The words are the
+    sums a + b of a word of the span A of the first m//2 rows and one of
+    the span B of the others, visited B-major, one block of about
+    ``_BLOCK`` words at a time; threads split the work only at block
+    boundaries.  A word's weight is the number of columns where
+    b != -a, so only the returned word is ever added up.
 
     Returns (counts indexed by weight with the zero word at index 0, the
     minimum nonzero weight, the first word of that weight in the visiting
@@ -210,10 +223,11 @@ def span_weights(
     A = _span(add, multiples[: m // 2])
     B = _span(add, multiples[m // 2 :])
     block = max(1, _BLOCK // len(A))
+    neg_a = np.ascontiguousarray(neg(A).T)  # (n, |A|)
+    b_cols = np.ascontiguousarray(B.T)  # (n, |B|)
 
     def one(lo: int) -> tuple[np.ndarray, int, int]:
-        words = add(B[lo : lo + block, None, :], A[None, :, :])
-        wts = np.count_nonzero(words, axis=2).ravel()
+        wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :]).ravel()
         counts = np.bincount(wts, minlength=n + 1)
         nonzero = np.flatnonzero(counts[1:])
         if not nonzero.size:
@@ -249,8 +263,8 @@ def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
         add_into(out, b)
         return out
 
-    labels = fq.mul[np.arange(fq.q, dtype=np.uint8)[None, :, None], rows[:, None, :]]
-    counts, weight, witness = span_weights(add, fq.code_of_label[labels], threads)
+    multiples = _code_multiples(fq, rows).transpose(1, 2, 0)  # (m, q, n)
+    counts, weight, witness = span_weights(add, fq.neg_code.take, multiples, threads)
     return counts, weight, None if witness is None else fq.label_of_code[witness]
 
 
@@ -273,6 +287,10 @@ def min_weight_scan(
     Admission is decided upfront from the projected unpruned work for the
     needed levels; past ``cap`` the search refuses without scanning so the
     caller can fall back to a constructive answer.
+
+    Raises ValueError, unless it refuses, when the basis is not the
+    identity on its pivot columns (the first nonzero column of each row):
+    the level bound rests on it.
     """
     m, n = basis.shape
     if m == 0:
@@ -287,6 +305,10 @@ def min_weight_scan(
     level_cost = [math.comb(m, j) * qm1**j for j in range(1, depth + 1)]
     if sum(level_cost) > cap:
         return ScanResult(False, best_w, best_vec, 0)
+    nonzero = basis != 0
+    on_pivots = basis[:, nonzero.argmax(axis=1)]  # a zero row puts a 0 on the diagonal
+    if np.count_nonzero(on_pivots) != m or not (on_pivots.diagonal() == 1).all():
+        raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
     scanned = 0
 
     full = fq.q**m
@@ -296,8 +318,20 @@ def min_weight_scan(
             best_w, best_vec = w, vec
         return ScanResult(True, best_w, best_vec, full - 1)
 
-    ADD = fq.add
-    nonzero = basis != 0
+    q = fq.q
+    add = _code_adder(fq)
+    mult = _code_multiples(fq, basis).reshape(n, m * q)  # column r * q + c: label c times row r
+
+    def half(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """(S, t) rows x (C, t) coefficients -> (n, S, C) combinations."""
+        if rows.shape[1] == 0:
+            return np.zeros((n, len(rows), 1), dtype=np.uint8)
+        at = rows[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
+        part = mult.take(at[:, :, 0], axis=1)
+        for t in range(1, rows.shape[1]):
+            add(part, mult.take(at[:, :, t], axis=1))
+        return part
+
     for j in range(1, depth + 1):
         if best_w is not None and j >= best_w:
             break
@@ -314,13 +348,16 @@ def min_weight_scan(
         group = max(1, _BLOCK // (ca * cb))
 
         def scan_group(take: np.ndarray) -> tuple[int, np.ndarray]:
-            subs = basis[subsets[take]]  # (S, j, N)
-            part_a = _combine_grouped(fq, subs[:, :j1, :], coeffs_a)  # (S, ca, N)
-            part_b = _combine_grouped(fq, subs[:, j1:, :], coeffs_b)  # (S, cb, N)
-            words = ADD[part_a[:, :, None, :], part_b[:, None, :, :]]  # (S, ca, cb, N)
-            wts = np.count_nonzero(words, axis=3)
+            subs = subsets[take]
+            part_a = half(subs[:, :j1], coeffs_a)  # (n, S, ca)
+            part_b = half(subs[:, j1:], coeffs_b)  # (n, S, cb)
+            # a + b is zero exactly where b == -a
+            wts = _count_differences(fq.neg_code[part_a][:, :, :, None], part_b[:, :, None, :])
             flat = int(wts.argmin())
-            return int(wts.reshape(-1)[flat]), words.reshape(-1, n)[flat].copy()
+            s, a, b = np.unravel_index(flat, wts.shape)
+            word = part_b[:, s, b].copy()
+            add(word, part_a[:, s, a])
+            return int(wts.reshape(-1)[flat]), fq.label_of_code[word]
 
         # fixed wave size keeps the scanned set (hence the witness)
         # independent of the thread count

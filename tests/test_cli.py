@@ -282,3 +282,35 @@ def test_verify_refuses_coercible_fields_with_exit_4(tmp_path, capsys, key, valu
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(bad)]) == 4
     assert "malformed input" in capsys.readouterr().err
+
+
+# a Mersenne prime far above the field cap: trial division up to its square
+# root would not finish
+HUGE_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize("argv", [["--p", str(HUGE_PRIME), "--h", "1"], ["--p", "2", "--h", "100000000"],
+                                  ["--q", str(HUGE_PRIME)]])
+def test_field_info_refuses_huge_fields_at_once(capsys, argv):
+    assert main(["field-info", *argv]) == 2
+    assert "exceeds the supported cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("p", HUGE_PRIME), ("h", 100000000)])
+def test_verify_refuses_huge_fields_with_exit_4(tmp_path, capsys, key, value):
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["result"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 4
+    assert "exceeds the supported cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_refused(capsys, threads):
+    assert main(["sweep", "--q", "3", "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--threads must be at least 1" in captured.err

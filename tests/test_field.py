@@ -76,6 +76,13 @@ def test_make_field_rejects_bad_input():
         make_field(2, 0)
 
 
+def test_make_field_refuses_huge_p_and_h_before_testing_them():
+    """Refused before the trial division to sqrt(p) and before computing p^h."""
+    for p, h in [(2**61 - 1, 1), (2**127 - 1, 1), (2, 100_000_000), (3, 10**18)]:
+        with pytest.raises(ValidationRefused, match="exceeds the supported cap"):
+            make_field(p, h)
+
+
 def test_make_field_examples():
     ctx = make_field(2, 3)
     assert ctx.q == 8 and ctx.q2 == 64 and len(ctx.elems()) == 64

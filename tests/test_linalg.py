@@ -165,7 +165,7 @@ def _label_span_weights(ctx, rows, threads=1):
     """
     fq = ctx.fq
     multiples = fq.mul[np.arange(fq.q)[None, :, None], rows[:, None, :]]
-    return linalg.span_weights(lambda a, b: fq.add[a, b], multiples, threads)
+    return linalg.span_weights(lambda a, b: fq.add[a, b], lambda a: fq.neg[a], multiples, threads)
 
 
 @st.composite
@@ -225,3 +225,72 @@ def test_span_weights_of_no_rows_is_the_zero_word():
     counts, weight, witness = _label_span_weights(ctx, np.zeros((0, 5), dtype=np.uint8))
     assert counts.tolist() == [1, 0, 0, 0, 0, 0]
     assert weight is None and witness is None
+
+
+@st.composite
+def rref_bases(draw):
+    """(ctx, RREF basis): random GF(q) rows, often sparse, so often not MDS.
+
+    The basis spans at most ENUM_MAX_WORDS words; zero rows and dependent
+    rows drop out of the RREF.
+    """
+    q = draw(st.sampled_from(ENUM_QS))
+    ctx = make_field(*FIELDS[q])
+    m = draw(st.integers(1, max(j for j in range(1, 10) if q**j <= ENUM_MAX_WORDS)))
+    n = draw(st.integers(m, 10))
+    label = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        label = st.one_of(st.just(0), label)  # zero in over half of the entries
+    rows = draw(st.lists(st.lists(label, min_size=n, max_size=n), min_size=m, max_size=m))
+    R, _ = linalg.rref(ctx.fq, np.array(rows, dtype=np.uint8))
+    assume(len(R))
+    return ctx, R
+
+
+@given(rref_bases(), st.booleans())
+def test_level_scan_matches_brute_force(case, hinted):
+    """The level branch, forced by a cap one below the row space's size.
+
+    The levels hold the q^m - 1 nonzero words, so the scan is admitted, but
+    the full enumeration of all q^m words is over the cap.
+
+    With ``hinted`` the scan also starts from a verified upper bound, the
+    first basis row, which stops it below that row's weight.
+    """
+    ctx, R = case
+    m, n = R.shape
+    felt_rows = labels_to_felts(ctx, R)
+    _, ref_weight = felt_span_weights(ctx, felt_rows, n)
+    upper = (int(np.count_nonzero(R[0])), R[0]) if hinted else None
+    results = []
+    for block in (linalg._BLOCK, 1):  # one subset per group puts several groups in a wave
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK", block)
+            for threads in (1, 2):
+                scan = linalg.min_weight_scan(ctx.fq, R, cap=ctx.q**m - 1, threads=threads, upper=upper)
+                results.append((scan.admitted, scan.weight, scan.scanned, scan.witness.tolist()))
+    assert results[1] == results[0] and results[3] == results[2]
+    admitted, weight, scanned, witness = results[0]
+    assert admitted and weight == ref_weight
+    assert scanned <= ctx.q**m - 1
+    assert np.count_nonzero(witness) == weight
+    assert felt_in_row_space(ctx, felt_rows, labels_to_felts(ctx, [witness])[0], n)
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 1, 0], [1, 0, 1]],  # column 0 is the pivot of both rows
+    [[1, 0, 2], [0, 2, 1]],  # the second pivot is 2, not 1
+    [[1, 2, 0], [0, 0, 0]],  # a zero row
+    [[0, 1, 1], [1, 1, 0]],  # the first row's pivot column is not zero in the second
+])
+def test_min_weight_scan_refuses_a_basis_that_is_not_reduced(basis):
+    fq = make_field(3, 1).fq
+    with pytest.raises(ValueError, match="identity on its pivot columns"):
+        linalg.min_weight_scan(fq, np.array(basis, dtype=np.uint8))
+
+
+def test_min_weight_scan_accepts_unordered_reduced_rows():
+    """Only the identity on the pivots matters, not the order of the rows."""
+    fq = make_field(3, 1).fq
+    scan = linalg.min_weight_scan(fq, np.array([[0, 1, 1, 0], [1, 0, 1, 0]], dtype=np.uint8))
+    assert scan.admitted and scan.weight == 2  # the difference of the rows
