@@ -6,11 +6,18 @@ coefficient of X^(k-1).  Truncation and column scaling are driven by
 puncture vectors; Hermitian self-orthogonality is certified on the monomial
 basis through the k x k Gram matrix of the scaled Hermitian form, which by
 sesquilinearity covers all codeword pairs.
+
+MDS-ness (d = n-k+1) is checked on every k-column minor by one elimination
+along the lexicographic tree of column subsets: a node, the sorted prefix
+c1 < ... < cj, holds the (k-j) x n residual of the generator reduced by it,
+whose rows span the codewords vanishing on the prefix.  Column c is
+independent of the prefix iff the residual is nonzero at c, so a minor is
+nonsingular iff its path never meets a zero column, and minors sharing a
+prefix share its work.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +30,8 @@ from .puncture import PunctureVector
 
 MDS_CAP = 10**6
 ENUM_CAP = 10**8
+# entries per working array of the MDS minor walk
+_MDS_BLOCK = 10**6
 
 
 @dataclass(frozen=True)
@@ -171,27 +180,39 @@ def is_hermitian_self_orthogonal(code: GrsCode) -> bool:
     return not hermitian_gram(code).any()
 
 
-def _nonsingular_batch(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """Which of a batch of square matrices over GF(q^2) are nonsingular."""
-    M = np.array(mats, dtype=np.int64, copy=True)
-    b, k, _ = M.shape
-    singular = np.zeros(b, dtype=bool)
-    rows = np.arange(b)
-    for c in range(k):
-        nzmask = M[:, c:, c] != 0
-        has = nzmask.any(axis=1)
-        singular |= ~has
-        off = np.argmax(nzmask, axis=1)
-        sel = c + np.where(has, off, 0)
-        tmp = M[rows, c, :].copy()
-        M[rows, c, :] = M[rows, sel, :]
-        M[rows, sel, :] = tmp
-        if c + 1 < k:
-            pinv = ctx._vinv0(M[:, c, c])
-            f = ctx.vmul(M[:, c + 1 :, c], pinv[:, None])
-            delta = ctx.vmul(f[:, :, None], M[:, c, :][:, None, :])
-            M[:, c + 1 :, :] = ctx.vadd(M[:, c + 1 :, :], ctx.vneg(delta))
-    return ~singular
+def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
+    """Whether every minor below the given prefix nodes is nonsingular (see ``check_mds``).
+
+    ``res[b]`` is the (r, n) residual of node b, whose prefix ends at column
+    ``last[b]`` and leaves r columns to choose.  Each child is one
+    pivot-and-eliminate step; a one-row residual needs only its nonzero test.
+    """
+    b, r, n = res.shape
+    if r == 1:
+        later = np.arange(n)[None, :] > last[:, None]
+        return bool(((res[:, 0, :] != 0) | ~later).all())
+    counts = n - r - last  # children last+1 .. n-r leave r-1 columns after them
+    parent = np.repeat(np.arange(b), counts)
+    start = np.cumsum(counts) - counts
+    col = last[parent] + 1 + np.arange(parent.size) - start[parent]
+    step = max(1, _MDS_BLOCK // (r * n))
+    for lo in range(0, parent.size, step):
+        node, c = res[parent[lo : lo + step]], col[lo : lo + step]
+        rows = np.arange(node.shape[0])
+        at_c = node[rows, :, c]  # (B, r)
+        nonzero = at_c != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        prow = nonzero.argmax(axis=1)
+        pivot = node[rows, prow]  # (B, n)
+        keep = np.arange(r)[None, :] != prow[:, None]
+        inv = ctx._vinv0(at_c[rows, prow])
+        factor = ctx.vneg(ctx.vmul(at_c[keep].reshape(-1, r - 1), inv[:, None]))
+        rest = node[keep].reshape(-1, r - 1, n)
+        child = ctx.vadd(rest, ctx.vmul(factor[:, :, None], pivot[:, None, :]))
+        if not _prefix_walk(ctx, child, c):
+            return False
+    return True
 
 
 def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
@@ -199,21 +220,21 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
 
     Equivalent to d = n-k+1.  Refuses (never guesses) when C(n, k)
     exceeds the combinatorial cap.
+
+    The minors are the leaves of the lexicographic tree of column subsets,
+    so minors that share a prefix share its elimination.  A node is a
+    sorted prefix c1 < ... < cj holding the generator reduced by it: a
+    (k-j) x n residual whose rows span the codewords that vanish on
+    c1..cj.  Column c is independent of the prefix iff the residual is
+    nonzero at c, so the minor on (c1..ck) is nonsingular iff the residual
+    is nonzero at every step along its path.  The walk goes depth first,
+    in pieces of at most ``_MDS_BLOCK`` entries per working array.
     """
     n, k = code.n, code.k
     total = math.comb(n, k)
     if total > cap:
         raise CapExceeded(f"C({n},{k}) = {total} minors exceed the cap {cap}")
-    batch = max(1, 10**6 // max(k * k, 1))
-    combos = itertools.combinations(range(n), k)
-    while True:
-        chunk = list(itertools.islice(combos, batch))
-        if not chunk:
-            return True
-        cols = np.array(chunk, dtype=np.int64)  # (B, k)
-        minors = code.gen[:, cols].transpose(1, 0, 2)  # (B, k, k)
-        if not _nonsingular_batch(code.ctx, minors).all():
-            return False
+    return _prefix_walk(code.ctx, code.gen[None], np.array([-1], dtype=np.int64))
 
 
 def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:

@@ -302,9 +302,11 @@ def min_weight_scan(
         best_w = upper[0]
         best_vec = np.array(upper[1], dtype=np.uint8, copy=True)
     depth = m if best_w is None else min(m, best_w - 1)
-    level_cost = [math.comb(m, j) * qm1**j for j in range(1, depth + 1)]
-    if sum(level_cost) > cap:
-        return ScanResult(False, best_w, best_vec, 0)
+    projected = 0  # unpruned words on the needed levels, summed until past the cap
+    for j in range(1, depth + 1):
+        projected += math.comb(m, j) * qm1**j
+        if projected > cap:
+            return ScanResult(False, best_w, best_vec, 0)
     nonzero = basis != 0
     on_pivots = basis[:, nonzero.argmax(axis=1)]  # a zero row puts a 0 on the diagonal
     if np.count_nonzero(on_pivots) != m or not (on_pivots.diagonal() == 1).all():
@@ -312,7 +314,7 @@ def min_weight_scan(
     scanned = 0
 
     full = fq.q**m
-    if full <= cap and full <= 2 * sum(level_cost):
+    if full <= cap and full <= 2 * projected:
         _, w, vec = _label_span_weights(fq, basis, threads)
         if best_w is None or w < best_w:
             best_w, best_vec = w, vec

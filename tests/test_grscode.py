@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hermgrs.errors import CapExceeded, MalformedInput, ValidationRefused
+from hermgrs import grscode
+from hermgrs.errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from hermgrs.field import make_field
 from hermgrs.grscode import (
     GrsCode,
@@ -18,6 +21,7 @@ from hermgrs.grscode import (
     code_to_dict,
     hermitian_gram,
     is_hermitian_self_orthogonal,
+    mds_status,
     min_weight,
     quantum_params,
     truncate_scale,
@@ -333,3 +337,90 @@ def test_code_record_without_schema_key_accepted(ctx5):
     record = code_to_dict(code, self_orthogonal=True, mds="minors")
     del record["schema"]
     assert np.array_equal(code_from_dict(record).gen, code.gen)
+
+
+MDS_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def minors_by_oracle(code) -> bool:
+    """Scalar elimination of every k-column minor."""
+    gen = [[code.ctx.felt(int(x)) for x in row] for row in code.gen]
+    return all(
+        oracle.nonsingular_by_elimination(code.ctx, [[row[c] for c in cols] for row in gen])
+        for cols in itertools.combinations(range(code.n), code.k)
+    )
+
+
+def check_mds_at_block_one(code) -> bool:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grscode, "_MDS_BLOCK", 1)  # one child per piece
+        return check_mds(code)
+
+
+@st.composite
+def mds_candidates(draw):
+    """Codes with k <= 6 and n <= 12 whose generators are often not MDS.
+
+    Half the draws overwrite one entry of a GRS generator; the other half
+    replace the generator by random entries, about a third of them zero.
+    """
+    ctx = make_field(*MDS_FIELDS[draw(st.sampled_from(sorted(MDS_FIELDS)))])
+    k = draw(st.integers(1, min(ctx.q + 1, 6)))
+    n = draw(st.integers(k, min(ctx.q2 + 1, 12)))
+    support = sorted(draw(st.lists(st.integers(1, ctx.q2 + 1), min_size=n, max_size=n, unique=True)))
+    thetas = draw(st.lists(st.integers(1, ctx.q2 - 1), min_size=n, max_size=n))
+    code = GrsCode(ctx, k, tuple(support), np.array(thetas, dtype=np.int64))
+    if draw(st.booleans()):
+        gen = code.gen.copy()
+        gen[draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(0, ctx.q2 - 1))
+    else:
+        entry = st.one_of(st.just(0), st.integers(1, ctx.q2 - 1), st.integers(1, ctx.q2 - 1))
+        gen = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)))
+    code.gen = gen.astype(np.int64)
+    return code
+
+
+@given(mds_candidates())
+def test_check_mds_matches_scalar_minors(code):
+    expected = minors_by_oracle(code)
+    assert check_mds(code) is expected
+    assert check_mds_at_block_one(code) is expected
+
+
+def _code_with_gen(ctx, gen):
+    gen = np.array(gen, dtype=np.int64)
+    k, n = gen.shape
+    code = GrsCode(ctx, k, tuple(range(1, n + 1)), np.ones(n, dtype=np.int64))
+    code.gen = gen
+    return code
+
+
+@pytest.mark.parametrize(
+    "gen,expected",
+    [
+        ([[1, 2, 0], [3, 0, 1], [0, 5, 7]], True),  # k = n: the one minor decides
+        ([[1, 2, 4], [2, 3, 5], [0, 5, 7]], False),  # k = n, row 1 is w times row 0
+        ([[1, 0, 3, 4]], False),  # k = 1 with a zero column
+        ([[1, 1, 1, 1]], True),
+        ([[1, 2, 3, 4], [0, 0, 0, 0]], False),  # a zero row
+    ],
+)
+def test_check_mds_fixed_cases(ctx4, gen, expected):
+    code = _code_with_gen(ctx4, gen)
+    assert minors_by_oracle(code) is expected
+    assert check_mds(code) is expected
+    assert check_mds_at_block_one(code) is expected
+
+
+def test_mds_status_raises_on_a_singular_minor(ctx5):
+    code = GrsCode(ctx5, 2, (1, 2, 3, 4, 5), np.ones(5, dtype=np.int64))
+    assert mds_status(code) == "minors"
+    code.gen = code.gen.copy()
+    code.gen[:, 3] = ctx5.vmul(code.gen[:, 1], np.int64(7))  # column 3 a multiple of column 1
+    with pytest.raises(SelfCheckFailed, match="a k-column minor is singular"):
+        mds_status(code)
+
+
+def test_check_mds_cap_message(ctx5):
+    with pytest.raises(CapExceeded, match=re.escape("C(26,4) = 14950 minors exceed the cap 10")):
+        check_mds(build_rs(ctx5, 4), cap=10)

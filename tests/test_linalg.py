@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -294,3 +296,32 @@ def test_min_weight_scan_accepts_unordered_reduced_rows():
     fq = make_field(3, 1).fq
     scan = linalg.min_weight_scan(fq, np.array([[0, 1, 1, 0], [1, 0, 1, 0]], dtype=np.uint8))
     assert scan.admitted and scan.weight == 2  # the difference of the rows
+
+
+def test_min_weight_scan_refusal_without_an_upper_bound():
+    """A q = 16, k = 1 u-space basis (256 rows): the projected work passes the cap at level 3."""
+    ctx = make_field(2, 4)
+    basis = u_space_basis(ctx, 1).matrix
+    scan = linalg.min_weight_scan(ctx.fq, basis)
+    assert (scan.admitted, scan.weight, scan.witness, scan.scanned) == (False, None, None, 0)
+    row = basis[0]  # weight 2, so only level 1 (3840 words) is needed: over a cap of 100
+    scan = linalg.min_weight_scan(ctx.fq, basis, cap=100, upper=(int(np.count_nonzero(row)), row))
+    assert (scan.admitted, scan.weight, scan.scanned) == (False, int(np.count_nonzero(row)), 0)
+    assert np.array_equal(scan.witness, row) and scan.witness is not row
+
+
+@pytest.mark.parametrize("hinted", [False, True])
+def test_min_weight_scan_admits_exactly_up_to_the_projected_work(hinted):
+    """Admitted iff the unpruned words on the needed levels are at most the cap."""
+    fq = make_field(3, 1).fq
+    basis = np.array([[1, 0, 0, 0, 1, 2], [0, 1, 0, 0, 2, 2], [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 2, 1]],
+                     dtype=np.uint8)
+    m = len(basis)
+    upper = (3, basis[0]) if hinted else None
+    depth = m if upper is None else upper[0] - 1
+    projected = sum(math.comb(m, j) * 2**j for j in range(1, depth + 1))
+    admitted = linalg.min_weight_scan(fq, basis, cap=projected, upper=upper)
+    refused = linalg.min_weight_scan(fq, basis, cap=projected - 1, upper=upper)
+    assert admitted.admitted and admitted.scanned > 0
+    assert (refused.admitted, refused.scanned) == (False, 0)
+    assert refused.weight == (3 if hinted else None)
