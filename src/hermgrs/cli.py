@@ -119,6 +119,8 @@ def cmd_field_info(args: argparse.Namespace) -> int:
 
 
 def cmd_puncture(args: argparse.Namespace) -> int:
+    if args.g_samples < 0:
+        raise ValidationRefused(f"--g-samples must be at least 0, got {args.g_samples}")
     ctx = _resolve_field(args)
     k = args.k
     config = {
@@ -244,9 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     claims = {}
     if "self_orthogonal" in record:
-        claims["self_orthogonal"] = bool(record["self_orthogonal"]) == self_orth
+        claims["self_orthogonal"] = record["self_orthogonal"] == self_orth
     if record.get("quantum") is not None and result["quantum"] is not None:
-        claims["quantum"] = list(record["quantum"]) == result["quantum"]
+        claims["quantum"] = record["quantum"] == result["quantum"]
     result["matches_file"] = claims
     if args.include_generator:
         result["generator"] = grscode.generator_rows(code)

@@ -367,10 +367,11 @@ class FieldCtx:
         """Matrix a_j^(m_i) of shape (len(ms), len(a)), with 0^0 = 1."""
         a = np.asarray(a, dtype=np.int64)
         ms = np.asarray(ms, dtype=np.int64)
-        e = (a - 1)[None, :] * ms[:, None]
-        res = 1 + e % self.n_units
-        res = np.where(a[None, :] == 0, 0, res)
-        return np.where((a[None, :] == 0) & (ms[:, None] == 0), 1, res)
+        res = np.multiply.outer(ms, a - 1)
+        res %= self.n_units
+        res += 1
+        res[:, a == 0] = (ms == 0)[:, None]  # 0^m = 0, but 0^0 = 1
+        return res
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
         return self.vpow(a, self.q)

@@ -3,9 +3,9 @@
 The full-length code has q^2+1 coordinates: evaluations of every polynomial
 of degree <= k-1 at all field elements, plus one coordinate carrying the
 coefficient of X^(k-1).  Truncation and column scaling are driven by
-puncture vectors; Hermitian self-orthogonality is certified on the monomial
-basis through the k x k Gram matrix of the scaled Hermitian form, which by
-sesquilinearity covers all codeword pairs.
+puncture vectors; Hermitian self-orthogonality is certified by the k x k
+Gram matrix H N(theta) of the scaled Hermitian form on the monomial basis
+(H: P(C)'s parity check), which by sesquilinearity covers all codeword pairs.
 
 MDS-ness (d = n-k+1) is checked on every k-column minor by one elimination
 along the lexicographic tree of column subsets: a node, the sorted prefix
@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from .field import Felt, FieldCtx, make_field, solve_norm
-from .puncture import PunctureVector
+from .puncture import PunctureVector, power_sums
 
 MDS_CAP = 10**6
 ENUM_CAP = 10**8
@@ -109,10 +109,6 @@ class GrsCode:
     def has_coeff_coord(self) -> bool:
         return bool(self.support) and self.support[-1] == self.ctx.q2 + 1
 
-    def eval_points_idx(self) -> np.ndarray:
-        n_eval = self.n - (1 if self.has_coeff_coord else 0)
-        return np.array([i - 1 for i in self.support[:n_eval]], dtype=np.int64)
-
     def __repr__(self) -> str:
         return f"GrsCode(q^2={self.ctx.q2}, n={self.n}, k={self.k})"
 
@@ -153,27 +149,11 @@ def hermitian_gram(code: GrsCode) -> np.ndarray:
 
     Entry (r, s) is sum_i theta_i^(q+1) (a_i^r)^q a_i^s over evaluation
     coordinates, plus theta^(q+1) of the coefficient coordinate when
-    r = s = k-1.  The code is Hermitian self-orthogonal iff this matrix
-    vanishes.
+    r = s = k-1: the power sums H N(theta) (``puncture.power_sums``).  The
+    code is Hermitian self-orthogonal iff N(theta) lies in P(C).
     """
-    ctx, k, q = code.ctx, code.k, code.ctx.q
-    pts = code.eval_points_idx()
-    n_eval = pts.size
-    lam = ctx.vnorm(code.thetas[:n_eval])
-    exps = np.array([r * q + s for r in range(k) for s in range(k)], dtype=np.int64)
-    # row-chunked to bound the power matrix and the digit-sum gather
-    chunk = max(1, (2 * 10**6) // max(n_eval, 1))
-    sums = np.concatenate(
-        [
-            ctx.vsum(ctx.vmul(lam[None, :], ctx.vpow_outer(pts, exps[lo : lo + chunk])), axis=1)
-            for lo in range(0, k * k, chunk)
-        ]
-    )
-    gram = sums.reshape(k, k)
-    if code.has_coeff_coord:
-        corner = int(ctx.pow_i(int(code.thetas[-1]), q + 1))
-        gram[k - 1, k - 1] = ctx.add_i(int(gram[k - 1, k - 1]), corner)
-    return gram
+    ctx = code.ctx
+    return power_sums(ctx, code.k, code.support, ctx.fq.compact_of_idx[ctx.vnorm(code.thetas)])
 
 
 def is_hermitian_self_orthogonal(code: GrsCode) -> bool:
@@ -331,6 +311,10 @@ def code_from_dict(obj: dict) -> GrsCode:
         p, h, k = (_strict_int(obj[key]) for key in ("p", "h", "k"))
         support = _strict_int_list(obj["support"])
         thetas = _strict_int_list(obj["thetas"])
+        if not isinstance(obj.get("self_orthogonal", False), bool):
+            raise MalformedInput(f"self_orthogonal must be true or false, got {obj['self_orthogonal']!r}")
+        if obj.get("quantum") is not None and len(_strict_int_list(obj["quantum"])) != 4:
+            raise MalformedInput(f"quantum must be null or four integers, got {obj['quantum']!r}")
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"missing or ill-typed code field: {exc}") from exc
     try:

@@ -76,8 +76,8 @@ def _code_sum(fq: SubfieldTables, X: np.ndarray) -> np.ndarray:
     if fq.p == 2:
         return np.bitwise_xor.reduce(X, axis=0)
     pows = fq.p ** np.arange(fq.h, dtype=np.int64)
-    digits = (X[:, :, None].astype(np.int64) // pows) % fq.p  # (t, n, h)
-    return ((digits.sum(axis=0) % fq.p) @ pows).astype(np.uint8)
+    digits = X[:, :, None] // pows.astype(np.uint8) % np.uint8(fq.p)  # (t, n, h)
+    return ((digits.sum(axis=0, dtype=np.int64) % fq.p) @ pows).astype(np.uint8)
 
 
 def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -137,21 +137,25 @@ def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
     return canon
 
 
+def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The product M v over GF(q): products gathered and summed as additive codes."""
+    code = fq.code_of_label
+    # one take from the flattened table, at code(v_j) * q + code(M_ij)
+    products = fq.mul_code.ravel().take(code[M] + code[v].astype(np.uint16) * np.uint16(fq.q))
+    return fq.label_of_code[_code_sum(fq, products.T)]
+
+
 def reduce_against(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
     """Remainder of v after elimination by the RREF rows R.
 
     R is the identity on its pivot columns, so eliminating row i never
-    changes v on the other pivots, and the remainder is
-    v - sum_i v[pivot i] R_i.
+    changes v on the other pivots, and the remainder is v + R^T (-c) with
+    c = v on the pivots (rows with c_i = 0 left out).
     """
     v = np.asarray(v, dtype=np.uint8)
     coeffs = v[list(pivots)]
     used = np.flatnonzero(coeffs)
-    if not used.size:
-        return v.copy()
-    code = fq.code_of_label
-    terms = fq.mul_code[fq.neg_code[code[coeffs[used]]][:, None], code[R[used]]]
-    return fq.label_of_code[_code_sum(fq, np.vstack([code[v][None, :], terms]))]
+    return matvec(fq, np.vstack([v, R[used]]).T, np.concatenate([[1], fq.neg[coeffs[used]]]))
 
 
 def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:

@@ -1,12 +1,14 @@
 """The puncture code P(C) of the k-dimensional Reed-Solomon code over GF(q^2).
 
 P(C) is the GF(q)-linear code of length q^2+1 whose words lambda satisfy
-sum_i lambda_i u_i v_i^q = 0 for all codewords u, v.  Its weight-r words
-certify Hermitian self-orthogonal truncations of length r.
+sum_i lambda_i u_i v_i^q = 0 for all codewords u, v: the kernel of the
+parity-check matrix H of the power sums S_(r,s), r, s < k (``parity_check``).
+Its weight-r words certify Hermitian self-orthogonal truncations of length
+r.  ``power_sums`` evaluates H lambda; H N(theta) is the Gram matrix.
 
 Three independent computations are provided and cross-validated elsewhere:
 
-* ``puncture_direct``  - solve the defining linear system over GF(q);
+* ``puncture_direct``  - the kernel of H over GF(q);
 * ``u_space_basis``    - evaluate the structured polynomial space whose
                          evaluations (plus one coefficient coordinate)
                          realize P(C) exactly;
@@ -197,28 +199,43 @@ def _vector_from_values(ctx: FieldCtx, vals: np.ndarray, final: Felt) -> Punctur
     return PunctureVector(ctx, np.concatenate([comp, [final_c]]))
 
 
-def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> PunctureBasis:
-    """P(C) by solving its defining GF(q)-linear system.
+def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
+    """The (2k^2, len(cols)) GF(q) parity-check matrix H of P(C) on 1-based coordinates.
 
-    Each GF(q^2) condition sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_last = 0
-    splits into two GF(q) equations through the basis {1, xi}.
+    Rows 2t, 2t+1 (t = rk + s) are the {1, xi}-components of the condition
+    S_(r,s)(lambda) = sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_(q^2+1) = 0.
     """
+    cols = np.asarray(cols, dtype=np.int64)
+    coeff = cols == ctx.q2 + 1  # the coefficient coordinate
+    exps = np.array([r * ctx.q + s for r in range(k) for s in range(k)], dtype=np.int64)
+    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), exps))
+    H = np.stack([c0, c1], axis=1).reshape(2 * k * k, cols.size)
+    H[:, coeff] = 0
+    H[2 * (k * k - 1), coeff] = 1
+    return H
+
+
+def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
+    """S_(r,s)(lambda) as a k x k GF(q^2) matrix: H lambda, for GF(q) labels ``lam``
+    on the 1-based coordinates ``cols``, in blocks of at most 2*10^6 entries of H."""
+    step = max(1, 2 * 10**6 // (2 * k * k))
+    sums = np.zeros(2 * k * k, dtype=np.uint8)
+    for lo in range(0, len(cols), step):  # sums + H(block) lam(block), one product
+        block = np.column_stack([sums, parity_check(ctx, k, cols[lo : lo + step])])
+        sums = linalg.matvec(ctx.fq, block, np.concatenate([[1], lam[lo : lo + step]]))
+    comps = ctx.fq.idx_of_compact[sums]
+    return ctx.vadd(comps[0::2], ctx.vmul(comps[1::2], np.int64(ctx.xi_idx))).reshape(k, k)
+
+
+def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> PunctureBasis:
+    """P(C) as the kernel of its parity-check matrix H over all q^2+1 coordinates."""
     q, q2 = ctx.q, ctx.q2
     _check_k(ctx, k)
     if k > q + 1:
         return PunctureBasis(ctx, k, "direct", np.empty((0, q2 + 1), dtype=np.uint8), ())
     if q > max_q:
         raise CapExceeded(f"direct solver capped at q <= {max_q} (q^2+1 = {q2 + 1} unknowns); got q={q}")
-    pts = ctx.points_idx()
-    exps = np.array([r * q + s for r in range(k) for s in range(k)], dtype=np.int64)
-    coeff_rows = ctx.vpow_outer(pts, exps)  # (k^2, q^2)
-    c0, c1 = ctx.split_components(coeff_rows)
-    rows = np.zeros((2 * k * k, q2 + 1), dtype=np.uint8)
-    rows[0::2, :q2] = c0
-    rows[1::2, :q2] = c1
-    # the coefficient coordinate enters only the (r,s) = (k-1,k-1) condition
-    rows[2 * (k * k - 1), q2] = 1
-    kernel = linalg.kernel_basis(ctx.fq, rows)
+    kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, np.arange(1, q2 + 2)))
     # the kernel is in RREF already: each row's pivot is its first nonzero column
     pivots = tuple(np.argmax(kernel != 0, axis=1).tolist())
     return PunctureBasis(ctx, k, "direct", kernel, pivots)
@@ -312,8 +329,6 @@ def membership(basis: PunctureBasis, v: PunctureVector) -> bool:
         raise ValueError("vector belongs to a different field context")
     if v.v.shape[0] != basis.matrix.shape[1]:
         raise ValidationRefused("vector length does not match the basis")
-    if basis.dim == 0:
-        return v.is_zero()
     return linalg.in_row_space(basis.ctx.fq, basis.matrix, basis.pivots, v.v)
 
 
@@ -333,17 +348,14 @@ def min_weight_formula(q: int, k: int) -> int:
 def small_support_witness(ctx: FieldCtx, k: int) -> PunctureVector:
     """Weight-2k member of P(C) supported on 2k subfield points (k <= q/2).
 
-    The kernel of the (2k-1) x 2k Vandermonde system over GF(q) is one
-    dimensional and every kernel vector has full weight.
+    On them H has only the rows a^(r+s) of a (2k-1) x 2k Vandermonde system
+    and zero rows, so its kernel is one dimensional and of full weight.
     """
     q = ctx.q
     if not 1 <= 2 * k <= q:
         raise ValidationRefused(f"the 2k-point witness needs 2k <= q; got k={k}, q={q}")
     points = ctx.fq.idx_of_compact[: 2 * k]  # first 2k subfield elements
-    exps = np.arange(2 * k - 1, dtype=np.int64)
-    vand_idx = ctx.vpow_outer(points, exps)  # (2k-1, 2k)
-    vand = ctx.fq.compact_of_idx[vand_idx].astype(np.uint8)
-    kernel = linalg.kernel_basis(ctx.fq, vand)
+    kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points + 1))
     assert kernel.shape[0] == 1, "Vandermonde kernel is not one dimensional"
     lam = kernel[0]
     assert np.count_nonzero(lam) == 2 * k, "kernel vector of a Vandermonde system lost weight"
@@ -399,11 +411,11 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
     _check_k(ctx, k)
     if k > q:
         return PuncMinWeight(q, k, 0, None, None, "empty", None, True, 0, "P(C) = {0}")
-    basis = u_space_basis(ctx, k)
     formula = min_weight_formula(q, k)
     upper_vec = constructive_witness(ctx, k)
-    if not membership(basis, upper_vec):
+    if power_sums(ctx, k, upper_vec.support(), upper_vec.v[upper_vec.v != 0]).any():
         raise SelfCheckFailed("constructive witness is not a member of P(C)")
+    basis = u_space_basis(ctx, k)
     res = linalg.min_weight_scan(
         ctx.fq, basis.matrix, cap=cap, threads=threads,
         upper=(upper_vec.weight(), upper_vec.v),
@@ -428,11 +440,7 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
 def weight_distribution(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> np.ndarray:
     """Full weight enumerator of P(C) (index = weight, zero word included)."""
     _check_k(ctx, k)
-    if k > ctx.q:
-        counts = np.zeros(ctx.q2 + 2, dtype=np.int64)
-        counts[0] = 1
-        return counts
-    basis = u_space_basis(ctx, k)
+    basis = u_space_basis(ctx, k)  # empty for k > q: the zero word alone
     return linalg.weight_distribution(ctx.fq, basis.matrix, cap=cap, threads=threads)
 
 

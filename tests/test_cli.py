@@ -314,3 +314,42 @@ def test_threads_below_one_are_refused(capsys, threads):
     assert main(["sweep", "--q", "3", "--threads", threads]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--threads must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("key,value", [("quantum", 5), ("quantum", [12, 4, 5]), ("quantum", [12, 4, 5, "5"]),
+                                       ("quantum", [12, 4, 5, True]), ("quantum", "12,4,5,5"),
+                                       ("self_orthogonal", "false"), ("self_orthogonal", None),
+                                       ("self_orthogonal", 1)])
+def test_verify_refuses_ill_typed_claims_with_exit_4(tmp_path, capsys, key, value):
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["result"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed input" in captured.err
+
+
+def test_verify_compares_a_null_quantum_claim_with_nothing(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["result"]["quantum"] = None
+    doc["result"]["self_orthogonal"] = False
+    bad = tmp_path / "claims.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc, vdoc = run_json(capsys, ["verify", str(bad)])
+    assert rc == 0
+    assert vdoc["result"]["matches_file"] == {"self_orthogonal": False}
+
+
+def test_negative_g_samples_are_refused(capsys):
+    assert main(["puncture", "--q", "4", "--k", "2", "--g-samples", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--g-samples must be at least 0" in captured.err

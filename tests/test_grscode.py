@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hermgrs import grscode
+from hermgrs import grscode, linalg
 from hermgrs.errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from hermgrs.field import make_field
 from hermgrs.grscode import (
@@ -26,7 +27,7 @@ from hermgrs.grscode import (
     quantum_params,
     truncate_scale,
 )
-from hermgrs.puncture import PunctureVector, puncture_direct, small_support_witness
+from hermgrs.puncture import PunctureVector, puncture_direct, small_support_witness, u_space_basis
 
 import oracle
 
@@ -424,3 +425,71 @@ def test_mds_status_raises_on_a_singular_minor(ctx5):
 def test_check_mds_cap_message(ctx5):
     with pytest.raises(CapExceeded, match=re.escape("C(26,4) = 14950 minors exceed the cap 10")):
         check_mds(build_rs(ctx5, 4), cap=10)
+
+
+GRAM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def scaled_truncations(draw):
+    """Truncated, column-scaled GRS codes over GF(q^2), q <= 9.
+
+    About one draw in six truncates to a word of P(C), so the code is
+    Hermitian self-orthogonal; the others take random supports, half of
+    them with the coefficient coordinate, and random thetas, and are
+    almost never self-orthogonal.
+    """
+    ctx = make_field(*draw(st.sampled_from(GRAM_FIELDS)))
+    k = draw(st.integers(1, ctx.q + 1))
+    if k <= ctx.q and draw(st.integers(0, 5)) == 0:
+        basis = u_space_basis(ctx, k)
+        coeffs = np.array(draw(st.lists(st.integers(0, ctx.q - 1), min_size=basis.dim, max_size=basis.dim)))
+        word = PunctureVector(ctx, linalg.matvec(ctx.fq, basis.matrix.T, coeffs))
+        if word.weight() >= k:
+            return truncate_scale(build_rs(ctx, k), word)
+    n = draw(st.integers(k, min(ctx.q2 + 1, 20)))
+    coeff = n > ctx.q2 or draw(st.booleans())
+    evals = draw(st.lists(st.integers(1, ctx.q2), min_size=n - coeff, max_size=n - coeff, unique=True))
+    support = sorted(evals) + ([ctx.q2 + 1] if coeff else [])
+    thetas = draw(st.lists(st.integers(1, ctx.q2 - 1), min_size=n, max_size=n))
+    return GrsCode(ctx, k, tuple(support), np.array(thetas, dtype=np.int64))
+
+
+@given(scaled_truncations())
+def test_gram_matches_scalar_oracle_on_random_truncations(code):
+    ref = oracle.gram_matrix(code)
+    assert hermitian_gram(code).tolist() == [[x.i for x in row] for row in ref]
+    assert is_hermitian_self_orthogonal(code) is all(x.is_zero() for row in ref for x in row)
+
+
+@pytest.mark.parametrize("k", [32, 33])
+def test_gram_adds_up_coordinate_blocks(k):
+    """At q = 32 and k >= 32, H is built for the 1025 coordinates in two blocks.
+
+    With every theta one, sum_a a^e over GF(q^2) is 1 (that is, -1) for
+    e = q^2-1 and 0 for every other e <= (k-1)(q+1), so the Gram is
+    e_(q-1,q-1) + e_(k-1,k-1).  Scaling by w the columns at a = w (first
+    block) and a = w^(q^2-2) (second block) adds (N(w) - 1) a^(rq+s) for each.
+    """
+    ctx = make_field(2, 5)
+    q, points = ctx.q, (2, ctx.q2 - 1)  # field indices, one less than the coordinates
+    thetas = np.ones(ctx.q2 + 1, dtype=np.int64)
+    thetas[list(points)] = 2
+    gram = hermitian_gram(GrsCode(ctx, k, tuple(range(1, ctx.q2 + 2)), thetas))
+    delta = ctx.add_i(ctx.pow_i(2, q + 1), ctx.neg_i(1))
+    for r in range(k):
+        for s in range(k):
+            want = int((r * q + s == ctx.q2 - 1) != (r == s == k - 1))
+            for a in points:
+                want = ctx.add_i(want, ctx.mul_i(delta, ctx.pow_i(a, r * q + s)))
+            assert int(gram[r, s]) == want, (r, s)
+
+
+@given(scaled_truncations())
+def test_code_record_json_roundtrip(code):
+    so = is_hermitian_self_orthogonal(code)
+    record = json.loads(json.dumps(code_to_dict(code, self_orthogonal=so, mds="asserted_by_construction")))
+    back = code_from_dict(record)
+    assert back.support == code.support
+    assert np.array_equal(back.thetas, code.thetas)
+    assert np.array_equal(back.gen, code.gen)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hermgrs import linalg
 from hermgrs.errors import CapExceeded, ValidationRefused
@@ -17,6 +19,8 @@ from hermgrs.puncture import (
     membership,
     min_weight_formula,
     min_weight_pc,
+    parity_check,
+    power_sums,
     puncture_direct,
     small_support_witness,
     u_space_basis,
@@ -316,3 +320,54 @@ def test_direct_basis_reads_its_pivots_off_the_kernel(small_grid, monkeypatch):
         direct = puncture_direct(ctx, k)
         assert len(shapes) == 2  # the system, then the kernel vectors inside kernel_basis
         assert direct.pivots == rref(ctx.fq, direct.matrix)[1] == u_space_basis(ctx, k).pivots
+
+
+def parity_check_holds(ctx, k, v) -> bool:
+    """H v = 0, read off the support of v as ``min_weight_pc`` checks its witness."""
+    return not power_sums(ctx, k, v.support(), v.v[v.v != 0]).any()
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_parity_check_membership_matches_both_bases(p, h):
+    """Random words of P(C), the same with one coordinate changed, and random vectors."""
+    ctx = make_field(p, h)
+    q, rng = ctx.q, random.Random(p * 10 + h)
+    seen = {True: 0, False: 0}
+    for k in range(1, q + 1):
+        direct, uspace = puncture_direct(ctx, k), u_space_basis(ctx, k)
+        full = parity_check(ctx, k, np.arange(1, ctx.q2 + 2))
+        for trial in range(9):
+            coeffs = np.array([rng.randrange(q) for _ in range(direct.dim)])
+            word = linalg.matvec(ctx.fq, direct.matrix.T, coeffs)
+            if trial % 3 == 1:  # the coefficient coordinate every other time
+                pos = ctx.q2 if trial % 2 else rng.randrange(ctx.q2)
+                word[pos] = ctx.fq.add[word[pos], rng.randrange(1, q)]
+            elif trial % 3 == 2:
+                word = np.array([rng.randrange(q) for _ in range(ctx.q2 + 1)], dtype=np.uint8)
+            v = PunctureVector(ctx, word)
+            expected = membership(direct, v)
+            assert membership(uspace, v) is expected
+            assert parity_check_holds(ctx, k, v) is expected
+            assert (not linalg.matvec(ctx.fq, full, word).any()) is expected
+            seen[expected] += 1
+    assert seen[True] and seen[False]
+
+
+def test_parity_check_on_the_coefficient_coordinate(ctx4):
+    """Column q^2+1 of H is the unit vector of the real part of S_(k-1,k-1)."""
+    for k in range(1, ctx4.q + 2):
+        H = parity_check(ctx4, k, [ctx4.q2 + 1, 1, ctx4.q2 + 1])
+        unit = np.zeros(2 * k * k, dtype=np.uint8)
+        unit[2 * (k * k - 1)] = 1
+        assert np.array_equal(H[:, 0], unit) and np.array_equal(H[:, 2], unit)
+        at_zero = np.zeros(2 * k * k, dtype=np.uint8)
+        at_zero[0] = 1  # a_1 = 0 enters only S_(0,0), as 0^0 = 1
+        assert np.array_equal(H[:, 1], at_zero)
+
+
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]), st.data())
+def test_puncture_vector_serialized_roundtrip(field, data):
+    ctx = make_field(*field)
+    labels = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=ctx.q2 + 1, max_size=ctx.q2 + 1))
+    v = PunctureVector(ctx, np.array(labels))
+    assert PunctureVector.from_serialized(ctx, v.serialized()) == v
