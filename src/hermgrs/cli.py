@@ -141,7 +141,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         "k": k,
         "method": args.method,
         "dim": primary.dim,
-        "expected_dim": ctx.q2 + 1 - k * k if k <= ctx.q else 0,
+        "expected_dim": puncture.dim_formula(ctx.q, k),
         "basis": [row.serialized() for row in primary.rows()],
     }
     if len(bases) == 2:

@@ -206,8 +206,10 @@ class FieldCtx:
         assert idx_of_poly.min() >= 0, "powers of w do not cover GF(q^2)*"
         self._idx_of_poly = idx_of_poly
 
-        # digit matrix per field index, used for vectorized field sums
+        # polynomial-basis integer and digit matrix per field index, used for
+        # vectorized field sums
         polyints = np.concatenate(([0], exp_poly))
+        self._polyint = polyints
         digit_pows = np.array(pows, dtype=np.int64)
         self._digits = ((polyints[:, None] // digit_pows[None, :]) % p).astype(np.int16)
         self._digit_pows = digit_pows
@@ -380,8 +382,11 @@ class FieldCtx:
         return self.vpow(a, self.q + 1)
 
     def vsum(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Field sum along an axis, via digitwise integer summation mod p."""
+        """Field sum along an axis: digitwise summation mod p of the
+        polynomial-basis integers, an XOR of them for p = 2."""
         a = np.asarray(a, dtype=np.int64)
+        if self.p == 2:
+            return self._idx_of_poly[np.bitwise_xor.reduce(self._polyint[a], axis=axis)]
         digits = self._digits[a]  # shape a.shape + (2h,)
         ax = axis if axis >= 0 else a.ndim + axis
         total = digits.sum(axis=ax, dtype=np.int64) % self.p

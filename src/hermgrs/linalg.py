@@ -272,6 +272,21 @@ def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
     return counts, weight, None if witness is None else fq.label_of_code[witness]
 
 
+def projected_work(q: int, m: int, depth: int, cap: int) -> int:
+    """Unpruned words on levels 1..depth of an m-row basis over GF(q).
+
+    That is sum_j C(m, j) (q-1)^j, the scan's admission measure; the sum
+    stops once it passes ``cap``, so it is exact whenever it is at most
+    ``cap``.
+    """
+    projected = 0
+    for j in range(1, depth + 1):
+        projected += math.comb(m, j) * (q - 1) ** j
+        if projected > cap:
+            break
+    return projected
+
+
 def min_weight_scan(
     fq: SubfieldTables,
     basis: np.ndarray,
@@ -306,17 +321,13 @@ def min_weight_scan(
         best_w = upper[0]
         best_vec = np.array(upper[1], dtype=np.uint8, copy=True)
     depth = m if best_w is None else min(m, best_w - 1)
-    projected = 0  # unpruned words on the needed levels, summed until past the cap
-    for j in range(1, depth + 1):
-        projected += math.comb(m, j) * qm1**j
-        if projected > cap:
-            return ScanResult(False, best_w, best_vec, 0)
+    projected = projected_work(fq.q, m, depth, cap)
+    if projected > cap:
+        return ScanResult(False, best_w, best_vec, 0)
     nonzero = basis != 0
     on_pivots = basis[:, nonzero.argmax(axis=1)]  # a zero row puts a 0 on the diagonal
     if np.count_nonzero(on_pivots) != m or not (on_pivots.diagonal() == 1).all():
         raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
-    scanned = 0
-
     full = fq.q**m
     if full <= cap and full <= 2 * projected:
         _, w, vec = _label_span_weights(fq, basis, threads)
@@ -324,22 +335,39 @@ def min_weight_scan(
             best_w, best_vec = w, vec
         return ScanResult(True, best_w, best_vec, full - 1)
 
+    # a fixed wave of groups keeps the scanned set (hence the witness)
+    # independent of the thread count
+    wave = 8
+    # Level 1 needs no multiples: a nonzero multiple of a row weighs what the
+    # row weighs, so the level's subsets, lightest first, find the first
+    # lightest row (times label 1).  They are scanned in groups of
+    # _BLOCK // (q-1); the first wave holds the lightest rows under the bound
+    # and sets a bound that no later row passes.
+    weights = nonzero.sum(axis=1)
+    order = np.argsort(weights, kind="stable")
+    light = order[weights[order] < (n + 1 if best_w is None else best_w)]
+    scanned = 0
+    if light.size:
+        scanned = min(light.size, wave * max(1, _BLOCK // qm1)) * qm1
+        best_w, best_vec = int(weights[light[0]]), basis[light[0]].astype(np.uint8)
+    assert best_w is not None  # the basis has a row, and every row is nonzero
+    if min(depth, best_w - 1) < 2:
+        return ScanResult(True, best_w, best_vec, scanned)
+
     q = fq.q
     add = _code_adder(fq)
     mult = _code_multiples(fq, basis).reshape(n, m * q)  # column r * q + c: label c times row r
 
     def half(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(S, t) rows x (C, t) coefficients -> (n, S, C) combinations."""
-        if rows.shape[1] == 0:
-            return np.zeros((n, len(rows), 1), dtype=np.uint8)
+        """(S, t) rows x (C, t) coefficients -> (n, S, C) combinations, t >= 1."""
         at = rows[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
         part = mult.take(at[:, :, 0], axis=1)
         for t in range(1, rows.shape[1]):
             add(part, mult.take(at[:, :, t], axis=1))
         return part
 
-    for j in range(1, depth + 1):
-        if best_w is not None and j >= best_w:
+    for j in range(2, depth + 1):
+        if j >= best_w:
             break
         subsets = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
         # columns touched by exactly one subset row cannot cancel, so they
@@ -349,7 +377,7 @@ def min_weight_scan(
         # meet in the middle inside the subset: halve the coefficient space
         j1 = j // 2
         ca, cb = qm1**j1, qm1 ** (j - j1)
-        coeffs_a = _coeff_block(fq.q, j1, 0, ca) if j1 else np.zeros((1, 0), dtype=np.uint8)
+        coeffs_a = _coeff_block(fq.q, j1, 0, ca)
         coeffs_b = _coeff_block(fq.q, j - j1, 0, cb)
         group = max(1, _BLOCK // (ca * cb))
 
@@ -365,19 +393,15 @@ def min_weight_scan(
             add(word, part_a[:, s, a])
             return int(wts.reshape(-1)[flat]), fq.label_of_code[word]
 
-        # fixed wave size keeps the scanned set (hence the witness)
-        # independent of the thread count
-        wave = 8
         pos = 0
         while pos < len(order):
-            if best_w is not None and j >= best_w:
+            if j >= best_w:
                 break
             takes = []
             while pos < len(order) and len(takes) < wave:
                 chunk = order[pos : pos + group]
                 pos += group
-                if best_w is not None:
-                    chunk = chunk[lonely[chunk] < best_w]
+                chunk = chunk[lonely[chunk] < best_w]
                 if chunk.size:
                     takes.append(chunk)
             if not takes:
@@ -389,7 +413,7 @@ def min_weight_scan(
                 results = [scan_group(t) for t in takes]
             for take, (w, vec) in zip(takes, results):
                 scanned += len(take) * ca * cb
-                if best_w is None or w < best_w:
+                if w < best_w:
                     best_w, best_vec = w, vec
     return ScanResult(True, best_w, best_vec, scanned)
 

@@ -175,10 +175,17 @@ class Poly:
             for m in nz:
                 acc = ctx.vadd(acc, ctx.vmul(np.int64(self.c[m]), ctx.vpow(xs, int(m))))
             return acc
-        vals = np.full_like(xs, self.c[-1])
-        for coef in self.c[-2::-1]:
-            vals = ctx.vadd(ctx.vmul(vals, xs), np.int64(coef))
-        return vals
+        # dense path: sum_m c_m x^m over blocks of about 2^14 terms, one field
+        # sum per block; larger blocks were no faster below q = 64 and raised
+        # the peak resident set
+        pts = xs.ravel()
+        step = max(1, (1 << 14) // max(1, pts.size))
+        vals = np.zeros_like(pts)
+        for lo in range(0, len(self.c), step):
+            exps = np.arange(lo, min(lo + step, len(self.c)), dtype=np.int64)
+            terms = ctx.vmul(self.c[exps, None], ctx.vpow_outer(pts, exps))
+            vals = ctx.vadd(vals, ctx.vsum(terms, axis=0))
+        return vals.reshape(xs.shape)
 
     def eval_all(self) -> np.ndarray:
         """Evaluation at the whole enumeration a_1..a_(q^2), as an index array."""

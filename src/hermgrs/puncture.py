@@ -16,7 +16,10 @@ Three independent computations are provided and cross-validated elsewhere:
                          x -> g(x) + g(x)^q + c x^((q-k)(q+1)).
 
 The minimum weight of P(C) follows a proven closed formula; this module can
-also certify it by exhaustive search at desk scale.
+also certify it by exhaustive search at desk scale.  The dimension is
+proven too (``dim_formula``), so ``min_weight_pc`` decides whether the
+search fits its cap before any basis exists, and row-reduces the u-space
+basis only for a search it will run.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class PunctureVector:
 
     def serialized(self) -> list[int]:
         """Entries as field enumeration indices (the JSON form)."""
-        return [int(self.ctx.fq.idx_of_compact[c]) for c in self.v]
+        return self.ctx.fq.idx_of_compact[self.v].tolist()
 
     def is_zero(self) -> bool:
         return not self.v.any()
@@ -332,6 +335,17 @@ def membership(basis: PunctureBasis, v: PunctureVector) -> bool:
     return linalg.in_row_space(basis.ctx.fq, basis.matrix, basis.pivots, v.v)
 
 
+def dim_formula(q: int, k: int) -> int:
+    """The proven GF(q)-dimension of P(C) for the k-dimensional code.
+
+    For k <= q the structured space is a direct sum over disjoint monomial
+    supports, of dimension 2 for each of the (q-k)(q+k-1)/2 pair slots and
+    1 for each of the q-k+1 diagonal slots, and evaluation on all of
+    GF(q^2) is injective below degree q^2: q^2+1-k^2 in all.
+    """
+    return q * q + 1 - k * k if k <= q else 0
+
+
 def min_weight_formula(q: int, k: int) -> int:
     """The proven minimum distance of P(C) for the k-dimensional code."""
     if not 1 <= k <= q:
@@ -405,35 +419,38 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
 
     Exhaustive mode runs the certified level search while its projected
     work stays under ``cap``; beyond that the proven formula value is
-    reported with a verified constructive witness.
+    reported with a verified constructive witness.  Admission is decided
+    from the proven dimension and the witness weight alone, so the u-space
+    RREF is built only for an admitted scan, where its dimension is checked
+    against the formula.
     """
     q = ctx.q
     _check_k(ctx, k)
     if k > q:
         return PuncMinWeight(q, k, 0, None, None, "empty", None, True, 0, "P(C) = {0}")
     formula = min_weight_formula(q, k)
+    dim = dim_formula(q, k)
     upper_vec = constructive_witness(ctx, k)
+    upper_w = upper_vec.weight()
     if power_sums(ctx, k, upper_vec.support(), upper_vec.v[upper_vec.v != 0]).any():
         raise SelfCheckFailed("constructive witness is not a member of P(C)")
-    basis = u_space_basis(ctx, k)
-    res = linalg.min_weight_scan(
-        ctx.fq, basis.matrix, cap=cap, threads=threads,
-        upper=(upper_vec.weight(), upper_vec.v),
-    )
-    if res.admitted:
-        assert res.weight is not None and res.witness is not None
-        witness = PunctureVector(ctx, res.witness)
+    if linalg.projected_work(q, dim, min(dim, upper_w - 1), cap) <= cap:
+        basis = u_space_basis(ctx, k)
+        if basis.dim != dim:
+            raise SelfCheckFailed(f"u-space basis has dimension {basis.dim}, the formula says {dim}")
+        res = linalg.min_weight_scan(
+            ctx.fq, basis.matrix, cap=cap, threads=threads, upper=(upper_w, upper_vec.v),
+        )
+        assert res.admitted and res.weight is not None and res.witness is not None
         return PuncMinWeight(
-            q, k, basis.dim, res.weight, witness, "exhaustive", formula,
-            res.weight == formula, res.scanned, witness_weight=upper_vec.weight(),
+            q, k, dim, res.weight, PunctureVector(ctx, res.witness), "exhaustive", formula,
+            res.weight == formula, res.scanned, witness_weight=upper_w,
         )
-    if upper_vec.weight() != formula:
-        raise SelfCheckFailed(
-            f"constructive witness weighs {upper_vec.weight()}, formula says {formula}"
-        )
+    if upper_w != formula:
+        raise SelfCheckFailed(f"constructive witness weighs {upper_w}, formula says {formula}")
     return PuncMinWeight(
-        q, k, basis.dim, formula, upper_vec, "constructive", formula, True, res.scanned,
-        note="proven formula; verified witness attains it", witness_weight=upper_vec.weight(),
+        q, k, dim, formula, upper_vec, "constructive", formula, True, 0,
+        note="proven formula; verified witness attains it", witness_weight=upper_w,
     )
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import pytest
 
-from hermgrs import grscode
+from hermgrs import grscode, puncture
 from hermgrs.cli import main
 
 
@@ -353,3 +355,56 @@ def test_negative_g_samples_are_refused(capsys):
     assert main(["puncture", "--q", "4", "--k", "2", "--g-samples", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--g-samples must be at least 0" in captured.err
+
+
+# sha256 of the sweep output, timestamp blanked, as produced by the version that
+# row-reduced the u-space basis for every cell
+SWEEP_DIGESTS = {
+    (7, "csv"): "b013bfedfeb2071fc8bb36521d569b4d9d0a3f818c73fa0afe156370b35bf3a1",
+    (7, "json"): "d97b0a3127fc2c4fdb1a122ef8ad53ce9d0370a079c1bc431f8d69dee7deb663",
+    (8, "csv"): "d6c6620f7d02a7ae24327838556df1328b6cc49d2b2e2012e7935eb2d43096b5",
+    (8, "json"): "0c39e0fdc5f8b25b1ae8299c152f32907378e3a7074699c2753866f721fd22ff",
+    (9, "csv"): "86c9b3a009987788977319f1ff0096631d6c3662991a7b66e22b4ec611084479",
+    (9, "json"): "eb9a3eb31a7c663a7a4e8c852257e5333cf1809dc4ecb1ecd0e398827110c544",
+    (11, "csv"): "95838f5661bab3370315baac8cfe6e26990538d6558fa467aa7d573cd21d1acf",
+    (11, "json"): "3e94b9f1d73a22ba19601ce8a2efc8417b0471ab139732cbd512f04e609413b3",
+    (13, "csv"): "df5358e53aa16f468e44990cf80f39f4362b8be43f644e326ddc97708363062e",
+    (13, "json"): "c85ef720dc74ac14fe518e968eb7f27b087c4d6c8d9ae4c2a5a3f6f0cb932185",
+    (16, "csv"): "bd254f3bc6c75eb6bab7c4b9e53d677ffe1c06a9dafa8d17618d6e0e273f3c9a",
+    (16, "json"): "cca94dc3200923c705c72b515994e1d5bfccea134d508f1d1d05a625177dde06",
+}
+
+
+@pytest.mark.parametrize("q", sorted({q for q, _ in SWEEP_DIGESTS}))
+def test_sweep_output_is_pinned(capsys, monkeypatch, q):
+    """Both formats at q; the second reuses the first's cells, computed once."""
+    cells = {}
+    compute = puncture.min_weight_pc
+
+    def once(ctx, k, **kwargs):
+        if k not in cells:
+            cells[k] = compute(ctx, k, **kwargs)
+        return cells[k]
+
+    monkeypatch.setattr(puncture, "min_weight_pc", once)
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--q", str(q), "--format", fmt]) == 0
+        text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[(q, fmt)], fmt
+
+
+def test_sweep_row_reduces_only_the_admitted_cells(capsys, monkeypatch):
+    """At q = 11 only k = 1 (level 1 of 121 rows) and k = q (one row) are scanned."""
+    calls = []
+    build = puncture.u_space_basis
+
+    def counted(ctx, k):
+        calls.append(k)
+        return build(ctx, k)
+
+    monkeypatch.setattr(puncture, "u_space_basis", counted)
+    assert main(["sweep", "--q", "11"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    modes = [row.split(",")[8] for row in rows[1:]]
+    assert calls == [1, 11]
+    assert [k for k, mode in enumerate(modes, 1) if mode == "exhaustive"] == [1, 11]

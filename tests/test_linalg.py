@@ -325,3 +325,79 @@ def test_min_weight_scan_admits_exactly_up_to_the_projected_work(hinted):
     assert admitted.admitted and admitted.scanned > 0
     assert (refused.admitted, refused.scanned) == (False, 0)
     assert refused.weight == (3 if hinted else None)
+
+
+@st.composite
+def bases_with_unit_rows(draw):
+    """(ctx, RREF basis) with one or more rows cut down to their pivot, a weight-1 word.
+
+    Stripping a row of an RREF basis keeps it the identity on its pivot
+    columns.  Several unit rows tie at the minimum weight, and the random
+    rows around them often tie with each other.
+    """
+    ctx, R = draw(rref_bases())
+    R = R.copy()
+    pivots = np.argmax(R != 0, axis=1)
+    for i in draw(st.lists(st.integers(0, len(R) - 1), min_size=1, unique=True)):
+        R[i] = 0
+        R[i, pivots[i]] = 1
+    return ctx, R
+
+
+@given(bases_with_unit_rows(), st.booleans())
+def test_level_one_takes_the_first_lightest_row(case, hinted):
+    """Level 1 weighs each row once: the first row of minimum weight is the witness.
+
+    The rows are scanned lightest first, in groups of _BLOCK // (q-1) and
+    waves of 8 groups; the first wave already reaches weight 1, below every
+    later row, so the scan counts the q-1 multiples of the rows in that wave
+    that are lighter than the bound.  ``hinted`` starts from the heaviest
+    row as a verified upper bound.  The cap is one below the row space's
+    size, so the level branch runs, not the full enumeration.
+    """
+    ctx, R = case
+    m, n = R.shape
+    q = ctx.q
+    _, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, R), n)
+    weights = np.count_nonzero(R, axis=1)
+    heaviest = int(np.argmax(weights))
+    upper = (int(weights[heaviest]), R[heaviest]) if hinted else None
+    light = int(np.count_nonzero(weights < (weights[heaviest] if hinted else n + 1)))
+    for block in (linalg._BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK", block)
+            for threads in (1, 2):
+                scan = linalg.min_weight_scan(ctx.fq, R, cap=q**m - 1, threads=threads, upper=upper)
+                assert scan.admitted and scan.weight == ref_weight == 1
+                assert np.array_equal(scan.witness, R[np.flatnonzero(weights == 1)[0]])
+                assert scan.witness.dtype == np.uint8
+                assert scan.scanned == (q - 1) * min(light, 8 * max(1, block // (q - 1)))
+
+
+def test_projected_work_stops_past_the_cap():
+    m, q = 10, 4
+    full = sum(math.comb(m, j) * (q - 1) ** j for j in range(1, 6))
+    assert linalg.projected_work(q, m, 5, full) == full
+    assert linalg.projected_work(q, m, 0, 0) == 0
+    # past the cap at level 2: levels 3..5 are not added
+    assert linalg.projected_work(q, m, 5, m * (q - 1)) == m * (q - 1) + math.comb(m, 2) * (q - 1) ** 2
+
+
+@pytest.mark.parametrize("block,scanned", [(1, 2 * 8), (4, 2 * 16), (linalg._BLOCK, 2 * 20)])
+def test_level_one_counts_the_first_wave_only(monkeypatch, block, scanned):
+    """20 rows over GF(3), unit rows and weight-2 rows interleaved.
+
+    With groups of max(1, block // 2) rows, the first wave of 8 groups
+    holds min(20, 8 * group) rows; it finds weight 1, and no later row is
+    lighter, so the later waves scan nothing.
+    """
+    fq = make_field(3, 1).fq
+    m = 20
+    R = np.zeros((m, m + 1), dtype=np.uint8)
+    R[np.arange(m), np.arange(m)] = 1
+    R[1::3, m] = 2  # rows 1, 4, ..., 19 weigh 2
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    for threads in (1, 2):
+        scan = linalg.min_weight_scan(fq, R, cap=3**m - 1, threads=threads)
+        assert (scan.admitted, scan.weight, scan.scanned) == (True, 1, scanned)
+        assert np.array_equal(scan.witness, R[0])

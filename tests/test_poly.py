@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hermgrs.errors import ValidationRefused
-from hermgrs.field import frobenius, make_field
+from hermgrs.field import Felt, frobenius, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 
 from oracle import pow_by_mul
@@ -163,3 +165,31 @@ def test_zero_free_polynomial_at_q8(ctx8):
     )
     count, zero_set = distinct_zeros(h)
     assert count == 0 and zero_set == ()
+
+
+# q -> (p, h) for the dense-evaluation checks: p = 2, prime q, odd composite q
+EVAL_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+               16: (2, 4), 25: (5, 2), 27: (3, 3)}
+
+
+@given(st.sampled_from(sorted(EVAL_FIELDS)), st.data())
+def test_dense_eval_on_matches_scalar_horner(q, data):
+    ctx = make_field(*EVAL_FIELDS[q])
+    coeff = st.one_of(st.just(0), st.integers(1, ctx.q2 - 1))
+    coeffs = data.draw(st.lists(coeff, min_size=1, max_size=ctx.q2 + 8))
+    poly = Poly.from_indices(ctx, coeffs)
+    assume(np.count_nonzero(poly.c) * 4 > len(poly.c))  # the dense path
+    xs = [0] + data.draw(st.lists(st.integers(0, ctx.q2 - 1), max_size=12))
+    got = poly.eval_on(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [poly.eval(Felt(ctx, x)).i for x in xs]
+
+
+def test_dense_eval_on_spans_several_blocks_at_q64():
+    """At q = 64 a block holds 2^14 / 4096 = 4 exponents; degree 1000 takes 251 blocks."""
+    ctx = make_field(2, 6)
+    rng = random.Random(64)
+    poly = Poly.from_indices(ctx, [rng.randrange(1, ctx.q2) for _ in range(1001)])
+    vals = poly.eval_all()
+    assert vals.shape == (ctx.q2,)
+    for x in [0, 1, 2] + rng.sample(range(3, ctx.q2), 40):
+        assert int(vals[x]) == poly.eval(Felt(ctx, x)).i

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
 
 import numpy as np
@@ -15,6 +18,7 @@ from hermgrs.puncture import (
     PunctureVector,
     UPoly,
     constructive_witness,
+    dim_formula,
     g_form_vector,
     membership,
     min_weight_formula,
@@ -371,3 +375,93 @@ def test_puncture_vector_serialized_roundtrip(field, data):
     labels = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=ctx.q2 + 1, max_size=ctx.q2 + 1))
     v = PunctureVector(ctx, np.array(labels))
     assert PunctureVector.from_serialized(ctx, v.serialized()) == v
+
+
+# q -> (p, h), every q <= 16 and three larger fields
+PUNCTURE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+                   11: (11, 1), 13: (13, 1), 16: (2, 4), 25: (5, 2), 27: (3, 3), 32: (2, 5)}
+
+# sha256 of the JSON list [k, dim, mode, weight, scanned, witness] of min_weight_pc
+# over k = 1..q, default cap, as produced by the version that row-reduced the
+# u-space basis for every cell
+MIN_WEIGHT_CELLS = {
+    2: "ef3393ad4afb1d2357f90f606c44f4ff10981f853577ed16b3333a4a3c13cfb9",
+    3: "f0c080748bb164730b4ab60ea254585c6c444aec444f6f04db14cdd0ee2e5d52",
+    4: "0377629b82f35c611f33975e14e67365e930f7cc8ac1932b2dcdb68d1c78bd78",
+    5: "f0ea9b66359f57174ceeb6d9e56b15dae58e3a5ae0eaa6854fc4a36a8a1c37a0",
+    7: "729112d83150f7e26df09b269d46d6fd52923a1c546ae818aa3b7cceee20d98a",
+    8: "934584c2e98606cdb2a25b5451bcb416af31a66ce827cef4cea31565f499a96b",
+    9: "c6445b4715265738ec81ccd0962c85ab8543bd11c6b4c02deaa9453f48b40af8",
+    11: "1c3acbc42c669ce108cda26b6754666e65826797fb30405cd3aa1d3aff89c64f",
+    13: "fe96e9098c30cfd7b666bb08948a1d64de8033811b092053b9a46f7509b4747c",
+    16: "5dbd2cb2e7570b09b0e88e4d7e83462dce910d9e59e72dc6ddc5f541d5486a75",
+}
+
+
+@pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
+def test_min_weight_pc_predicts_the_scans_admission(q, monkeypatch):
+    """min_weight_pc decides admission from the formula dimension and the witness
+    weight; the scan on the real u-space basis decides it the same way.
+
+    Admitted cells scan inside min_weight_pc (seen through a spy); on every
+    other cell the real basis is refused by min_weight_scan itself.  The
+    reports, ``scanned`` and witnesses included, are pinned.
+    """
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    scan = linalg.min_weight_scan
+    admissions = []
+
+    def spy(*args, **kwargs):
+        res = scan(*args, **kwargs)
+        admissions.append(res.admitted)
+        return res
+
+    monkeypatch.setattr(linalg, "min_weight_scan", spy)
+    cells = []
+    for k in range(1, q + 1):
+        admissions.clear()
+        r = min_weight_pc(ctx, k)
+        if r.mode == "exhaustive":
+            assert admissions == [True]
+        else:
+            assert r.mode == "constructive" and admissions == [] and r.scanned == 0
+            w = constructive_witness(ctx, k)
+            assert not scan(ctx.fq, u_space_basis(ctx, k).matrix, upper=(w.weight(), w.v)).admitted
+        cells.append([k, r.dim, r.mode, r.weight, r.scanned, r.witness.serialized()])
+    assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == MIN_WEIGHT_CELLS[q]
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
+                         + [(q, k) for q in (25, 27, 32) for k in (1, 2, q // 2, q - 1, q)])
+def test_u_space_rref_has_the_formula_dimension(q, k):
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    assert u_space_basis(ctx, k).dim == dim_formula(q, k) == max(0, q * q + 1 - k * k)
+
+
+@pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
+def test_min_weight_pc_admits_exactly_up_to_the_projected_work(q, monkeypatch):
+    """The scan is called iff the unpruned words on levels 1..min(m, w-1) of the
+    real basis (m rows, witness weight w) are at most the cap.
+
+    A stub stands in for the scan, so the cap can sit at the boundary of
+    every cell; the real scan refuses one below it.
+    """
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    scan = linalg.min_weight_scan
+    calls = []
+
+    def stub(fq, basis, cap, threads, upper):
+        calls.append(cap)
+        return linalg.ScanResult(True, upper[0], upper[1], 0)
+
+    monkeypatch.setattr(linalg, "min_weight_scan", stub)
+    for k in range(1, q + 1):
+        basis = u_space_basis(ctx, k).matrix
+        w = constructive_witness(ctx, k)
+        m = len(basis)
+        work = sum(math.comb(m, j) * (q - 1) ** j for j in range(1, min(m, w.weight() - 1) + 1))
+        calls.clear()
+        assert min_weight_pc(ctx, k, cap=work).mode == "exhaustive" and calls == [work]
+        calls.clear()
+        assert min_weight_pc(ctx, k, cap=work - 1).mode == "constructive" and calls == []
+        assert not scan(ctx.fq, basis, cap=work - 1, upper=(w.weight(), w.v)).admitted
