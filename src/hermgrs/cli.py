@@ -173,7 +173,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
             for _ in range(args.g_samples):
                 coeffs = [rng.randrange(ctx.q2) for _ in range(bound + 1)] if bound >= 0 else []
                 g = Poly.from_indices(ctx, coeffs)
-                c = ctx.compact_to_felt(rng.randrange(ctx.q))
+                c = ctx.subfield_elems()[rng.randrange(ctx.q)]
                 ok = ok and puncture.membership(primary, puncture.g_form_vector(ctx, k, g, c))
             result["g_form_samples"] = {"count": args.g_samples, "all_members": ok}
     _emit_json(args, "puncture", config, result)

@@ -549,9 +549,10 @@ def search_zero_free(ctx: FieldCtx, exponents: Sequence[int], cap: int = 10**4) 
     total = (q2 ** len(exponents)) * q
     if total > cap:
         raise CapExceeded(f"search space of {total} assignments exceeds the cap {cap}")
+    subfield = ctx.subfield_elems()
     for counter in range(total):
-        v, c_label = divmod(counter, q)
-        h = Poly.monomial(ctx, ctx.one, q + 1) + Poly.monomial(ctx, ctx.compact_to_felt(c_label), 0)
+        v, c_pos = divmod(counter, q)
+        h = Poly.monomial(ctx, ctx.one, q + 1) + Poly.monomial(ctx, subfield[c_pos], 0)
         for i in exponents:
             v, idx = divmod(v, q2)
             coeff = Felt(ctx, idx)

@@ -7,11 +7,11 @@ multiplication is index addition mod q^2-1 and addition goes through a Zech
 logarithm table (zech[d] = log(1 + w^d)).
 
 The subfield GF(q) is realized as the Frobenius-fixed set {x : x^q = x}
-inside the same context, with a compact relabelling 0..q-1 (in log order)
-and its own small add/mul tables.  A second, additive labelling of GF(q)
-(coordinates in the polynomial basis 1, b, ..., b^(h-1) of a generator b)
-turns addition into XOR for p = 2 and into addition mod p for q = p; the
-GF(q) row reduction in ``linalg`` works in it.
+inside the same context, with a compact labelling 0..q-1 and its own small
+add/mul tables.  The label of an element is its additive code, its
+coordinates in the polynomial basis 1, b, ..., b^(h-1) of b = w^(q+1), so
+label addition is XOR for p = 2 and addition mod p for q = p; every GF(q)
+matrix and vector in the package holds these labels.
 
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
@@ -119,16 +119,13 @@ def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SubfieldTables:
-    """Compact GF(q) arithmetic: elements relabelled 0..q-1.
+    """Compact GF(q) arithmetic: elements labelled 0..q-1 by additive code.
 
-    Label 0 is the zero element and label c >= 1 is w^((q+1)(c-1)).  The
+    Label sum_j d_j p^j (0 <= d_j < p) is the element sum_j d_j b^j, where
+    b = w^(q+1) generates GF(q)*.  Label addition is digitwise mod p, so it
+    is XOR when p = 2 and addition mod p when q = p; ``add`` covers the
+    other q.  Label 0 is the zero element and label 1 is the one.  The
     tables are small (q <= 64) and work through numpy fancy indexing.
-
-    The ``*_code`` tables are the same arithmetic on additive codes: code
-    sum_j d_j p^j (0 <= d_j < p) is the element sum_j d_j b^j, where
-    b = w^(q+1) generates GF(q)*.  Code addition is digitwise mod p, so it
-    is XOR when p = 2 and addition mod p when q = p; ``add_code`` covers
-    the other q.  Code 0 is the zero element and code 1 is the one.
     """
 
     q: int
@@ -140,12 +137,6 @@ class SubfieldTables:
     inv: np.ndarray  # (q,)   uint8, inv[0] = 0 placeholder
     idx_of_compact: np.ndarray  # (q,)  int64: compact label -> field index
     compact_of_idx: np.ndarray  # (q^2,) int64: field index -> label, -1 if not in GF(q)
-    code_of_label: np.ndarray  # (q,)   uint8: compact label -> additive code
-    label_of_code: np.ndarray  # (q,)   uint8: additive code -> compact label
-    add_code: np.ndarray  # (q, q) uint8
-    mul_code: np.ndarray  # (q, q) uint8
-    neg_code: np.ndarray  # (q,)   uint8
-    inv_code: np.ndarray  # (q,)   uint8, inv_code[0] = 0 placeholder
 
 
 class FieldCtx:
@@ -221,39 +212,29 @@ class FieldCtx:
         self._zech = np.where(sums == 0, -1, idx_of_poly[sums] - 1).astype(np.int64)
 
     def _build_subfield(self) -> None:
-        q, q2 = self.q, self.q2
-        idx_of_compact = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            idx_of_compact[1:] = 1 + (q + 1) * np.arange(q - 1, dtype=np.int64)
+        q, q2, p, h = self.q, self.q2, self.p, self.h
+        # label sum_j d_j p^j is the element sum_j d_j b^j, b = w^(q+1)
+        codes = np.arange(q, dtype=np.int64)
+        digits = (codes[:, None] // p ** np.arange(h, dtype=np.int64)[None, :]) % p
+        digit_idx = self._idx_of_poly[digits]  # d_j as an element of GF(p)
+        basis = 1 + (q + 1) * np.arange(h, dtype=np.int64) % self.n_units  # b^j
+        idx_of_compact = self.vsum(self.vmul(digit_idx, basis[None, :]))
         compact_of_idx = np.full(q2, -1, dtype=np.int64)
-        compact_of_idx[idx_of_compact] = np.arange(q, dtype=np.int64)
+        compact_of_idx[idx_of_compact] = codes
+        assert (compact_of_idx[idx_of_compact] == codes).all(), "1, b, ..., b^(h-1) is not a GF(p)-basis"
 
         grid_a = idx_of_compact[:, None]
         grid_b = idx_of_compact[None, :]
         add = compact_of_idx[self.vadd(grid_a, grid_b)]
         mul = compact_of_idx[self.vmul(grid_a, grid_b)]
         assert add.min() >= 0 and mul.min() >= 0, "GF(q) not closed under the tables"
+        if p == 2:
+            assert np.array_equal(add, codes[:, None] ^ codes[None, :])
+        elif h == 1:
+            assert np.array_equal(add, (codes[:, None] + codes[None, :]) % p)
         neg = compact_of_idx[self.vneg(idx_of_compact)]
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = compact_of_idx[self._vinv0(idx_of_compact[1:])]
-
-        # additive codes: code sum_j d_j p^j is the element sum_j d_j b^j
-        p, h = self.p, self.h
-        codes = np.arange(q, dtype=np.int64)
-        digits = (codes[:, None] // p ** np.arange(h, dtype=np.int64)[None, :]) % p
-        digit_idx = self._idx_of_poly[digits]  # d_j as an element of GF(p)
-        b = int(idx_of_compact[min(2, q - 1)])  # w^(q+1); for q = 2, b = 1
-        basis = np.array([self.pow_i(b, j) for j in range(h)], dtype=np.int64)
-        label_of_code = compact_of_idx[self.vsum(self.vmul(digit_idx, basis[None, :]))]
-        assert len(set(label_of_code.tolist())) == q, "1, b, ..., b^(h-1) is not a GF(p)-basis"
-        code_of_label = np.empty(q, dtype=np.int64)
-        code_of_label[label_of_code] = codes
-        add_code = code_of_label[add[label_of_code[:, None], label_of_code[None, :]]]
-        mul_code = code_of_label[mul[label_of_code[:, None], label_of_code[None, :]]]
-        if p == 2:
-            assert np.array_equal(add_code, codes[:, None] ^ codes[None, :])
-        elif h == 1:
-            assert np.array_equal(add_code, (codes[:, None] + codes[None, :]) % p)
         self.fq = SubfieldTables(
             q=q,
             p=p,
@@ -264,12 +245,6 @@ class FieldCtx:
             inv=inv.astype(np.uint8),
             idx_of_compact=idx_of_compact,
             compact_of_idx=compact_of_idx,
-            code_of_label=code_of_label.astype(np.uint8),
-            label_of_code=label_of_code.astype(np.uint8),
-            add_code=add_code.astype(np.uint8),
-            mul_code=mul_code.astype(np.uint8),
-            neg_code=code_of_label[neg[label_of_code]].astype(np.uint8),
-            inv_code=code_of_label[inv[label_of_code]].astype(np.uint8),
         )
 
         # decomposition of GF(q^2) over GF(q) wrt the basis {1, xi}, where xi
@@ -436,7 +411,7 @@ class FieldCtx:
 
     def subfield_elems(self) -> tuple[Felt, ...]:
         """GF(q) in enumeration order: 0, 1, w^(q+1), w^(2(q+1)), ..."""
-        return tuple(Felt(self, int(i)) for i in self.fq.idx_of_compact)
+        return (self.zero,) + tuple(Felt(self, 1 + (self.q + 1) * j) for j in range(self.q - 1))
 
     def compact_to_felt(self, c: int) -> Felt:
         return Felt(self, int(self.fq.idx_of_compact[c]))

@@ -315,6 +315,15 @@ def code_from_dict(obj: dict) -> GrsCode:
             raise MalformedInput(f"self_orthogonal must be true or false, got {obj['self_orthogonal']!r}")
         if obj.get("quantum") is not None and len(_strict_int_list(obj["quantum"])) != 4:
             raise MalformedInput(f"quantum must be null or four integers, got {obj['quantum']!r}")
+        if "params" in obj:
+            claimed = obj["params"]
+            if not isinstance(claimed, dict) or not isinstance(claimed["verified_d"], bool):
+                raise MalformedInput(f"params must hold integers n, k, d and a boolean verified_d, got {claimed!r}")
+            n, params_k, d = (_strict_int(claimed[key]) for key in ("n", "k", "d"))
+            if (n, params_k, d) != (len(support), k, len(support) - k + 1):
+                raise MalformedInput(f"params {claimed!r} disagree with the record's support and k")
+        if "mds" in obj and obj["mds"] not in ("minors", "enumeration", "asserted_by_construction"):
+            raise MalformedInput(f"mds must name a verification tier, got {obj['mds']!r}")
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"missing or ill-typed code field: {exc}") from exc
     try:

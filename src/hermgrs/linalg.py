@@ -1,18 +1,17 @@
 """GF(q) matrix machinery on compact labels, plus the row-space enumerator.
 
-Matrices are numpy uint8 arrays of compact GF(q) labels (see
-``field.SubfieldTables``).  Row reduction, kernels and row-space membership
-convert their input to additive codes, work there, and convert the result
-back: in codes, adding a multiple of a pivot row is one gather from the q
-precomputed multiples of that row plus one addition (XOR for p = 2, a
-uint8 add and a conditional subtract for q = p, and one table gather for
-the other q).  No path does per-element Python arithmetic.
+Matrices are numpy uint8 arrays of compact GF(q) labels, which are
+additive codes (see ``field.SubfieldTables``): adding a multiple of a pivot
+row is one gather from the q precomputed multiples of that row plus one
+addition (XOR for p = 2, a uint8 add and a conditional subtract for q = p,
+and one table gather for the other q).  No path does per-element Python
+arithmetic.
 
 ``span_weights`` is the one full row-space enumerator: given the scalar
 multiples of each row, an addition and a negation, it meets in the middle
 over any alphabet.  The weight distribution and the full-enumeration
-branch of the minimum-weight search call it on GF(q) rows in additive
-codes, and ``grscode.min_weight`` on GF(q^2) generator rows with Zech-log
+branch of the minimum-weight search call it on GF(q) rows, and
+``grscode.min_weight`` on GF(q^2) generator rows with Zech-log
 arithmetic.
 
 The certified minimum-weight search enumerates row combinations of an RREF
@@ -23,8 +22,8 @@ certifies that a found weight w is the true minimum.  Subsets whose rows
 have at least ``best`` columns touched by exactly one row are skipped: such
 columns cannot cancel, so no combination from the subset can beat ``best``.
 Inside a subset the coefficients are split in two halves A and B, whose
-combinations are gathered, as additive codes, from the scalar multiples of
-every basis row, built once per scan.
+combinations are gathered from the scalar multiples of every basis row,
+built once per scan.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
@@ -47,7 +46,7 @@ _BLOCK = 1 << 15
 
 
 def _code_adder(fq: SubfieldTables):
-    """In-place sum dst += src of two uint8 arrays of additive codes."""
+    """In-place sum dst += src of two uint8 arrays of labels."""
     if fq.p == 2:
 
         def add_xor(dst: np.ndarray, src: np.ndarray) -> None:
@@ -63,7 +62,7 @@ def _code_adder(fq: SubfieldTables):
 
         return add_mod_p
     # one gather from the flattened table; a uint16 index is the fastest take
-    flat, q = fq.add_code.ravel(), np.uint16(fq.q)
+    flat, q = fq.add.ravel(), np.uint16(fq.q)
 
     def add_table(dst: np.ndarray, src: np.ndarray) -> None:
         dst[...] = flat.take(dst.astype(np.uint16) * q + src)
@@ -72,7 +71,7 @@ def _code_adder(fq: SubfieldTables):
 
 
 def _code_sum(fq: SubfieldTables, X: np.ndarray) -> np.ndarray:
-    """Column sums of a (t, n) array of additive codes: digitwise mod p."""
+    """Column sums of a (t, n) array of labels: digitwise mod p."""
     if fq.p == 2:
         return np.bitwise_xor.reduce(X, axis=0)
     pows = fq.p ** np.arange(fq.h, dtype=np.int64)
@@ -90,13 +89,12 @@ def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
     adding the zero multiple: this is cheaper than gathering and scattering
     just the rows the pivot touches.
     """
-    M = np.asarray(mat, dtype=np.uint8)
-    if M.ndim != 2:
+    A = np.array(mat, dtype=np.uint8)  # a copy
+    if A.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    A = fq.code_of_label[M]
     rows, cols = A.shape
     add = _code_adder(fq)
-    MUL, NEG, INV = fq.mul_code, fq.neg_code, fq.inv_code
+    MUL, NEG, INV = fq.mul, fq.neg, fq.inv
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -117,7 +115,7 @@ def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
             add(A[:, c:], multiples[coef])
         pivots.append(c)
         r += 1
-    return fq.label_of_code[A[:r]], tuple(pivots)
+    return A[:r], tuple(pivots)
 
 
 def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
@@ -138,11 +136,10 @@ def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
 
 
 def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The product M v over GF(q): products gathered and summed as additive codes."""
-    code = fq.code_of_label
-    # one take from the flattened table, at code(v_j) * q + code(M_ij)
-    products = fq.mul_code.ravel().take(code[M] + code[v].astype(np.uint16) * np.uint16(fq.q))
-    return fq.label_of_code[_code_sum(fq, products.T)]
+    """The product M v over GF(q): each product one take from the flattened
+    ``mul`` table, at v_j * q + M_ij, and the products summed digitwise."""
+    products = fq.mul.ravel().take(M + v.astype(np.uint16) * np.uint16(fq.q))
+    return _code_sum(fq, products.T)
 
 
 def reduce_against(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
@@ -184,8 +181,8 @@ def _coeff_block(q: int, j: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _code_multiples(fq: SubfieldTables, rows: np.ndarray) -> np.ndarray:
-    """(n, m, q) additive codes: [i, r, c] is entry i of the label-c multiple of row r."""
-    return fq.code_of_label[fq.mul][rows.T]  # one gather of q-entry table rows
+    """(n, m, q) labels: [i, r, c] is entry i of the label-c multiple of row r."""
+    return fq.mul[rows.T]  # one gather of q-entry table rows
 
 
 def _span(add, multiples: np.ndarray) -> np.ndarray:
@@ -254,12 +251,7 @@ def span_weights(
 
 
 def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
-    """``span_weights`` of GF(q) rows of compact labels.
-
-    The scalars stay in label order, so the words come in the same order as
-    on labels, but they are added as additive codes; the witness comes back
-    as labels.
-    """
+    """``span_weights`` of GF(q) rows of compact labels, scalars in label order."""
     add_into = _code_adder(fq)
 
     def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,8 +260,7 @@ def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
         return out
 
     multiples = _code_multiples(fq, rows).transpose(1, 2, 0)  # (m, q, n)
-    counts, weight, witness = span_weights(add, fq.neg_code.take, multiples, threads)
-    return counts, weight, None if witness is None else fq.label_of_code[witness]
+    return span_weights(add, fq.neg.take, multiples, threads)
 
 
 def projected_work(q: int, m: int, depth: int, cap: int) -> int:
@@ -386,12 +377,12 @@ def min_weight_scan(
             part_a = half(subs[:, :j1], coeffs_a)  # (n, S, ca)
             part_b = half(subs[:, j1:], coeffs_b)  # (n, S, cb)
             # a + b is zero exactly where b == -a
-            wts = _count_differences(fq.neg_code[part_a][:, :, :, None], part_b[:, :, None, :])
+            wts = _count_differences(fq.neg[part_a][:, :, :, None], part_b[:, :, None, :])
             flat = int(wts.argmin())
             s, a, b = np.unravel_index(flat, wts.shape)
             word = part_b[:, s, b].copy()
             add(word, part_a[:, s, a])
-            return int(wts.reshape(-1)[flat]), fq.label_of_code[word]
+            return int(wts.reshape(-1)[flat]), word
 
         pos = 0
         while pos < len(order):

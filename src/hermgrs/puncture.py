@@ -368,7 +368,7 @@ def small_support_witness(ctx: FieldCtx, k: int) -> PunctureVector:
     q = ctx.q
     if not 1 <= 2 * k <= q:
         raise ValidationRefused(f"the 2k-point witness needs 2k <= q; got k={k}, q={q}")
-    points = ctx.fq.idx_of_compact[: 2 * k]  # first 2k subfield elements
+    points = np.array([x.i for x in ctx.subfield_elems()[: 2 * k]], dtype=np.int64)
     kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points + 1))
     assert kernel.shape[0] == 1, "Vandermonde kernel is not one dimensional"
     lam = kernel[0]

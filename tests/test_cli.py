@@ -351,6 +351,68 @@ def test_verify_compares_a_null_quantum_claim_with_nothing(tmp_path, capsys):
     assert vdoc["result"]["matches_file"] == {"self_orthogonal": False}
 
 
+def _edited_example1_record(tmp_path, edit):
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    edit(doc["result"])
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+def _set_params(**changes):
+    return lambda record: record["params"].update(changes)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(params={"n": "x", "d": 999}, mds="bogus"),
+    _set_params(n=True),
+    lambda r: r["params"].pop("verified_d"),
+    _set_params(d=10),
+    _set_params(n=13),
+    _set_params(k=3),
+    _set_params(verified_d=1),
+    lambda r: r.update(params=None),
+    lambda r: r.update(params=[12, 4, 9, True]),
+    lambda r: r.update(mds="bogus"),
+    lambda r: r.update(mds=None),
+], ids=["issue-record", "bool-n", "no-verified_d", "wrong-d", "wrong-n", "wrong-k", "int-verified_d",
+        "null-params", "list-params", "bogus-mds", "null-mds"])
+def test_verify_refuses_ill_typed_or_inconsistent_params_and_mds(tmp_path, capsys, edit):
+    bad = _edited_example1_record(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed input" in captured.err
+
+
+@pytest.mark.parametrize("mds", ["minors", "enumeration", "asserted_by_construction"])
+def test_verify_accepts_every_mds_tier_claim(tmp_path, capsys, mds):
+    """The tier claim is checked for form only: other caps can give another tier."""
+    bad = _edited_example1_record(tmp_path, lambda r: r.update(mds=mds))
+    capsys.readouterr()
+    rc, vdoc = run_json(capsys, ["verify", str(bad)])
+    assert rc == 0 and vdoc["result"]["mds"] == "minors"
+
+
+def test_verify_accepts_a_bare_record_without_params_or_mds(tmp_path, capsys):
+    def bare(record):
+        keep = {key: record[key] for key in ("p", "h", "k", "support", "thetas")}
+        record.clear()
+        record.update(keep)
+
+    bare_file = _edited_example1_record(tmp_path, bare)
+    capsys.readouterr()
+    rc, vdoc = run_json(capsys, ["verify", str(bare_file)])
+    assert rc == 0
+    r = vdoc["result"]
+    assert r["self_orthogonal"] is True and r["quantum"] == [12, 4, 5, 5]
+    assert r["params"] == {"n": 12, "k": 4, "d": 9, "verified_d": True}
+    assert r["matches_file"] == {}
+
+
 def test_negative_g_samples_are_refused(capsys):
     assert main(["puncture", "--q", "4", "--k", "2", "--g-samples", "-3"]) == 2
     captured = capsys.readouterr()

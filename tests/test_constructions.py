@@ -294,6 +294,12 @@ def test_search_zero_free_finds_qsq_shape(ctx8):
         search_zero_free(ctx8, [1, 2, 3, 4], cap=10**4)
 
 
+def test_search_zero_free_visits_c_in_enumeration_order(ctx8):
+    """The first zero-free h, scanning h_3 and, inside each h_3, c in 0, 1, w^(q+1), ..."""
+    found = search_zero_free(ctx8, [3])
+    assert found.indices() == [55, 0, 0, 2, 0, 0, 0, 0, 0, 1] + [0] * 14 + [9]
+
+
 def test_eligible_element_helpers(ctx8, ctx5):
     ones = trace_one_elements(ctx8)
     assert len(ones) == 4

@@ -292,3 +292,16 @@ def test_split_components_roundtrip(ctx9):
         ctx9.vmul(ctx9.fq.idx_of_compact[c1], np.int64(xi)),
     )
     assert np.array_equal(rebuilt, pts)
+
+
+# every q = p^h <= 64
+ALL_Q_PH = [(p, h) for p in range(2, 65) if all(p % d for d in range(2, p))
+            for h in range(1, 7) if p**h <= 64]
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
+def test_subfield_elems_come_in_enumeration_order(p, h):
+    """0, 1, w^(q+1), w^(2(q+1)), ...: written out, not read off the label order."""
+    ctx = make_field(p, h)
+    q = ctx.q
+    assert [x.i for x in ctx.subfield_elems()] == [0] + [1 + j * (q + 1) for j in range(q - 1)]

@@ -137,21 +137,31 @@ def test_u_space_basis_is_rref_of_generator_vectors(q):
 
 @pytest.mark.parametrize("q", sorted(FIELDS) + [49, 64])
 def test_additive_codes_carry_the_label_arithmetic(q):
+    """The one GF(q) table set: labels are additive codes of GF(q) elements."""
     p = next(d for d in range(2, q + 1) if q % d == 0)
     ctx = make_field(p, round(np.log(q) / np.log(p)))
     fq = ctx.fq
-    code, label = fq.code_of_label.astype(np.int64), fq.label_of_code
-    assert sorted(code) == list(range(q)) and code[0] == 0 and code[1] == 1
+    idx = fq.idx_of_compact
+    fixed = [i for i in range(ctx.q2) if ctx.frob_i(i) == i]
+    assert sorted(idx.tolist()) == fixed and idx[0] == 0 and idx[1] == 1
+    assert np.array_equal(fq.compact_of_idx[idx], np.arange(q))
+    assert (fq.compact_of_idx[np.setdiff1d(np.arange(ctx.q2), idx)] == -1).all()
+    b_pows = [ctx.w ** ((q + 1) * j) for j in range(fq.h)]  # label sum_j d_j p^j is sum_j d_j b^j
+    for c in range(q):
+        elem = ctx.zero
+        for j, bj in enumerate(b_pows):
+            for _ in range(c // p**j % p):
+                elem = elem + bj
+        assert idx[c] == elem.i
     a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    assert np.array_equal(fq.add_code[code[a], code[b]], code[fq.add[a, b]])
-    assert np.array_equal(fq.mul_code[code[a], code[b]], code[fq.mul[a, b]])
-    assert np.array_equal(fq.neg_code[code], code[fq.neg])
-    assert np.array_equal(fq.inv_code[code], code[fq.inv])
-    assert np.array_equal(label[code], np.arange(q))
+    assert np.array_equal(idx[fq.add[a, b]], ctx.vadd(idx[a], idx[b]))
+    assert np.array_equal(idx[fq.mul[a, b]], ctx.vmul(idx[a], idx[b]))
+    assert np.array_equal(idx[fq.neg], ctx.vneg(idx))
+    assert np.array_equal(idx[fq.inv], ctx._vinv0(idx))
     if p == 2:
-        assert np.array_equal(fq.add_code, a ^ b)
+        assert np.array_equal(fq.add, a ^ b)
     elif q == p:
-        assert np.array_equal(fq.add_code, (a + b) % p)
+        assert np.array_equal(fq.add, (a + b) % p)
 
 
 # the fields the enumerator is checked at, against a scalar reference

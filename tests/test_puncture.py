@@ -233,6 +233,15 @@ def test_small_support_witness_membership(ctx5):
         assert membership(puncture_direct(ctx5, k), v)
 
 
+@pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_small_support_witness_sits_on_the_first_subfield_points(p, h):
+    """Its 2k points are the first 2k of 0, 1, w^(q+1), ..., whatever the labels."""
+    ctx = make_field(p, h)
+    points = [x.i for x in ctx.subfield_elems()]
+    for k in range(1, ctx.q // 2 + 1):
+        assert small_support_witness(ctx, k).support() == tuple(i + 1 for i in points[: 2 * k])
+
+
 def test_min_weight_pc_exhaustive_cells(ctx4, ctx5):
     r = min_weight_pc(ctx4, 2)
     assert (r.weight, r.mode, r.agrees) == (4, "exhaustive", True)
