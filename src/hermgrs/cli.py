@@ -147,7 +147,8 @@ def cmd_puncture(args: argparse.Namespace) -> int:
     if len(bases) == 2:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])
     if args.check_min_weight:
-        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads)
+        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads,
+                                   basis=bases.get("u_space"))
         result["min_weight"] = {
             "value": r.weight,
             "mode": r.mode,
@@ -158,7 +159,8 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         result["formula_value"] = r.formula
         result["agrees"] = r.agrees
     if args.distribution:
-        counts = puncture.weight_distribution(ctx, k, cap=args.distribution_cap, threads=args.threads)
+        counts = puncture.weight_distribution(ctx, k, cap=args.distribution_cap, threads=args.threads,
+                                              basis=bases.get("u_space"))
         result["weight_distribution"] = {
             str(w): int(c) for w, c in enumerate(counts) if c
         }

@@ -18,21 +18,23 @@ The certified minimum-weight search enumerates row combinations of an RREF
 basis by the number of nonzero combination coefficients ("level" j).  A
 codeword built from exactly j rows has exactly j nonzero entries on the
 pivot columns, hence weight >= j; therefore scanning levels 1..w-1 in full
-certifies that a found weight w is the true minimum.  Subsets whose rows
-have at least ``best`` columns touched by exactly one row are skipped: such
-columns cannot cancel, so no combination from the subset can beat ``best``.
-Inside a subset the coefficients are split in two halves A and B, whose
-combinations are gathered from the scalar multiples of every basis row,
-built once per scan.
+certifies that a found weight w is the true minimum.  The same fact makes
+a word's weight j plus its weight on the n - m non-pivot columns, so
+levels j >= 2 look at those columns only.  Subsets whose rows have at
+least ``best`` columns touched by exactly one row (their j pivots among
+them) are skipped: such columns cannot cancel, so no combination from the
+subset can beat ``best``.  Inside a subset the coefficients are split in
+two halves A and B, whose combinations are gathered from the scalar
+multiples of every basis row on the non-pivot columns, built once per scan.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
-differs from -a.  Only the word returned as the witness is added up.
+differs from -a, and they compare only the columns where such a sum can
+cancel.  Only the word returned as the witness is added up, at full width.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -180,6 +182,21 @@ def _coeff_block(q: int, j: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _combinations(m: int, j: int) -> np.ndarray:
+    """The j-subsets of range(m) as rows, in lexicographic order (j >= 1).
+
+    Each round extends every prefix by each larger element, in order; a
+    prefix ending at m - 1 has no extension and drops out.
+    """
+    out = np.arange(m, dtype=np.int64)[:, None]
+    for _ in range(j - 1):
+        last = out[:, -1]
+        reps = m - 1 - last
+        offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        out = np.column_stack([np.repeat(out, reps, axis=0), np.repeat(last + 1, reps) + offsets])
+    return out
+
+
 def _code_multiples(fq: SubfieldTables, rows: np.ndarray) -> np.ndarray:
     """(n, m, q) labels: [i, r, c] is entry i of the label-c multiple of row r."""
     return fq.mul[rows.T]  # one gather of q-entry table rows
@@ -214,7 +231,11 @@ def span_weights(
     the span B of the others, visited B-major, one block of about
     ``_BLOCK`` words at a time; threads split the work only at block
     boundaries.  A word's weight is the number of columns where
-    b != -a, so only the returned word is ever added up.
+    b != -a, so only the returned word is ever added up.  Only the columns
+    where both halves have a nonzero row are compared: on the others a + b
+    is a or b, so a's weight on the columns B never touches and b's on the
+    columns A never touches are counted once per half word.  This holds
+    for any rows; on an RREF basis it drops at least the pivot columns.
 
     Returns (counts indexed by weight with the zero word at index 0, the
     minimum nonzero weight, the first word of that weight in the visiting
@@ -224,11 +245,18 @@ def span_weights(
     A = _span(add, multiples[: m // 2])
     B = _span(add, multiples[m // 2 :])
     block = max(1, _BLOCK // len(A))
-    neg_a = np.ascontiguousarray(neg(A).T)  # (n, |A|)
-    b_cols = np.ascontiguousarray(B.T)  # (n, |B|)
+    in_a, in_b = A.any(axis=0), B.any(axis=0)
+    shared = in_a & in_b
+    # a column only one half touches adds that half's entry weight
+    wide = np.min_scalar_type(n)
+    own_a = np.count_nonzero(A[:, ~in_b], axis=1).astype(wide)
+    own_b = np.count_nonzero(B[:, ~in_a], axis=1).astype(wide)
+    neg_a = np.ascontiguousarray(neg(A[:, shared]).T)  # (shared, |A|)
+    b_cols = np.ascontiguousarray(B[:, shared].T)  # (shared, |B|)
 
     def one(lo: int) -> tuple[np.ndarray, int, int]:
-        wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :]).ravel()
+        wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :])
+        wts = (own_b[lo : lo + block, None] + own_a[None, :] + wts).ravel()
         counts = np.bincount(wts, minlength=n + 1)
         nonzero = np.flatnonzero(counts[1:])
         if not nonzero.size:
@@ -290,9 +318,10 @@ def min_weight_scan(
     When ``admitted=True`` the answer is exact: every level up to
     (final weight - 1) was covered, either by scanning or by the sound
     single-row-column skip, and words on deeper levels weigh at least their
-    level.  ``upper`` may supply a verified (weight, word) pair from a
-    constructive existence result; it caps the certification depth but is
-    never trusted for the lower bound.
+    level.  A level-j word weighs j plus its weight on the non-pivot
+    columns, the only columns levels j >= 2 compare.  ``upper`` may supply
+    a verified (weight, word) pair from a constructive existence result; it
+    caps the certification depth but is never trusted for the lower bound.
 
     Admission is decided upfront from the projected unpruned work for the
     needed levels; past ``cap`` the search refuses without scanning so the
@@ -316,7 +345,8 @@ def min_weight_scan(
     if projected > cap:
         return ScanResult(False, best_w, best_vec, 0)
     nonzero = basis != 0
-    on_pivots = basis[:, nonzero.argmax(axis=1)]  # a zero row puts a 0 on the diagonal
+    pivots = nonzero.argmax(axis=1)
+    on_pivots = basis[:, pivots]  # a zero row puts a 0 on the diagonal
     if np.count_nonzero(on_pivots) != m or not (on_pivots.diagonal() == 1).all():
         raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
     full = fq.q**m
@@ -347,10 +377,14 @@ def min_weight_scan(
 
     q = fq.q
     add = _code_adder(fq)
-    mult = _code_multiples(fq, basis).reshape(n, m * q)  # column r * q + c: label c times row r
+    # a word of level j weighs j on the pivots, so only the other columns are compared
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    touched = nonzero[:, free]
+    mult = _code_multiples(fq, basis[:, free]).reshape(-1, m * q)  # column r * q + c: label c times row r
 
     def half(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(S, t) rows x (C, t) coefficients -> (n, S, C) combinations, t >= 1."""
+        """(S, t) rows x (C, t) coefficients -> (n - m, S, C) combinations, t >= 1."""
         at = rows[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
         part = mult.take(at[:, :, 0], axis=1)
         for t in range(1, rows.shape[1]):
@@ -360,10 +394,11 @@ def min_weight_scan(
     for j in range(2, depth + 1):
         if j >= best_w:
             break
-        subsets = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
+        subsets = _combinations(m, j)
         # columns touched by exactly one subset row cannot cancel, so they
-        # lower-bound every weight the subset can produce
-        lonely = (nonzero[subsets].sum(axis=1) == 1).sum(axis=1)
+        # lower-bound every weight the subset can produce: its j pivots and
+        # the lonely non-pivot columns
+        lonely = j + (touched[subsets].sum(axis=1) == 1).sum(axis=1)
         order = np.argsort(lonely, kind="stable")
         # meet in the middle inside the subset: halve the coefficient space
         j1 = j // 2
@@ -372,17 +407,16 @@ def min_weight_scan(
         coeffs_b = _coeff_block(fq.q, j - j1, 0, cb)
         group = max(1, _BLOCK // (ca * cb))
 
-        def scan_group(take: np.ndarray) -> tuple[int, np.ndarray]:
+        def scan_group(take: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+            """The group's lightest word: (weight, its rows, their coefficients)."""
             subs = subsets[take]
-            part_a = half(subs[:, :j1], coeffs_a)  # (n, S, ca)
-            part_b = half(subs[:, j1:], coeffs_b)  # (n, S, cb)
+            part_a = half(subs[:, :j1], coeffs_a)  # (n - m, S, ca)
+            part_b = half(subs[:, j1:], coeffs_b)  # (n - m, S, cb)
             # a + b is zero exactly where b == -a
             wts = _count_differences(fq.neg[part_a][:, :, :, None], part_b[:, :, None, :])
             flat = int(wts.argmin())
             s, a, b = np.unravel_index(flat, wts.shape)
-            word = part_b[:, s, b].copy()
-            add(word, part_a[:, s, a])
-            return int(wts.reshape(-1)[flat]), word
+            return j + int(wts.reshape(-1)[flat]), subs[s], np.concatenate([coeffs_a[a], coeffs_b[b]])
 
         pos = 0
         while pos < len(order):
@@ -402,10 +436,10 @@ def min_weight_scan(
                     results = list(ex.map(scan_group, takes))
             else:
                 results = [scan_group(t) for t in takes]
-            for take, (w, vec) in zip(takes, results):
+            for take, (w, rows, coeffs) in zip(takes, results):
                 scanned += len(take) * ca * cb
-                if w < best_w:
-                    best_w, best_vec = w, vec
+                if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
+                    best_w, best_vec = w, _code_sum(fq, fq.mul[coeffs[:, None], basis[rows]])
     return ScanResult(True, best_w, best_vec, scanned)
 
 

@@ -414,7 +414,9 @@ class PuncMinWeight:
     witness_weight: int | None = None  # weight of the verified constructive witness
 
 
-def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> PuncMinWeight:
+def min_weight_pc(
+    ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1, basis: PunctureBasis | None = None,
+) -> PuncMinWeight:
     """Minimum nonzero weight of P(C), certified exhaustively when feasible.
 
     Exhaustive mode runs the certified level search while its projected
@@ -422,7 +424,8 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
     reported with a verified constructive witness.  Admission is decided
     from the proven dimension and the witness weight alone, so the u-space
     RREF is built only for an admitted scan, where its dimension is checked
-    against the formula.
+    against the formula.  A caller that already holds that RREF
+    (``u_space_basis(ctx, k)``) passes it as ``basis``.
     """
     q = ctx.q
     _check_k(ctx, k)
@@ -435,7 +438,8 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
     if power_sums(ctx, k, upper_vec.support(), upper_vec.v[upper_vec.v != 0]).any():
         raise SelfCheckFailed("constructive witness is not a member of P(C)")
     if linalg.projected_work(q, dim, min(dim, upper_w - 1), cap) <= cap:
-        basis = u_space_basis(ctx, k)
+        if basis is None:
+            basis = u_space_basis(ctx, k)
         if basis.dim != dim:
             raise SelfCheckFailed(f"u-space basis has dimension {basis.dim}, the formula says {dim}")
         res = linalg.min_weight_scan(
@@ -454,10 +458,16 @@ def min_weight_pc(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> 
     )
 
 
-def weight_distribution(ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1) -> np.ndarray:
-    """Full weight enumerator of P(C) (index = weight, zero word included)."""
+def weight_distribution(
+    ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1, basis: PunctureBasis | None = None,
+) -> np.ndarray:
+    """Full weight enumerator of P(C) (index = weight, zero word included).
+
+    ``basis`` is ``u_space_basis(ctx, k)`` when the caller already holds it.
+    """
     _check_k(ctx, k)
-    basis = u_space_basis(ctx, k)  # empty for k > q: the zero word alone
+    if basis is None:
+        basis = u_space_basis(ctx, k)  # empty for k > q: the zero word alone
     return linalg.weight_distribution(ctx.fq, basis.matrix, cap=cap, threads=threads)
 
 

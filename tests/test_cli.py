@@ -470,3 +470,27 @@ def test_sweep_row_reduces_only_the_admitted_cells(capsys, monkeypatch):
     modes = [row.split(",")[8] for row in rows[1:]]
     assert calls == [1, 11]
     assert [k for k, mode in enumerate(modes, 1) if mode == "exhaustive"] == [1, 11]
+
+
+@pytest.mark.parametrize("argv,rc,builds", [
+    # the printed basis, the minimum weight and the distribution share one
+    # RREF; at (5,3) the distribution (5^17 words) then exceeds its cap
+    (["--q", "5", "--k", "3", "--method", "u-space", "--check-min-weight", "--distribution"], 3, 1),
+    (["--q", "4", "--k", "3", "--method", "all", "--check-min-weight", "--distribution"], 0, 1),
+    # a refused cell (7^14 words) builds no u-space basis
+    (["--q", "7", "--k", "6", "--method", "direct", "--check-min-weight"], 0, 0),
+])
+def test_puncture_builds_the_u_space_basis_at_most_once(capsys, monkeypatch, argv, rc, builds):
+    calls = []
+    build = puncture.u_space_basis
+
+    def counted(ctx, k):
+        calls.append(k)
+        return build(ctx, k)
+
+    monkeypatch.setattr(puncture, "u_space_basis", counted)
+    assert main(["puncture", *argv]) == rc
+    assert len(calls) == builds
+    if rc == 0:
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["min_weight"]["mode"] == ("exhaustive" if builds else "constructive")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -411,3 +412,86 @@ def test_level_one_counts_the_first_wave_only(monkeypatch, block, scanned):
         scan = linalg.min_weight_scan(fq, R, cap=3**m - 1, threads=threads)
         assert (scan.admitted, scan.weight, scan.scanned) == (True, 1, scanned)
         assert np.array_equal(scan.witness, R[0])
+
+
+@st.composite
+def square_bases(draw):
+    """(ctx, R) with R square: m independent rows of length m, reduced to the identity."""
+    q = draw(st.sampled_from(ENUM_QS))
+    ctx = make_field(*FIELDS[q])
+    m = draw(st.integers(1, max(j for j in range(1, 10) if q**j <= ENUM_MAX_WORDS)))
+    label = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(label, min_size=m, max_size=m), min_size=m, max_size=m))
+    R, _ = linalg.rref(ctx.fq, np.array(rows, dtype=np.uint8))
+    assume(len(R) == m)
+    return ctx, R
+
+
+@given(square_bases())
+def test_scan_of_a_basis_without_non_pivot_columns(case):
+    """n == m: no column is left to compare, and the halves of the full
+    enumeration share none.  The level branch (a cap one below the row
+    space's size) stops at level 1, as every row is a unit vector."""
+    ctx, R = case
+    m = len(R)
+    ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, R), m)
+    assert linalg.weight_distribution(ctx.fq, R).tolist() == ref_counts
+    for cap in (10**8, ctx.q**m - 1):
+        scan = linalg.min_weight_scan(ctx.fq, R, cap=cap)
+        assert scan.admitted and scan.weight == ref_weight == 1
+        assert np.array_equal(scan.witness, R[0])
+
+
+@pytest.mark.parametrize("q", ENUM_QS)
+@pytest.mark.parametrize("shared", ["none", "every"])
+def test_span_weights_at_the_edge_widths_of_the_shared_columns(q, shared):
+    """Halves A (the first m//2 rows) and B that touch disjoint column sets,
+    or whose rows have no zero at all, against the scalar enumeration."""
+    ctx = make_field(*FIELDS[q])
+    m = max(j for j in range(2, 7) if q**j <= ENUM_MAX_WORDS)
+    rng = np.random.default_rng(q)
+    if shared == "none":
+        rows = np.zeros((m, 7), dtype=np.uint8)
+        rows[: m // 2, :3] = rng.integers(0, q, size=(m // 2, 3))
+        rows[m // 2 :, 3:] = rng.integers(0, q, size=(m - m // 2, 4))
+    else:
+        rows = rng.integers(1, q, size=(m, 7)).astype(np.uint8)
+    n = rows.shape[1]
+    counts, weight, witness = linalg._label_span_weights(ctx.fq, rows, threads=1)
+    ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
+    assert counts.tolist() == ref_counts and weight == ref_weight
+    assert np.count_nonzero(witness) == weight
+    assert np.array_equal(witness, _label_span_weights(ctx, rows)[2])
+    assert felt_in_row_space(ctx, labels_to_felts(ctx, rows), labels_to_felts(ctx, [witness])[0], n)
+
+
+def test_weights_past_255_columns_do_not_wrap():
+    """q = 2, 4 dense rows on 4 + 255 columns: the non-pivot differences fit
+    a uint8, but words weigh up to 259.  r0 + r1 weighs 3, the minimum, and
+    r0 + r1 + r2 weighs 257, which a uint8 total would read as 1.  The
+    default cap runs the full enumeration, a cap of 15 the level scan."""
+    fq = make_field(2, 1).fq
+    m, free = 4, 255
+    R = np.ones((m, m + free), dtype=np.uint8)
+    R[:, :m] = np.eye(m, dtype=np.uint8)
+    for i in range(1, m):
+        R[i, m : m + i] = 0  # row i is zero on the first i non-pivot columns
+    counts = np.zeros(m + free + 1, dtype=np.int64)
+    for coeffs in np.ndindex(*(2,) * m):
+        counts[np.count_nonzero(np.bitwise_xor.reduce(R[np.flatnonzero(coeffs)], axis=0))] += 1
+    assert counts[256:].any() and not counts[1:3].any() and counts[3]
+    assert np.array_equal(linalg.weight_distribution(fq, R), counts)
+    lightest = R[0] ^ R[1]
+    for upper in (None, (3, lightest)):
+        for cap in (10**8, 2**m - 1):
+            scan = linalg.min_weight_scan(fq, R, cap=cap, upper=upper)
+            assert scan.admitted and scan.weight == 3
+            assert np.count_nonzero(scan.witness) == 3
+
+
+def test_combinations_are_the_lexicographic_subsets():
+    """The level scan's subsets, in the order that fixes its witness and ``scanned``."""
+    for m in range(1, 12):
+        for j in range(1, m + 1):
+            ref = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
+            assert np.array_equal(linalg._combinations(m, j), ref), (m, j)

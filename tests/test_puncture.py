@@ -474,3 +474,23 @@ def test_min_weight_pc_admits_exactly_up_to_the_projected_work(q, monkeypatch):
         calls.clear()
         assert min_weight_pc(ctx, k, cap=work - 1).mode == "constructive" and calls == []
         assert not scan(ctx.fq, basis, cap=work - 1, upper=(w.weight(), w.v)).admitted
+
+
+# (value, mode, scanned, sha256 of the JSON witness) of min_weight_pc at the
+# default cap, as produced by the version that compared enumerated words on
+# every column
+CERTIFIED_CELLS = {
+    (4, 2): (4, "exhaustive", 7020, "22bfb6675dee87d7577c3e9085f24f25b6a786e78f0db6e0304127931f009838"),
+    (5, 3): (6, "exhaustive", 6937008, "94036702fb1a552bd8e432d7282300983c03f3eb72389325569460ba1cfda0cd"),
+    (7, 2): (4, "exhaustive", 2956500, "60abfe00946a7ecfc5c4b35f3f2a92c54c2943f7feb15481c684fb34422b3d34"),
+    (8, 2): (4, "exhaustive", 11291756, "e59f2e19b5fcafbe7fd70b81b557d12c84913cd9462315c27929b137d64d7e7e"),
+    (9, 2): (4, "exhaustive", 36070720, "646af54b2ac1d1ea3f5a847afc33fcde537a2dcd26febc24b6cec926204d48e5"),
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(CERTIFIED_CELLS))
+def test_certified_cells_are_pinned(q, k):
+    """Level scans of up to 36 M words (level 3 at (9,2)) keep their reports."""
+    r = min_weight_pc(make_field(*PUNCTURE_FIELDS[q]), k)
+    digest = hashlib.sha256(json.dumps(r.witness.serialized()).encode()).hexdigest()
+    assert (r.weight, r.mode, r.scanned, digest) == CERTIFIED_CELLS[(q, k)]
