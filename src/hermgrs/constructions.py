@@ -98,8 +98,6 @@ def _assemble(
     family: str,
     parameters: dict,
     identity_values: np.ndarray | None,
-    mds_cap: int = grscode.MDS_CAP,
-    enum_cap: int = 10**6,
 ) -> ConstructionReport:
     """Common tail: measure zeros, verify identities, build and verify the code."""
     h = _reduced_h(ctx, k, g, c)
@@ -126,7 +124,7 @@ def _assemble(
     code = grscode.truncate_scale(grscode.build_rs(ctx, k), vector)
     if grscode.hermitian_gram(code).any():
         raise SelfCheckFailed(f"{family}: Gram matrix is nonzero on a constructed code")
-    mds = grscode.mds_status(code, mds_cap=mds_cap, enum_cap=enum_cap)
+    mds = grscode.mds_status(code)
     params = grscode.CodeParams.of_self_orthogonal(code)
     checks = {
         "factored_identity": identity_ok,
@@ -322,14 +320,9 @@ def _trace_poly(ctx: FieldCtx) -> Poly:
 
 
 def _abs_trace_values(ctx: FieldCtx) -> np.ndarray:
-    """Pointwise GF(q^2) -> GF(p) trace over the whole enumeration."""
+    """Pointwise GF(q^2) -> GF(p) trace, sum of x^(p^j) for j < 2h, on the enumeration."""
     pts = ctx.points_idx()
-    acc = np.zeros_like(pts)
-    term = pts
-    for _ in range(2 * ctx.h):
-        acc = ctx.vadd(acc, term)
-        term = ctx.vpow(term, ctx.p)
-    return acc
+    return ctx.vsum(ctx.vpow_outer(pts, ctx.p ** np.arange(2 * ctx.h)), axis=0)
 
 
 def trace_one_elements(ctx: FieldCtx) -> list[Felt]:
@@ -504,7 +497,6 @@ def build_qsq_plus_one(ctx: FieldCtx, e: Felt | None = None) -> ConstructionRepo
     report = _assemble(
         ctx, k, g, ctx.one, 0, "qsq_plus_one",
         {"e": e.index}, identity,
-        enum_cap=10**6,
     )
     assert report.code.n == ctx.q2 + 1
     return report

@@ -13,6 +13,9 @@ coordinates in the polynomial basis 1, b, ..., b^(h-1) of b = w^(q+1), so
 label addition is XOR for p = 2 and addition mod p for q = p; every GF(q)
 matrix and vector in the package holds these labels.
 
+Every sum of many elements is one ``code_sum`` of additive codes: GF(q)
+labels or GF(q^2) polynomial-basis integers (``FieldCtx.vsum``).
+
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
 which makes w = x (the residue class) and fixes every table deterministically.
@@ -117,6 +120,25 @@ def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
     raise AssertionError(f"no primitive polynomial of degree {deg} over GF({p})")
 
 
+def code_sum(p: int, digits: int, codes: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum along an axis of codes sum_j d_j p^j, j < ``digits``, digitwise mod p.
+
+    An XOR at p = 2.  At odd p each digit but the last is peeled off by one
+    divmod in the codes' dtype, which the result keeps; each digit is summed
+    in int64 and reduced mod p.
+    """
+    codes = np.asarray(codes)
+    if p == 2:
+        return np.bitwise_xor.reduce(codes, axis=axis)
+    rest, base = codes, codes.dtype.type(p)
+    total = 0
+    for j in range(digits - 1):
+        rest, digit = np.divmod(rest, base)
+        total += digit.sum(axis=axis, dtype=np.int64) % p * p**j
+    total += rest.sum(axis=axis, dtype=np.int64) % p * p ** (digits - 1)
+    return total.astype(codes.dtype)
+
+
 @dataclass(frozen=True)
 class SubfieldTables:
     """Compact GF(q) arithmetic: elements labelled 0..q-1 by additive code.
@@ -197,18 +219,13 @@ class FieldCtx:
         assert idx_of_poly.min() >= 0, "powers of w do not cover GF(q^2)*"
         self._idx_of_poly = idx_of_poly
 
-        # polynomial-basis integer and digit matrix per field index, used for
-        # vectorized field sums
-        polyints = np.concatenate(([0], exp_poly))
-        self._polyint = polyints
-        digit_pows = np.array(pows, dtype=np.int64)
-        self._digits = ((polyints[:, None] // digit_pows[None, :]) % p).astype(np.int16)
-        self._digit_pows = digit_pows
+        # polynomial-basis integer per field index (< q^2 <= 4096), the
+        # additive code that field sums add up
+        self._polyint = np.concatenate(([0], exp_poly)).astype(np.uint16)
 
-        # Zech logarithms: zech[d] = log(1 + w^d), -1 when 1 + w^d = 0
-        one_plus = self._digits[1:].copy()
-        one_plus[:, 0] = (one_plus[:, 0] + 1) % p
-        sums = one_plus @ digit_pows
+        # Zech logarithms: zech[d] = log(1 + w^d), -1 when 1 + w^d = 0; 1 adds
+        # to the constant digit mod p
+        sums = exp_poly - exp_poly % p + (exp_poly + 1) % p
         self._zech = np.where(sums == 0, -1, idx_of_poly[sums] - 1).astype(np.int64)
 
     def _build_subfield(self) -> None:
@@ -357,16 +374,10 @@ class FieldCtx:
         return self.vpow(a, self.q + 1)
 
     def vsum(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Field sum along an axis: digitwise summation mod p of the
-        polynomial-basis integers, an XOR of them for p = 2."""
+        """Field sum along an axis: the ``code_sum`` of the polynomial-basis
+        integers, an XOR of them for p = 2."""
         a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return self._idx_of_poly[np.bitwise_xor.reduce(self._polyint[a], axis=axis)]
-        digits = self._digits[a]  # shape a.shape + (2h,)
-        ax = axis if axis >= 0 else a.ndim + axis
-        total = digits.sum(axis=ax, dtype=np.int64) % self.p
-        polyints = total @ self._digit_pows
-        return self._idx_of_poly[polyints]
+        return self._idx_of_poly[code_sum(self.p, 2 * self.h, self._polyint[a], axis)]
 
     def split_components(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write each element as c0 + c1*xi with c0, c1 in GF(q) (compact labels)."""

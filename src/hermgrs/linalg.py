@@ -4,8 +4,9 @@ Matrices are numpy uint8 arrays of compact GF(q) labels, which are
 additive codes (see ``field.SubfieldTables``): adding a multiple of a pivot
 row is one gather from the q precomputed multiples of that row plus one
 addition (XOR for p = 2, a uint8 add and a conditional subtract for q = p,
-and one table gather for the other q).  No path does per-element Python
-arithmetic.
+and one table gather for the other q).  A sum of many labels, as in
+``matvec``, is one ``field.code_sum``: digitwise mod p, an XOR at p = 2.
+No path does per-element Python arithmetic.
 
 ``span_weights`` is the one full row-space enumerator: given the scalar
 multiples of each row, an addition and a negation, it meets in the middle
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .field import SubfieldTables
+from .field import SubfieldTables, code_sum
 
 _BLOCK = 1 << 15
 
@@ -70,15 +71,6 @@ def _code_adder(fq: SubfieldTables):
         dst[...] = flat.take(dst.astype(np.uint16) * q + src)
 
     return add_table
-
-
-def _code_sum(fq: SubfieldTables, X: np.ndarray) -> np.ndarray:
-    """Column sums of a (t, n) array of labels: digitwise mod p."""
-    if fq.p == 2:
-        return np.bitwise_xor.reduce(X, axis=0)
-    pows = fq.p ** np.arange(fq.h, dtype=np.int64)
-    digits = X[:, :, None] // pows.astype(np.uint8) % np.uint8(fq.p)  # (t, n, h)
-    return ((digits.sum(axis=0, dtype=np.int64) % fq.p) @ pows).astype(np.uint8)
 
 
 def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -121,27 +113,32 @@ def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
 
 
 def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
-    """RREF basis of the right null space {x : mat @ x = 0} over GF(q)."""
-    R, pivots = rref(fq, mat)
+    """RREF basis of the right null space {x : mat @ x = 0} over GF(q).
+
+    One elimination of the reversed columns, whose pivots are the last
+    columns that span: the kernel vector e_f - sum_i R[i, f] e_(pivot i) of
+    any other column f is nonzero only at f and at pivots right of f, so
+    these vectors, by increasing f, are the kernel's RREF already.
+    """
+    R, reversed_pivots = rref(fq, np.asarray(mat)[..., ::-1])
     cols = R.shape[1]
+    R = R[:, ::-1]
+    pivots = [cols - 1 - c for c in reversed_pivots]
     is_free = np.ones(cols, dtype=bool)
-    is_free[list(pivots)] = False
+    is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    if not free.size:
-        return np.empty((0, cols), dtype=np.uint8)
-    # the kernel vector of free column f is e_f - sum_i R[i, f] e_(pivot i)
     basis = np.zeros((free.size, cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
-    basis[:, list(pivots)] = fq.neg[R[:, free]].T
-    canon, _ = rref(fq, basis)
-    return canon
+    basis[:, pivots] = fq.neg[R[:, free]].T
+    return basis
 
 
 def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The product M v over GF(q): each product one take from the flattened
-    ``mul`` table, at v_j * q + M_ij, and the products summed digitwise."""
+    ``mul`` table, at v_j * q + M_ij, and the products of a row added up by
+    one ``code_sum``."""
     products = fq.mul.ravel().take(M + v.astype(np.uint16) * np.uint16(fq.q))
-    return _code_sum(fq, products.T)
+    return code_sum(fq.p, fq.h, products, axis=1)
 
 
 def reduce_against(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
@@ -439,7 +436,7 @@ def min_weight_scan(
             for take, (w, rows, coeffs) in zip(takes, results):
                 scanned += len(take) * ca * cb
                 if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
-                    best_w, best_vec = w, _code_sum(fq, fq.mul[coeffs[:, None], basis[rows]])
+                    best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
     return ScanResult(True, best_w, best_vec, scanned)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hermgrs.errors import ValidationRefused
 from hermgrs.field import (
     FieldCtx,
+    code_sum,
     frobenius,
     make_field,
     norm,
@@ -305,3 +306,41 @@ def test_subfield_elems_come_in_enumeration_order(p, h):
     ctx = make_field(p, h)
     q = ctx.q
     assert [x.i for x in ctx.subfield_elems()] == [0] + [1 + j * (q + 1) for j in range(q - 1)]
+
+
+def _fold_add_i(ctx, a, axis):
+    """Field sums along ``axis`` by scalar additions, one element at a time."""
+    a = np.moveaxis(a, axis, -1)
+    out = np.zeros(a.shape[:-1], dtype=np.int64)
+    for pos in np.ndindex(out.shape):
+        acc = 0
+        for x in a[pos]:
+            acc = ctx.add_i(acc, int(x))
+        out[pos] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
+def test_code_sum_and_vsum_match_a_fold_of_add_i(p, h):
+    """2-D and 3-D arrays along axes 0, 1 and -1, empty axes included.
+
+    ``code_sum`` adds GF(q^2) polynomial-basis integers (2h digits) and
+    GF(q) labels (h digits) and keeps their dtype; q = 27 has six GF(q^2)
+    digits and q = 49 four.
+    """
+    ctx = make_field(p, h)
+    fq = ctx.fq
+    rng = np.random.default_rng(ctx.q)
+    for shape in [(4, 5), (3, 4, 5), (0, 3), (3, 0, 2)]:
+        a = rng.integers(0, ctx.q2, shape)
+        labels = rng.integers(0, ctx.q, shape).astype(np.uint8)
+        for axis in (0, 1, -1):
+            expect = _fold_add_i(ctx, a, axis)
+            assert np.array_equal(ctx.vsum(a, axis=axis), expect)
+            codes = code_sum(p, 2 * h, ctx._polyint[a], axis)
+            assert codes.dtype == np.uint16
+            assert np.array_equal(ctx._idx_of_poly[codes], expect)
+            label_sum = code_sum(p, h, labels, axis)
+            assert label_sum.dtype == np.uint8
+            expect = _fold_add_i(ctx, fq.idx_of_compact[labels], axis)
+            assert np.array_equal(fq.idx_of_compact[label_sum], expect)

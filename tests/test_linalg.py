@@ -495,3 +495,23 @@ def test_combinations_are_the_lexicographic_subsets():
         for j in range(1, m + 1):
             ref = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
             assert np.array_equal(linalg._combinations(m, j), ref), (m, j)
+
+
+@pytest.mark.parametrize("p,h", [(5, 2), (3, 3), (7, 2)], ids=["q25", "q27", "q49"])
+def test_matvec_matches_scalar_products_at_odd_composite_q(p, h):
+    """Every entry of M v against a scalar sum of products, as ``felt_matvec_is_zero`` forms it."""
+    ctx = make_field(p, h)
+    rng = np.random.default_rng(ctx.q)
+    for rows, cols in ((1, 1), (5, 9), (7, 40), (3, 0)):
+        M = rng.integers(0, ctx.q, (rows, cols)).astype(np.uint8)
+        v = rng.integers(0, ctx.q, cols).astype(np.uint8)
+        got = linalg.matvec(ctx.fq, M, v)
+        vf = labels_to_felts(ctx, [v.tolist()])[0]
+        expect = []
+        for row in labels_to_felts(ctx, M.tolist()):
+            total = ctx.zero
+            for a, b in zip(row, vf):
+                total = total + a * b
+            expect.append(total)
+        assert got.dtype == np.uint8
+        assert labels_to_felts(ctx, [got.tolist()])[0] == expect

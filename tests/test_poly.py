@@ -193,3 +193,27 @@ def test_dense_eval_on_spans_several_blocks_at_q64():
     assert vals.shape == (ctx.q2,)
     for x in [0, 1, 2] + rng.sample(range(3, ctx.q2), 40):
         assert int(vals[x]) == poly.eval(Felt(ctx, x)).i
+
+
+@pytest.mark.parametrize("q", sorted(EVAL_FIELDS) + [49])
+def test_eval_on_sparse_zero_and_constant_polynomials_match_horner(q):
+    """At most 4 monomials of degree up to q^2 - 1, the zero polynomial and
+    constants, on 2-D point arrays of several shapes (q = 49 has four
+    base-7 digits per GF(q^2) element)."""
+    ctx = make_field(*EVAL_FIELDS.get(q, (7, 2)))
+    rng = random.Random(q)
+    polys = [Poly.zero(ctx), Poly.one(ctx), Poly.from_indices(ctx, [rng.randrange(2, ctx.q2)])]
+    for size in range(1, 5):
+        top = [ctx.q2 - 1] if size % 2 else []  # the odd sizes reach degree q^2 - 1
+        exps = top + rng.sample(range(ctx.q2 - len(top)), size - len(top))
+        coeffs = np.zeros(max(exps) + 1, dtype=np.int64)
+        coeffs[exps] = [rng.randrange(1, ctx.q2) for _ in exps]
+        polys.append(Poly.from_indices(ctx, coeffs))
+    for shape in ((3, 4), (1, 5), (2, 0)):
+        xs = np.array([rng.randrange(ctx.q2) for _ in range(shape[0] * shape[1])], dtype=np.int64).reshape(shape)
+        if xs.size:
+            xs[0, 0] = 0
+        for poly in polys:
+            got = poly.eval_on(xs)
+            assert got.shape == xs.shape
+            assert got.tolist() == [[poly.eval(Felt(ctx, int(x))).i for x in row] for row in xs]
