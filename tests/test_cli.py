@@ -494,3 +494,42 @@ def test_puncture_builds_the_u_space_basis_at_most_once(capsys, monkeypatch, arg
     if rc == 0:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["min_weight"]["mode"] == ("exhaustive" if builds else "constructive")
+
+
+# sha256 of each construct record, timestamp blanked, as produced by the version
+# that evaluated h once per zero count and once per identity check
+CONSTRUCT_DIGESTS = {
+    "example1 --q 5 --k 4 --t 3 --f 1": "93d62649aab5675252e09d15fbfe15e4703738ba1e4c2696218b27240a3eaa32",
+    "example1 --q 7 --k 3 --t 2 --f 9,1": "a1b68567ac7f7a938f5365f8394b260c63c7f15bc71d4d2fd28e8f184d150a4a",
+    "example2 --q 7 --k 2 --t 2 --r 9,17": "cb19bc9982b3cd72453619cd6b57ed35d5580ba6ca3b8a2ef08698fea8e72212",
+    "example2 --q 7 --k 3 --t 4 --r 9": "ec3318f897edccc291c444858a27f364ae4e72fb1a6d0ec19ee2beb6527bf2a1",
+    "example3 --q 5 --k 2 --t 4 --r 9,17": "2a0c15f4d43e595a1872db104c60976bd72d2c6c6aaa15c806a0424eff57ad78",
+    "even-min --q 8 --k 5": "e8871d134560e5cd9fd0ea4a18a7f440bbfab3b2e10fdae9edadbd781694b439",
+    "even-min --q 16 --k 8": "a9473a3ec86db3bd4b99470490df51e2b14ef1a3c4d32e91e392368b199607e4",
+    "odd-min --q 9 --k 6": "733ab2ad09c8e22d41f1d82ab54ef8bd0810b72618237575c9b4f806565d3201",
+    "odd-min --q 7 --k 5": "22572e621d6d073ec7395e61432fa04b19b3ff3bb32f7977719e50f3f1aa4601",
+    "qsq-plus-one --q 8": "af3f93bd160ebd556f99486bf1be1d64026b757cf81a5c0482bbc4f81730a869",
+    "qsq-plus-one --q 8 --e 15": "c0e688d3278f22add326a4fcbd93af445027caf9c223e4de522c890cb5671c38",
+    "custom --q 4 --k 2 --g 0,1 --c 0": "9994ef97526decfb59a641aa867b52fe8d68dab2702941d8d34b2b9302d0987d",
+    "custom --q 9 --k 3 --g 5,0,7,1 --c 0": "d098ccc926b25b3087fe4e97e192a9a31991f11bec9f25976251bdf09e7eedb9",
+    "custom --q 4 --k 2 --g 0 --c 1": "5f4f61e47ed6aaf7dac1198c1a338325ac8855c9194793c3c3eb28e8462fd515",
+    "custom --q 9 --k 3 --g 5,0,7,1 --c 11": "62490a0d1449d54b56a6aa44080e29dcc21f94cc03d1e19c86d48ab066049ede",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONSTRUCT_DIGESTS))
+def test_construct_output_is_pinned(tmp_path, capsys, command):
+    out = tmp_path / "code.json"
+    assert main(["construct", *command.split(), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_DIGESTS[command]
+
+
+def test_custom_above_the_degree_bound_is_refused_without_a_record(tmp_path, capsys):
+    # deg g = 8 > (q-k)q-1 = 7
+    out = tmp_path / "code.json"
+    argv = ["construct", "custom", "--q", "4", "--k", "2", "--g", "1,1,1,1,1,1,1,1,1", "--c", "0"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
