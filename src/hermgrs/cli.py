@@ -186,36 +186,60 @@ def _parse_poly(ctx: FieldCtx, text: str) -> Poly:
     return Poly.from_indices(ctx, _int_list(text))
 
 
-def _parse_felts(ctx: FieldCtx, text: str):
-    return [ctx.felt(i) for i in _int_list(text)]
+def _parse_felts(ctx: FieldCtx, text: str | None):
+    return None if text is None else [ctx.felt(i) for i in _int_list(text)]
+
+
+# construct families: the builder, called with (ctx, args), and the flags as
+# name -> (type, required, help), in the order the record's config echoes them
+FAMILIES = {
+    "example1": (
+        lambda ctx, a: constructions.build_example1(ctx, a.k, a.t, _parse_poly(ctx, a.f)),
+        {"k": (int, True, "code dimension"),
+         "t": (int, True, "divisor of q+1"),
+         "f": (str, True, "coefficients of f over GF(q), low degree first, as element indices")},
+    ),
+    "example2": (
+        lambda ctx, a: constructions.build_example2(ctx, a.k, a.t, _parse_felts(ctx, a.r)),
+        {"k": (int, True, "code dimension"),
+         "t": (int, True, "divisor of q+1"),
+         "r": (str, True, "elements r of GF(q)* as element indices")},
+    ),
+    "example3": (
+        lambda ctx, a: constructions.build_example3(ctx, a.k, a.t, _parse_felts(ctx, a.r)),
+        {"k": (int, True, "code dimension"),
+         "t": (int, True, "t; t-|R| must divide q+1"),
+         "r": (str, True, "inversion-closed (q+1)-st roots of unity as element indices")},
+    ),
+    "even-min": (
+        lambda ctx, a: constructions.build_even_q_min(ctx, a.k, _parse_felts(ctx, a.r)),
+        {"k": (int, True, "code dimension, q/2 <= k <= q-1"),
+         "r": (str, False, "trace-one elements (defaults to the first q-k-1)")},
+    ),
+    "odd-min": (
+        lambda ctx, a: constructions.build_odd_q_min(ctx, a.k, _parse_felts(ctx, a.r)),
+        {"k": (int, True, "code dimension, (q+1)/2 <= k <= q-1"),
+         "r": (str, False, "nonzero squares (defaults to the first q-k-1)")},
+    ),
+    "qsq-plus-one": (
+        lambda ctx, a: constructions.build_qsq_plus_one(ctx, None if a.e is None else ctx.felt(a.e)),
+        {"e": (int, False, "element index of e (defaults to the canonical choice)")},
+    ),
+    "custom": (
+        lambda ctx, a: constructions.build_custom(ctx, a.k, _parse_poly(ctx, a.g), ctx.felt(a.c)),
+        {"k": (int, True, "code dimension"),
+         "g": (str, True, "coefficients of g, low degree first, as element indices"),
+         "c": (int, True, "element index of c in GF(q)")},
+    ),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     ctx = _resolve_field(args)
-    family = args.family
-    if family == "example1":
-        report = constructions.build_example1(ctx, args.k, args.t, _parse_poly(ctx, args.f))
-    elif family == "example2":
-        report = constructions.build_example2(ctx, args.k, args.t, _parse_felts(ctx, args.r))
-    elif family == "example3":
-        report = constructions.build_example3(ctx, args.k, args.t, _parse_felts(ctx, args.r))
-    elif family == "even-min":
-        R = _parse_felts(ctx, args.r) if args.r is not None else None
-        report = constructions.build_even_q_min(ctx, args.k, R)
-    elif family == "odd-min":
-        R = _parse_felts(ctx, args.r) if args.r is not None else None
-        report = constructions.build_odd_q_min(ctx, args.k, R)
-    elif family == "qsq-plus-one":
-        e = ctx.felt(args.e) if args.e is not None else None
-        report = constructions.build_qsq_plus_one(ctx, e)
-    elif family == "custom":
-        report = constructions.build_custom(ctx, args.k, _parse_poly(ctx, args.g), ctx.felt(args.c))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationRefused(f"unknown family {family}")
-    config = {"p": ctx.p, "h": ctx.h, "family": family}
-    for name in ("k", "t", "f", "r", "g", "c", "e"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            config[name] = getattr(args, name)
+    build, flags = FAMILIES[args.family]
+    report = build(ctx, args)
+    config = {"p": ctx.p, "h": ctx.h, "family": args.family}
+    config.update((name, getattr(args, name)) for name in flags if getattr(args, name) is not None)
     _emit_json(args, "construct", config, report.to_dict())
     return 0
 
@@ -344,53 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons = sub.add_parser("construct", help="run a polynomial construction family")
     fam = p_cons.add_subparsers(dest="family", required=True)
 
-    def family_parser(name: str, **flags) -> argparse.ArgumentParser:
+    for name, (_, flags) in FAMILIES.items():
         fp = fam.add_parser(name)
         _add_field_args(fp)
         for flag, (ftype, required, helptext) in flags.items():
             fp.add_argument(f"--{flag}", type=ftype, required=required, help=helptext)
         _add_output_args(fp)
+        fp.add_argument("--format", choices=["json"], default="json", help=argparse.SUPPRESS)
         fp.set_defaults(func=cmd_construct)
-        return fp
-
-    family_parser(
-        "example1",
-        k=(int, True, "code dimension"),
-        t=(int, True, "divisor of q+1"),
-        f=(str, True, "coefficients of f over GF(q), low degree first, as element indices"),
-    )
-    family_parser(
-        "example2",
-        k=(int, True, "code dimension"),
-        t=(int, True, "divisor of q+1"),
-        r=(str, True, "elements r of GF(q)* as element indices"),
-    )
-    family_parser(
-        "example3",
-        k=(int, True, "code dimension"),
-        t=(int, True, "t; t-|R| must divide q+1"),
-        r=(str, True, "inversion-closed (q+1)-st roots of unity as element indices"),
-    )
-    family_parser(
-        "even-min",
-        k=(int, True, "code dimension, q/2 <= k <= q-1"),
-        r=(str, False, "trace-one elements (defaults to the first q-k-1)"),
-    )
-    family_parser(
-        "odd-min",
-        k=(int, True, "code dimension, (q+1)/2 <= k <= q-1"),
-        r=(str, False, "nonzero squares (defaults to the first q-k-1)"),
-    )
-    family_parser(
-        "qsq-plus-one",
-        e=(int, False, "element index of e (defaults to the canonical choice)"),
-    )
-    family_parser(
-        "custom",
-        k=(int, True, "code dimension"),
-        g=(str, True, "coefficients of g, low degree first, as element indices"),
-        c=(int, True, "element index of c in GF(q)"),
-    )
 
     p_ver = sub.add_parser("verify", help="recheck a serialized code record")
     p_ver.add_argument("code_file", help="JSON file produced by construct (or a bare code record)")
@@ -410,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd_parser in (p_info, p_punc, p_ver):
         cmd_parser.add_argument("--format", choices=["json"], default="json", help=argparse.SUPPRESS)
-    for fp in fam.choices.values():
-        fp.add_argument("--format", choices=["json"], default="json", help=argparse.SUPPRESS)
     return parser
 
 

@@ -210,7 +210,6 @@ class FieldCtx:
             while len(val) > 1 and val[-1] == 0:
                 val.pop()
         assert val == [1], "w does not have order q^2-1"
-        self._exp_poly = exp_poly
 
         # polyint -> field index (0 stays 0)
         idx_of_poly = np.full(p**deg, -1, dtype=np.int64)

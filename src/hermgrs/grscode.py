@@ -330,12 +330,7 @@ def code_from_dict(obj: dict) -> GrsCode:
         ctx = make_field(p, h)
     except ValidationRefused as exc:
         raise MalformedInput(str(exc)) from exc
-    if len(support) != len(set(support)) or support != sorted(support):
-        raise MalformedInput("support coordinates must be strictly increasing and distinct")
-    if not all(1 <= i <= ctx.q2 + 1 for i in support):
-        raise MalformedInput(f"support coordinates must lie in 1..{ctx.q2 + 1}")
-    if len(thetas) != len(support):
-        raise MalformedInput("thetas and support must have equal length")
+    # GrsCode checks the support and the thetas' count and rejects a zero theta
     if not all(1 <= t <= ctx.q2 - 1 for t in thetas):
         raise MalformedInput("thetas must be nonzero field element indices")
     try:

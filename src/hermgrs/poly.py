@@ -144,12 +144,6 @@ class Poly:
             raise ValueError("scalar belongs to a different field context")
         return Poly(self.ctx, self.ctx.vmul(np.int64(s.i), self.c))
 
-    def shift(self, exponent: int) -> Poly:
-        """Multiply by X^exponent."""
-        if self.is_zero():
-            return self
-        return Poly(self.ctx, np.concatenate([np.zeros(exponent, dtype=np.int64), self.c]))
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------

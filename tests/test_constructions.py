@@ -320,3 +320,31 @@ def test_all_family_vectors_lie_in_the_puncture_code(ctx4, ctx5):
     ]
     for ctx, k, rep in reports:
         assert membership(puncture_direct(ctx, k), rep.vector), rep.family
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = Poly.eval_on
+
+    def counted(self, xs):
+        calls.append(self.degree)
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(Poly, "eval_on", counted)
+    return calls
+
+
+def test_custom_evaluates_g_and_h_once_each(ctx4, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    g = Poly.from_indices(ctx4, [0, 1])
+    build_custom(ctx4, 2, g, ctx4.zero)
+    # g in g_form_vector, then h = g + g^q for its zeros and nothing else
+    assert calls == [1, 4]
+
+
+def test_named_family_evaluates_each_polynomial_once(ctx5, monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    build_example1(ctx5, 4, 3, Poly.one(ctx5))
+    # f on the norms, g in g_form_vector, and h once for both the zero count
+    # and the factored identity
+    assert len(calls) == 3

@@ -100,7 +100,7 @@ def test_make_field_is_deterministic_and_cached():
     fresh = FieldCtx(3, 1)
     assert fresh.modulus == a.modulus
     assert np.array_equal(fresh._zech, a._zech)
-    assert np.array_equal(fresh._exp_poly, a._exp_poly)
+    assert np.array_equal(fresh._polyint[1:], a._polyint[1:])
 
 
 def test_enumeration_convention(ctx5):
@@ -112,10 +112,10 @@ def test_enumeration_convention(ctx5):
 
 def test_exp_log_tables_roundtrip(ctx9):
     # exp[log[x]] = x for every nonzero x, in the polynomial representation
-    for polyint in ctx9._exp_poly:
+    for polyint in ctx9._polyint[1:]:
         idx = int(ctx9._idx_of_poly[polyint])
         assert idx >= 1
-        assert int(ctx9._exp_poly[idx - 1]) == int(polyint)
+        assert int(ctx9._polyint[idx]) == int(polyint)
 
 
 def test_cross_context_rejected(ctx4, ctx5):
