@@ -114,7 +114,7 @@ def _assemble(
             f"{family}: resulting length {n} is below 2k = {2 * k}; "
             "a Hermitian self-orthogonal code must be at least twice its dimension long"
         )
-    code = grscode.truncate_scale(grscode.build_rs(ctx, k), vector)
+    code = grscode.truncate_scale(k, vector)
     if grscode.hermitian_gram(code).any():
         raise SelfCheckFailed(f"{family}: Gram matrix is nonzero on a constructed code")
     checks = {

@@ -3,8 +3,10 @@
 Elements are handled through opaque indices into a canonical enumeration:
 index 0 is the zero element and index i >= 1 is w^(i-1), where w is a fixed
 generator of the multiplicative group.  With this representation
-multiplication is index addition mod q^2-1 and addition goes through a Zech
-logarithm table (zech[d] = log(1 + w^d)).
+multiplication is index addition mod q^2-1.  Addition works on additive
+codes, the coordinates in the polynomial basis 1, w, ..., w^(2h-1): two
+elements add through one carry-free table read, and a sum of many through
+one ``code_sum``.
 
 The subfield GF(q) is realized as the Frobenius-fixed set {x : x^q = x}
 inside the same context, with a compact labelling 0..q-1 and its own small
@@ -190,6 +192,9 @@ class FieldCtx:
         self.modulus = _find_modulus(p, 2 * h)
         self._build_tables()
         self._build_subfield()
+        for table in [*vars(self).values(), *vars(self.fq).values()]:
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
 
     # ------------------------------------------------------------------
     # table construction
@@ -222,10 +227,17 @@ class FieldCtx:
         # additive code that field sums add up
         self._polyint = np.concatenate(([0], exp_poly)).astype(np.uint16)
 
-        # Zech logarithms: zech[d] = log(1 + w^d), -1 when 1 + w^d = 0; 1 adds
-        # to the constant digit mod p
-        sums = exp_poly - exp_poly % p + (exp_poly + 1) % p
-        self._zech = np.where(sums == 0, -1, idx_of_poly[sums] - 1).astype(np.int64)
+        # two additive codes add without carry once each base-p digit sits at
+        # a place of base 2p-1, since a sum of two digits is at most 2p-2;
+        # _pair_sum reads a spread sum's digits back mod p
+        places = np.array(pows, dtype=np.int64)
+        digits = self._polyint[:, None] // places % p
+        self._spread = digits @ np.int64(2 * p - 1) ** np.arange(deg)
+        self._neg = idx_of_poly[-digits % p @ places]
+        pair_codes = np.zeros(1, dtype=np.int64)
+        for j in reversed(range(deg)):  # the highest place varies slowest
+            pair_codes = np.add.outer(pair_codes, np.arange(2 * p - 1) % p * places[j]).ravel()
+        self._pair_sum = idx_of_poly[pair_codes]
 
     def _build_subfield(self) -> None:
         q, q2, p, h = self.q, self.q2, self.p, self.h
@@ -280,15 +292,7 @@ class FieldCtx:
     # scalar index arithmetic
     # ------------------------------------------------------------------
     def add_i(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        d = (b - a) % self.n_units
-        z = int(self._zech[d])
-        if z < 0:
-            return 0
-        return 1 + (a - 1 + z) % self.n_units
+        return int(self._pair_sum[self._spread[a] + self._spread[b]])
 
     def mul_i(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -296,9 +300,7 @@ class FieldCtx:
         return 1 + (a - 1 + b - 1) % self.n_units
 
     def neg_i(self, a: int) -> int:
-        if self.p == 2 or a == 0:
-            return a
-        return 1 + (a - 1 + self.n_units // 2) % self.n_units
+        return int(self._neg[a])
 
     def inv_i(self, a: int) -> int:
         if a == 0:
@@ -324,13 +326,7 @@ class FieldCtx:
     # vectorized index arithmetic (int64 arrays in and out)
     # ------------------------------------------------------------------
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        n = self.n_units
-        d = (b - a) % n
-        z = self._zech[d]
-        nz = np.where(z < 0, 0, 1 + (a - 1 + z) % n)
-        return np.where(a == 0, b, np.where(b == 0, a, nz))
+        return self._pair_sum[self._spread[a] + self._spread[b]]
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -339,10 +335,7 @@ class FieldCtx:
         return np.where((a == 0) | (b == 0), 0, res)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
-        return np.where(a == 0, 0, 1 + (a - 1 + self.n_units // 2) % self.n_units)
+        return self._neg[a]
 
     def _vinv0(self, a: np.ndarray) -> np.ndarray:
         """Elementwise inverse with inv(0) = 0, for masked elimination loops."""
@@ -371,6 +364,17 @@ class FieldCtx:
 
     def vnorm(self, a: np.ndarray) -> np.ndarray:
         return self.vpow(a, self.q + 1)
+
+    def vnorm_root(self, a: np.ndarray) -> np.ndarray:
+        """Smallest-discrete-log theta with theta^(q+1) = a, for a in GF(q)*.
+
+        a = w^((q+1)t) with 0 <= t < q-1, and theta = w^j solves it iff
+        j = t mod q-1; the minimal j is t.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        thetas = 1 + (a - 1) // (self.q + 1) % (self.q - 1)
+        assert np.array_equal(self.vnorm(thetas), a), "norm root argument outside GF(q)*"
+        return thetas
 
     def vsum(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
         """Field sum along an axis: the ``code_sum`` of the polynomial-basis
@@ -561,11 +565,7 @@ def solve_norm(ctx: FieldCtx, lam: Felt) -> Felt:
         raise ValidationRefused("solve_norm requires a nonzero argument")
     if not ctx.in_subfield_i(lam.i):
         raise ValidationRefused("solve_norm argument must lie in GF(q)")
-    m = lam.i - 1  # lam = w^m, with q+1 | m since lam is in GF(q)
-    j = (m // (ctx.q + 1)) % (ctx.q - 1) if ctx.q > 2 else 0
-    theta = Felt(ctx, 1 + j)
-    assert (theta ** (ctx.q + 1)) == lam
-    return theta
+    return Felt(ctx, int(ctx.vnorm_root(lam.i)))
 
 
 def skew_element(ctx: FieldCtx) -> Felt:

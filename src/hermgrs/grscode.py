@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx, make_field, solve_norm
+from .field import Felt, FieldCtx, make_field
 from .puncture import PunctureVector, power_sums
 
 MDS_CAP = 10**6
@@ -119,29 +119,19 @@ def build_rs(ctx: FieldCtx, k: int) -> GrsCode:
     return GrsCode(ctx, k, support, np.ones(ctx.q2 + 1, dtype=np.int64))
 
 
-def truncate_scale(code: GrsCode, lam: PunctureVector) -> GrsCode:
-    """Truncate to the support of lam, scaling column i by a solution of
-    theta^(q+1) = lam_i.
+def truncate_scale(k: int, lam: PunctureVector) -> GrsCode:
+    """The dimension-k code on the support of lam, scaling column i by a
+    solution of theta^(q+1) = lam_i.
 
     Any norm solution gives a monomially equivalent code; the minimal
     discrete log is used for reproducibility.
     """
-    ctx = code.ctx
-    if lam.ctx is not ctx:
-        raise ValueError("puncture vector belongs to a different field context")
+    ctx = lam.ctx
     support = lam.support()
-    if len(support) < code.k:
-        raise ValidationRefused(
-            f"puncture vector weight {len(support)} is below the dimension k={code.k}"
-        )
-    missing = set(support) - set(code.support)
-    if missing:
-        raise ValidationRefused(f"puncture vector is supported outside the code: {sorted(missing)}")
-    thetas = np.array(
-        [solve_norm(ctx, lam.entry(i)).i for i in support],
-        dtype=np.int64,
-    )
-    return GrsCode(ctx, code.k, support, thetas)
+    if len(support) < k:
+        raise ValidationRefused(f"puncture vector weight {len(support)} is below the dimension k={k}")
+    thetas = ctx.vnorm_root(ctx.fq.idx_of_compact[lam.v[lam.v != 0]])
+    return GrsCode(ctx, k, support, thetas)
 
 
 def hermitian_gram(code: GrsCode) -> np.ndarray:
@@ -221,7 +211,7 @@ def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:
     """Minimum Hamming weight by full enumeration of the row space.
 
     ``linalg.span_weights`` runs over the q^2 multiples of each generator
-    row; Zech-logarithm addition builds the two half spans, and a word's
+    row; ``FieldCtx.vadd`` builds the two half spans, and a word's
     weight is the number of columns where one half is not the negative of
     the other.
     """

@@ -12,8 +12,8 @@ No path does per-element Python arithmetic.
 multiples of each row, an addition and a negation, it meets in the middle
 over any alphabet.  The weight distribution and the full-enumeration
 branch of the minimum-weight search call it on GF(q) rows, and
-``grscode.min_weight`` on GF(q^2) generator rows with Zech-log
-arithmetic.
+``grscode.min_weight`` on GF(q^2) generator rows with the field's
+pair-sum and negation tables (``FieldCtx.vadd``, ``FieldCtx.vneg``).
 
 The certified minimum-weight search enumerates row combinations of an RREF
 basis by the number of nonzero combination coefficients ("level" j).  A

@@ -150,6 +150,9 @@ class ReferenceField:
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-x % self.p for x in a)
+
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         prod = [0] * (2 * self.deg - 1)
         for i, ai in enumerate(a):

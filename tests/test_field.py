@@ -22,20 +22,55 @@ from hermgrs.field import (
 from oracle import ReferenceField, pow_by_mul
 
 ALL_PH = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+# every q = p^h <= 64
+ALL_Q_PH = [(p, h) for p in range(2, 65) if all(p % d for d in range(2, p))
+            for h in range(1, 7) if p**h <= 64]
 
 
-@pytest.mark.parametrize("p,h", ALL_PH)
+def _arithmetic_pairs(ctx, negs):
+    """Every pair (a, b) at q <= 9; above, every pair with a zero, every
+    (a, -a) and a fixed random sample."""
+    q2 = ctx.q2
+    if ctx.q <= 9:
+        return [(a, b) for a in range(q2) for b in range(q2)]
+    rng = random.Random(ctx.q)
+    return ([(0, b) for b in range(q2)] + [(a, 0) for a in range(1, q2)]
+            + [(a, negs[a]) for a in range(q2)]
+            + [(rng.randrange(q2), rng.randrange(q2)) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH)
 def test_scalar_arithmetic_matches_reference_field(p, h):
-    """Table-driven add/mul agree with raw coefficient arithmetic."""
+    """Table-driven add/mul/neg agree with raw coefficient arithmetic, as
+    scalars and as arrays; the pair-sum table is as small as carry-free
+    addition allows."""
     ctx = make_field(p, h)
     ref = ReferenceField(p, h, ctx.modulus)
     exp = ref.exp_table(ctx.n_units)  # also certifies w = x has full order
     to_ref = [ref.zero()] + exp
     to_idx = {t: i for i, t in enumerate(to_ref)}
-    for a in range(ctx.q2):
-        for b in range(ctx.q2):
-            assert ctx.add_i(a, b) == to_idx[ref.add(to_ref[a], to_ref[b])]
-            assert ctx.mul_i(a, b) == to_idx[ref.mul(to_ref[a], to_ref[b])]
+    negs = [to_idx[ref.neg(t)] for t in to_ref]
+    pairs = _arithmetic_pairs(ctx, negs)
+    sums = [to_idx[ref.add(to_ref[a], to_ref[b])] for a, b in pairs]
+    for (a, b), s in zip(pairs, sums):
+        assert ctx.add_i(a, b) == s
+        assert ctx.mul_i(a, b) == to_idx[ref.mul(to_ref[a], to_ref[b])]
+        assert ctx.neg_i(a) == negs[a]
+    a, b = np.array(pairs, dtype=np.int64).T
+    assert np.array_equal(ctx.vadd(a, b), sums)
+    assert np.array_equal(ctx.vneg(a), np.array(negs)[a])
+    assert ctx._pair_sum.shape == ((2 * p - 1) ** (2 * h),)
+
+
+def test_field_tables_are_read_only():
+    """Contexts are shared through the ``make_field`` cache, so no caller
+    may write a table."""
+    ctx = make_field(3, 1)
+    tables = {name: t for name, t in [*vars(ctx).items(), *vars(ctx.fq).items()] if isinstance(t, np.ndarray)}
+    assert {"_pair_sum", "_spread", "_neg", "_polyint", "compact_of_idx"} <= tables.keys()
+    for table in tables.values():
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = table[(0,) * table.ndim]
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (3, 1), (5, 1)])
@@ -99,7 +134,8 @@ def test_make_field_is_deterministic_and_cached():
     assert make_field(3, 1) is a
     fresh = FieldCtx(3, 1)
     assert fresh.modulus == a.modulus
-    assert np.array_equal(fresh._zech, a._zech)
+    for table in ("_spread", "_pair_sum", "_neg"):
+        assert np.array_equal(getattr(fresh, table), getattr(a, table))
     assert np.array_equal(fresh._polyint[1:], a._polyint[1:])
 
 
@@ -294,10 +330,6 @@ def test_split_components_roundtrip(ctx9):
     )
     assert np.array_equal(rebuilt, pts)
 
-
-# every q = p^h <= 64
-ALL_Q_PH = [(p, h) for p in range(2, 65) if all(p % d for d in range(2, p))
-            for h in range(1, 7) if p**h <= 64]
 
 
 @pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])

@@ -57,9 +57,8 @@ def test_build_rs_k_range(ctx4):
 
 
 def test_truncate_scale_all_ones(ctx4):
-    code = build_rs(ctx4, 2)
     lam = PunctureVector(ctx4, np.ones(ctx4.q2 + 1, dtype=np.uint8))
-    out = truncate_scale(code, lam)
+    out = truncate_scale(2, lam)
     assert out.n == ctx4.q2 + 1
     assert np.all(out.thetas == 1)  # solve_norm(1) = 1
 
@@ -67,17 +66,16 @@ def test_truncate_scale_all_ones(ctx4):
 def test_truncate_scale_small_support(ctx5):
     k = 2
     lam = small_support_witness(ctx5, k)
-    out = truncate_scale(build_rs(ctx5, k), lam)
+    out = truncate_scale(k, lam)
     assert out.n == 2 * k == lam.weight()
     assert out.support == lam.support()
 
 
 def test_truncate_scale_weight_below_k_refused(ctx4):
-    code = build_rs(ctx4, 3)
     v = np.zeros(ctx4.q2 + 1, dtype=np.uint8)
     v[0] = 1
     with pytest.raises(ValidationRefused):
-        truncate_scale(code, PunctureVector(ctx4, v))
+        truncate_scale(3, PunctureVector(ctx4, v))
 
 
 def test_gram_matches_direct_summation_oracle(ctx4):
@@ -93,7 +91,7 @@ def test_gram_matches_direct_summation_oracle(ctx4):
 def test_gram_zero_on_self_orthogonal_truncation(ctx4):
     basis = puncture_direct(ctx4, 2)
     lam = basis.rows()[0]
-    code = truncate_scale(build_rs(ctx4, 2), lam)
+    code = truncate_scale(2, lam)
     gram = hermitian_gram(code)
     assert not gram.any()
     assert is_hermitian_self_orthogonal(code)
@@ -105,13 +103,13 @@ def test_gram_includes_coefficient_coordinate(ctx3):
     # k = q: P(C) is spanned by the all-one vector, support includes q^2+1
     k = ctx3.q
     lam = PunctureVector(ctx3, np.ones(ctx3.q2 + 1, dtype=np.uint8))
-    code = truncate_scale(build_rs(ctx3, k), lam)
+    code = truncate_scale(k, lam)
     assert code.has_coeff_coord
     assert is_hermitian_self_orthogonal(code)
     # dropping the coefficient coordinate must break self-orthogonality
     v = np.ones(ctx3.q2 + 1, dtype=np.uint8)
     v[-1] = 0
-    broken = truncate_scale(build_rs(ctx3, k), PunctureVector(ctx3, v))
+    broken = truncate_scale(k, PunctureVector(ctx3, v))
     assert not is_hermitian_self_orthogonal(broken)
 
 
@@ -125,7 +123,6 @@ def test_random_puncture_combinations_stay_self_orthogonal(small_grid):
         if basis.dim == 0:
             continue
         fq = ctx.fq
-        rs = build_rs(ctx, k)
         for _ in range(5):
             combo = np.zeros(ctx.q2 + 1, dtype=np.uint8)
             for row in basis.matrix:
@@ -134,7 +131,7 @@ def test_random_puncture_combinations_stay_self_orthogonal(small_grid):
             lam = PunctureVector(ctx, combo)
             if lam.weight() < k:
                 continue
-            assert is_hermitian_self_orthogonal(truncate_scale(rs, lam))
+            assert is_hermitian_self_orthogonal(truncate_scale(k, lam))
 
 
 def test_hermitian_form_vanishes_on_random_codeword_pairs(ctx5):
@@ -144,7 +141,7 @@ def test_hermitian_form_vanishes_on_random_codeword_pairs(ctx5):
     for k in (2, 3):
         basis = puncture_direct(ctx5, k)
         for lam in (basis.rows()[0], basis.rows()[-1]):
-            code = truncate_scale(build_rs(ctx5, k), lam)
+            code = truncate_scale(k, lam)
             assert is_hermitian_self_orthogonal(code)
             gen = [[ctx5.felt(int(x)) for x in row] for row in code.gen]
             for _ in range(5):
@@ -164,7 +161,7 @@ def test_hermitian_form_vanishes_on_random_codeword_pairs(ctx5):
 def test_gram_zero_is_basis_independent(ctx4):
     rng = random.Random(12)
     basis = puncture_direct(ctx4, 2)
-    code = truncate_scale(build_rs(ctx4, 2), basis.rows()[1])
+    code = truncate_scale(2, basis.rows()[1])
     assert is_hermitian_self_orthogonal(code)
     scales = [ctx4.elems()[rng.randrange(1, ctx4.q2)] for _ in range(code.k)]
     assert oracle.scaled_basis_gram_zero(code, scales)
@@ -178,7 +175,7 @@ def test_check_mds_on_truncations(ctx4):
     for lam in basis.rows()[:3]:
         if lam.weight() < 2:
             continue
-        code = truncate_scale(build_rs(ctx4, 2), lam)
+        code = truncate_scale(2, lam)
         assert check_mds(code)
 
 
@@ -224,7 +221,7 @@ def test_min_weight_examples(ctx2, ctx4):
     code = build_rs(ctx2, 2)
     assert min_weight(code) == oracle.code_min_weight_enum(code) == 4
     basis = puncture_direct(ctx4, 2)
-    code = truncate_scale(build_rs(ctx4, 2), basis.rows()[0])
+    code = truncate_scale(2, basis.rows()[0])
     assert check_mds(code)
     assert min_weight(code) == code.n - code.k + 1
 
@@ -237,7 +234,7 @@ def test_min_weight_cap(ctx5):
 def test_quantum_params(ctx5):
     k = 2
     lam = small_support_witness(ctx5, k)
-    code = truncate_scale(build_rs(ctx5, k), lam)
+    code = truncate_scale(k, lam)
     params = quantum_params(code)
     assert params.quantum == (4, 0, 3, 5)
     nq, kq, dq, _ = params.quantum
@@ -251,7 +248,7 @@ def test_quantum_params_refuses_non_self_orthogonal(ctx4):
 
 def test_json_roundtrip(ctx5):
     k = 2
-    code = truncate_scale(build_rs(ctx5, k), small_support_witness(ctx5, k))
+    code = truncate_scale(k, small_support_witness(ctx5, k))
     record = code_to_dict(code, self_orthogonal=True, mds="minors")
     back = code_from_dict(record)
     assert back.support == code.support
@@ -274,7 +271,7 @@ def test_json_roundtrip(ctx5):
     ],
 )
 def test_malformed_records_rejected(ctx5, mutate):
-    code = truncate_scale(build_rs(ctx5, 2), small_support_witness(ctx5, 2))
+    code = truncate_scale(2, small_support_witness(ctx5, 2))
     record = code_to_dict(code, self_orthogonal=True, mds="minors")
     mutate(record)
     with pytest.raises(MalformedInput):
@@ -326,7 +323,7 @@ def test_min_weight_matches_scalar_enumeration(code):
     ],
 )
 def test_code_records_with_non_integer_fields_rejected(ctx5, key, value):
-    code = truncate_scale(build_rs(ctx5, 2), small_support_witness(ctx5, 2))
+    code = truncate_scale(2, small_support_witness(ctx5, 2))
     record = code_to_dict(code, self_orthogonal=True, mds="minors")
     record[key] = value(record) if callable(value) else value
     with pytest.raises(MalformedInput):
@@ -334,7 +331,7 @@ def test_code_records_with_non_integer_fields_rejected(ctx5, key, value):
 
 
 def test_code_record_without_schema_key_accepted(ctx5):
-    code = truncate_scale(build_rs(ctx5, 2), small_support_witness(ctx5, 2))
+    code = truncate_scale(2, small_support_witness(ctx5, 2))
     record = code_to_dict(code, self_orthogonal=True, mds="minors")
     del record["schema"]
     assert np.array_equal(code_from_dict(record).gen, code.gen)
@@ -446,7 +443,7 @@ def scaled_truncations(draw):
         coeffs = np.array(draw(st.lists(st.integers(0, ctx.q - 1), min_size=basis.dim, max_size=basis.dim)))
         word = PunctureVector(ctx, linalg.matvec(ctx.fq, basis.matrix.T, coeffs))
         if word.weight() >= k:
-            return truncate_scale(build_rs(ctx, k), word)
+            return truncate_scale(k, word)
     n = draw(st.integers(k, min(ctx.q2 + 1, 20)))
     coeff = n > ctx.q2 or draw(st.booleans())
     evals = draw(st.lists(st.integers(1, ctx.q2), min_size=n - coeff, max_size=n - coeff, unique=True))
