@@ -420,7 +420,7 @@ def test_negative_g_samples_are_refused(capsys):
 
 
 # sha256 of the sweep output, timestamp blanked, as produced by the version that
-# row-reduced the u-space basis for every cell
+# row-reduced the u-space basis for every cell (q = 32: for the admitted cells)
 SWEEP_DIGESTS = {
     (7, "csv"): "b013bfedfeb2071fc8bb36521d569b4d9d0a3f818c73fa0afe156370b35bf3a1",
     (7, "json"): "d97b0a3127fc2c4fdb1a122ef8ad53ce9d0370a079c1bc431f8d69dee7deb663",
@@ -434,6 +434,8 @@ SWEEP_DIGESTS = {
     (13, "json"): "c85ef720dc74ac14fe518e968eb7f27b087c4d6c8d9ae4c2a5a3f6f0cb932185",
     (16, "csv"): "bd254f3bc6c75eb6bab7c4b9e53d677ffe1c06a9dafa8d17618d6e0e273f3c9a",
     (16, "json"): "cca94dc3200923c705c72b515994e1d5bfccea134d508f1d1d05a625177dde06",
+    (32, "csv"): "a7cbaec153e54a6b5014e258a1bdf2316f16c5b56e183c49d3e934f7a033a6b5",
+    (32, "json"): "7b05f2e579897639f1e0bc3c10abf149c52e6900ac6970d53ac7c274843d3165",
 }
 
 
