@@ -44,6 +44,7 @@ from .puncture import (
     membership,
     min_weight_formula,
     min_weight_pc,
+    primal_basis,
     puncture_direct,
     u_space_basis,
     weight_distribution,
@@ -96,6 +97,7 @@ __all__ = [
     "min_weight_formula",
     "min_weight_pc",
     "norm",
+    "primal_basis",
     "puncture_direct",
     "q_power_mod",
     "quantum_params",

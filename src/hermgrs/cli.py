@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -148,7 +149,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])
     if args.check_min_weight:
         r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads,
-                                   basis=bases.get("u_space"))
+                                   basis=primary)
         result["min_weight"] = {
             "value": r.weight,
             "mode": r.mode,
@@ -160,7 +161,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         result["agrees"] = r.agrees
     if args.distribution:
         counts = puncture.weight_distribution(ctx, k, cap=args.distribution_cap, threads=args.threads,
-                                              basis=bases.get("u_space"))
+                                              basis=primary)
         result["weight_distribution"] = {
             str(w): int(c) for w, c in enumerate(counts) if c
         }
@@ -338,7 +339,10 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one, so
+    no caller may modify it; ``parse_args`` does not."""
     parser = argparse.ArgumentParser(
         prog="hermgrs",
         description="Hermitian self-orthogonal truncated generalised Reed-Solomon codes",

@@ -139,8 +139,10 @@ def hermitian_gram(code: GrsCode) -> np.ndarray:
 
     Entry (r, s) is sum_i theta_i^(q+1) (a_i^r)^q a_i^s over evaluation
     coordinates, plus theta^(q+1) of the coefficient coordinate when
-    r = s = k-1: the power sums H N(theta) (``puncture.power_sums``).  The
-    code is Hermitian self-orthogonal iff N(theta) lies in P(C).
+    r = s = k-1: the power sums of N(theta) (``puncture.power_sums``), read
+    off the k^2 rows of H N(theta) for r <= s, with entry (s, r) the
+    conjugate of entry (r, s).  The code is Hermitian self-orthogonal iff
+    N(theta) lies in P(C).
     """
     ctx = code.ctx
     return power_sums(ctx, code.k, code.support, ctx.fq.compact_of_idx[ctx.vnorm(code.thetas)])

@@ -2,9 +2,10 @@
 
 P(C) is the GF(q)-linear code of length q^2+1 whose words lambda satisfy
 sum_i lambda_i u_i v_i^q = 0 for all codewords u, v: the kernel of the
-parity-check matrix H of the power sums S_(r,s), r, s < k (``parity_check``).
-Its weight-r words certify Hermitian self-orthogonal truncations of length
-r.  ``power_sums`` evaluates H lambda; H N(theta) is the Gram matrix.
+full-rank k^2-row parity-check matrix H of the power sums S_(r,s), r <= s < k
+(``parity_check``).  Its weight-r words certify Hermitian self-orthogonal
+truncations of length r.  ``power_sums`` evaluates H lambda; H N(theta) is
+the Gram matrix.
 
 Three independent computations are provided and cross-validated elsewhere:
 
@@ -18,8 +19,11 @@ Three independent computations are provided and cross-validated elsewhere:
 The minimum weight of P(C) follows a proven closed formula; this module can
 also certify it by exhaustive search at desk scale.  The dimension is
 proven too (``dim_formula``), so ``min_weight_pc`` decides whether the
-search fits its cap before any basis exists, and row-reduces the u-space
-basis only for a search it will run.
+search fits its cap before any basis exists, and builds a basis only for a
+search it will run.  The RREF of a subspace is unique, so the first two
+computations give the same bytes; ``primal_basis`` takes the cheaper one:
+the kernel of H eliminates about k^2 pivots, the u-space evaluations about
+dim = q^2+1-k^2.
 """
 
 from __future__ import annotations
@@ -202,32 +206,54 @@ def _vector_from_values(ctx: FieldCtx, vals: np.ndarray, final: Felt) -> Punctur
     return PunctureVector(ctx, np.concatenate([comp, [final_c]]))
 
 
-def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
-    """The (2k^2, len(cols)) GF(q) parity-check matrix H of P(C) on 1-based coordinates.
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row layout of H, for ``parity_check`` and ``power_sums`` alike.
 
-    Rows 2t, 2t+1 (t = rk + s) are the {1, xi}-components of the condition
+    The pairs (r, s), r <= s < k, in row-major order.  H's first k(k+1)/2
+    rows are the 1-components of S_(r,s) over these pairs; the k(k-1)/2
+    rows after them the xi-components of the pairs with r < s.  For lambda
+    over GF(q), S_(s,r) = S_(r,s)^q and S_(r,r) lies in GF(q) (its
+    xi-component is zero), so these k^2 rows span the conditions of all
+    k^2 sums, and they are independent.
+    """
+    return np.triu_indices(k)
+
+
+def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
+    """The (k^2, len(cols)) GF(q) parity-check matrix H of P(C) on 1-based coordinates.
+
+    Its rows (laid out by ``_pairs``) are {1, xi}-components of the conditions
     S_(r,s)(lambda) = sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_(q^2+1) = 0.
+    On all q^2+1 coordinates H has rank k^2.
     """
     cols = np.asarray(cols, dtype=np.int64)
     coeff = cols == ctx.q2 + 1  # the coefficient coordinate
-    exps = np.array([r * ctx.q + s for r in range(k) for s in range(k)], dtype=np.int64)
-    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), exps))
-    H = np.stack([c0, c1], axis=1).reshape(2 * k * k, cols.size)
+    r, s = _pairs(k)
+    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), r * ctx.q + s))
+    H = np.concatenate([c0, c1[r < s]])
     H[:, coeff] = 0
-    H[2 * (k * k - 1), coeff] = 1
+    H[r.size - 1, coeff] = 1  # the 1-component of S_(k-1,k-1), the last pair
     return H
 
 
 def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
-    """S_(r,s)(lambda) as a k x k GF(q^2) matrix: H lambda, for GF(q) labels ``lam``
-    on the 1-based coordinates ``cols``, in blocks of at most 2*10^6 entries of H."""
-    step = max(1, 2 * 10**6 // (2 * k * k))
-    sums = np.zeros(2 * k * k, dtype=np.uint8)
+    """S_(r,s)(lambda) as a k x k GF(q^2) matrix, for GF(q) labels ``lam`` on the
+    1-based coordinates ``cols``: H lambda, in blocks of at most 2*10^6 entries
+    of H, gives S_(r,s) for r <= s, and S_(s,r) = S_(r,s)^q."""
+    step = max(1, 2 * 10**6 // (k * k))
+    sums = np.zeros(k * k, dtype=np.uint8)
     for lo in range(0, len(cols), step):  # sums + H(block) lam(block), one product
         block = np.column_stack([sums, parity_check(ctx, k, cols[lo : lo + step])])
         sums = linalg.matvec(ctx.fq, block, np.concatenate([[1], lam[lo : lo + step]]))
+    r, s = _pairs(k)
+    off = r < s
     comps = ctx.fq.idx_of_compact[sums]
-    return ctx.vadd(comps[0::2], ctx.vmul(comps[1::2], np.int64(ctx.xi_idx))).reshape(k, k)
+    upper = comps[: r.size]
+    upper[off] = ctx.vadd(upper[off], ctx.vmul(comps[r.size :], np.int64(ctx.xi_idx)))
+    G = np.empty((k, k), dtype=np.int64)
+    G[s, r] = ctx.vfrob(upper)
+    G[r, s] = upper
+    return G
 
 
 def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> PunctureBasis:
@@ -299,6 +325,24 @@ def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
     stacked[-1, q2] = 1  # the coefficient coordinate carries h_(q-k), the last diagonal slot
     canon, pivots = linalg.rref(ctx.fq, stacked)
     return PunctureBasis(ctx, k, "u_space", canon, pivots)
+
+
+def primal_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
+    """The RREF of P(C) by the route with fewer pivots to eliminate: the kernel
+    of H (k^2 pivots) when k^2 <= dim, the u-space evaluations (dim pivots)
+    otherwise.  Both give the same bytes."""
+    if k * k <= dim_formula(ctx.q, k):
+        return puncture_direct(ctx, k, max_q=ctx.q)
+    return u_space_basis(ctx, k)
+
+
+def _checked_basis(ctx: FieldCtx, k: int, basis: PunctureBasis | None) -> PunctureBasis:
+    if basis is None:
+        basis = primal_basis(ctx, k)
+    dim = dim_formula(ctx.q, k)
+    if basis.dim != dim:
+        raise SelfCheckFailed(f"P(C) basis has dimension {basis.dim}, the formula says {dim}")
+    return basis
 
 
 def g_form_vector(ctx: FieldCtx, k: int, g: Poly, c: Felt) -> PunctureVector:
@@ -422,10 +466,10 @@ def min_weight_pc(
     Exhaustive mode runs the certified level search while its projected
     work stays under ``cap``; beyond that the proven formula value is
     reported with a verified constructive witness.  Admission is decided
-    from the proven dimension and the witness weight alone, so the u-space
-    RREF is built only for an admitted scan, where its dimension is checked
-    against the formula.  A caller that already holds that RREF
-    (``u_space_basis(ctx, k)``) passes it as ``basis``.
+    from the proven dimension and the witness weight alone, so a basis is
+    built (``primal_basis``) only for an admitted scan, where its dimension
+    is checked against the formula.  A caller that already holds any RREF
+    basis of P(C) passes it as ``basis``.
     """
     q = ctx.q
     _check_k(ctx, k)
@@ -438,10 +482,7 @@ def min_weight_pc(
     if power_sums(ctx, k, upper_vec.support(), upper_vec.v[upper_vec.v != 0]).any():
         raise SelfCheckFailed("constructive witness is not a member of P(C)")
     if linalg.projected_work(q, dim, min(dim, upper_w - 1), cap) <= cap:
-        if basis is None:
-            basis = u_space_basis(ctx, k)
-        if basis.dim != dim:
-            raise SelfCheckFailed(f"u-space basis has dimension {basis.dim}, the formula says {dim}")
+        basis = _checked_basis(ctx, k, basis)
         res = linalg.min_weight_scan(
             ctx.fq, basis.matrix, cap=cap, threads=threads, upper=(upper_w, upper_vec.v),
         )
@@ -463,11 +504,12 @@ def weight_distribution(
 ) -> np.ndarray:
     """Full weight enumerator of P(C) (index = weight, zero word included).
 
-    ``basis`` is ``u_space_basis(ctx, k)`` when the caller already holds it.
+    ``basis`` is any RREF basis of P(C) the caller already holds; without it
+    ``primal_basis`` builds one.  Its dimension is checked against the
+    formula (0 for k > q: the zero word alone).
     """
     _check_k(ctx, k)
-    if basis is None:
-        basis = u_space_basis(ctx, k)  # empty for k > q: the zero word alone
+    basis = _checked_basis(ctx, k, basis)
     return linalg.weight_distribution(ctx.fq, basis.matrix, cap=cap, threads=threads)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from hermgrs import puncture
 from hermgrs.field import make_field
 
 # Tier-1 runs the same examples every time and writes no example database
@@ -54,3 +55,18 @@ def small_grid():
         for k in range(1, ctx.q + 1):
             cells.append((ctx, k))
     return cells
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """(route, k) of every P(C) basis built during the test, through either route."""
+    calls = []
+    for name in ("puncture_direct", "u_space_basis"):
+        build = getattr(puncture, name)
+
+        def counted(ctx, k, *args, _name=name, _build=build, **kwargs):
+            calls.append((_name, k))
+            return _build(ctx, k, *args, **kwargs)
+
+        monkeypatch.setattr(puncture, name, counted)
+    return calls

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hermgrs import grscode, puncture
+from hermgrs import cli, grscode, puncture
 from hermgrs.cli import main
 
 
@@ -457,21 +457,55 @@ def test_sweep_output_is_pinned(capsys, monkeypatch, q):
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[(q, fmt)], fmt
 
 
-def test_sweep_row_reduces_only_the_admitted_cells(capsys, monkeypatch):
-    """At q = 11 only k = 1 (level 1 of 121 rows) and k = q (one row) are scanned."""
-    calls = []
-    build = puncture.u_space_basis
-
-    def counted(ctx, k):
-        calls.append(k)
-        return build(ctx, k)
-
-    monkeypatch.setattr(puncture, "u_space_basis", counted)
+def test_sweep_row_reduces_only_the_admitted_cells(capsys, basis_builds):
+    """At q = 11 only k = 1 (level 1 of 121 rows) and k = q (one row) are scanned,
+    each through the route with fewer pivots: the kernel of H's one row at k = 1,
+    the u-space at k = 11 (121 > dim = 1)."""
     assert main(["sweep", "--q", "11"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     modes = [row.split(",")[8] for row in rows[1:]]
-    assert calls == [1, 11]
+    assert basis_builds == [("puncture_direct", 1), ("u_space_basis", 11)]
     assert [k for k, mode in enumerate(modes, 1) if mode == "exhaustive"] == [1, 11]
+
+
+@pytest.mark.parametrize("q,k,rc", [
+    (5, 2, 3),  # the distribution (5^22 words) then exceeds its cap
+    (4, 3, 0),
+])
+def test_puncture_direct_builds_one_basis_for_every_consumer(capsys, basis_builds, q, k, rc):
+    """The printed basis, the minimum weight and the distribution share the
+    kernel that --method direct builds; no u-space basis is built besides."""
+    argv = ["puncture", "--q", str(q), "--k", str(k), "--method", "direct", "--check-min-weight",
+            "--distribution"]
+    assert main(argv) == rc
+    assert basis_builds == [("puncture_direct", k)]
+    if rc == 0:
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["min_weight"]["mode"] == "exhaustive" and doc["agrees"]
+        assert sum(doc["weight_distribution"].values()) == q ** (q * q + 1 - k * k)
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    """Later calls reuse the first call's parser; a usage error still exits 2."""
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    try:
+        assert main(["field-info", "--q", "4"]) == 0
+        assert main(["field-info", "--q", "8"]) == 0
+        assert built.count("hermgrs") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        assert built.count("hermgrs") == 1
+    finally:
+        cli.build_parser.cache_clear()  # no later test reuses the counted parser
 
 
 @pytest.mark.parametrize("argv,rc,builds", [

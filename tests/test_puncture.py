@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from hermgrs.puncture import (
     min_weight_pc,
     parity_check,
     power_sums,
+    primal_basis,
     puncture_direct,
     small_support_witness,
     u_space_basis,
@@ -367,13 +369,14 @@ def test_parity_check_membership_matches_both_bases(p, h):
 
 
 def test_parity_check_on_the_coefficient_coordinate(ctx4):
-    """Column q^2+1 of H is the unit vector of the real part of S_(k-1,k-1)."""
+    """Column q^2+1 of H is the unit vector of the real part of S_(k-1,k-1),
+    the last of the k(k+1)/2 real rows of the pairs r <= s."""
     for k in range(1, ctx4.q + 2):
         H = parity_check(ctx4, k, [ctx4.q2 + 1, 1, ctx4.q2 + 1])
-        unit = np.zeros(2 * k * k, dtype=np.uint8)
-        unit[2 * (k * k - 1)] = 1
+        unit = np.zeros(k * k, dtype=np.uint8)
+        unit[k * (k + 1) // 2 - 1] = 1
         assert np.array_equal(H[:, 0], unit) and np.array_equal(H[:, 2], unit)
-        at_zero = np.zeros(2 * k * k, dtype=np.uint8)
+        at_zero = np.zeros(k * k, dtype=np.uint8)
         at_zero[0] = 1  # a_1 = 0 enters only S_(0,0), as 0^0 = 1
         assert np.array_equal(H[:, 1], at_zero)
 
@@ -445,6 +448,53 @@ def test_min_weight_pc_predicts_the_scans_admission(q, monkeypatch):
 def test_u_space_rref_has_the_formula_dimension(q, k):
     ctx = make_field(*PUNCTURE_FIELDS[q])
     assert u_space_basis(ctx, k).dim == dim_formula(q, k) == max(0, q * q + 1 - k * k)
+
+
+@functools.cache
+def cached_u_space(q: int, k: int):
+    return u_space_basis(make_field(*PUNCTURE_FIELDS[q]), k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_parity_check_has_full_rank_and_the_u_space_kernel(q):
+    """H has k^2 rows of rank k^2 on all q^2+1 coordinates, and its kernel is
+    the u-space RREF, byte for byte."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    for k in range(1, q + 1):
+        H = parity_check(ctx, k, np.arange(1, ctx.q2 + 2))
+        assert H.shape == (k * k, ctx.q2 + 1)
+        assert len(linalg.rref(ctx.fq, H)[1]) == k * k
+        assert np.array_equal(linalg.kernel_basis(ctx.fq, H), cached_u_space(q, k).matrix)
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
+                         + [(q, k) for q in (25, 27, 32) for k in (1, 2, q // 2, q - 1, q)])
+def test_both_routes_give_the_same_rref(q, k):
+    """The kernel of H and the row-reduced u-space evaluations are the same
+    bytes, matrix and pivots, and ``primal_basis`` returns them too."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    direct, uspace = puncture_direct(ctx, k, max_q=q), cached_u_space(q, k)
+    assert np.array_equal(direct.matrix, uspace.matrix) and direct.pivots == uspace.pivots
+    primal = primal_basis(ctx, k)
+    assert np.array_equal(primal.matrix, uspace.matrix) and primal.pivots == uspace.pivots
+    assert primal.method == ("direct" if k * k <= dim_formula(q, k) else "u_space")
+
+
+@pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
+def test_admitted_cells_build_one_basis_by_the_cheaper_route(q, basis_builds):
+    """An admitted min_weight_pc cell builds one basis, the kernel of H when
+    k^2 <= dim and the u-space otherwise; a refused cell builds none.  So no
+    admitted cell with k^2 <= dim row-reduces the u-space."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    for k in range(1, q + 1):
+        basis_builds.clear()
+        r = min_weight_pc(ctx, k)
+        route = ("puncture_direct" if k * k <= dim_formula(q, k) else "u_space_basis", k)
+        assert basis_builds == ([route] if r.mode == "exhaustive" else [])
+        if q ** dim_formula(q, k) <= 10**7:  # the distribution's default cap
+            basis_builds.clear()
+            assert weight_distribution(ctx, k).sum() == q ** dim_formula(q, k)
+            assert basis_builds == [route]
 
 
 @pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
