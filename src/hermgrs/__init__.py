@@ -1,7 +1,9 @@
 """Hermitian self-orthogonal truncated generalised Reed-Solomon codes.
 
 Construct truncated GRS codes over GF(q^2) from low-degree polynomials,
-compute the puncture code of the Reed-Solomon code three independent ways,
+compute the puncture code P(C) of the Reed-Solomon code three independent
+ways (the kernel of its parity-check matrix, the u-space of row-reduced
+g-forms of the monomial basis of the g-space, and single g-form members),
 and verify minimum-weight formulas and polynomial constructions by
 exhaustive computation at small q.
 """
@@ -39,7 +41,6 @@ from .poly import Poly, distinct_zeros, q_power_mod
 from .puncture import (
     PunctureBasis,
     PunctureVector,
-    UPoly,
     g_form_vector,
     membership,
     min_weight_formula,
@@ -75,7 +76,6 @@ __all__ = [
     "PunctureBasis",
     "PunctureVector",
     "SelfCheckFailed",
-    "UPoly",
     "ValidationRefused",
     "build_custom",
     "build_even_q_min",

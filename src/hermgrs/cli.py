@@ -20,13 +20,14 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 from datetime import datetime, timezone
 
 from . import constructions, grscode, puncture
 from .errors import CapExceeded, MalformedInput, ValidationRefused
-from .field import MAX_Q, FieldCtx, make_field
+from .field import MAX_Q, FieldCtx, _prime_factors, make_field
 from .poly import Poly
 
 SCHEMA = 1
@@ -38,21 +39,13 @@ SWEEP_COLUMNS = [
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValidationRefused(f"q={q} is not a prime power")
-    if q > MAX_Q:  # before the trial division, which would run up to q
+    if q > MAX_Q:  # before the trial division, which would run up to sqrt(q)
         raise ValidationRefused(f"q={q} exceeds the supported cap {MAX_Q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise ValidationRefused(f"q={q} is not a prime power")
-            return p, h
-    raise ValidationRefused(f"q={q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValidationRefused(f"q={q} is not a prime power")
+    p = primes[0]
+    return p, round(math.log(q, p))
 
 
 def _resolve_field(args: argparse.Namespace) -> FieldCtx:
@@ -251,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             obj = json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {args.code_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"{args.code_file} is not valid JSON: {exc}") from exc
     record = obj.get("result", obj) if isinstance(obj, dict) else None
     if not isinstance(record, dict):

@@ -29,7 +29,7 @@ from . import grscode
 from .errors import CapExceeded, SelfCheckFailed, ValidationRefused
 from .field import Felt, FieldCtx, skew_element, trace_to_prime
 from .poly import Poly, distinct_zeros, q_power_mod
-from .puncture import PunctureVector, g_form_vector
+from .puncture import PunctureVector, g_form_vector, min_weight_formula
 
 
 @dataclass
@@ -344,11 +344,15 @@ def build_even_q_min(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> 
         ctx, k, g, ctx.zero, predicted, "even_q_min",
         {"R": [e.index for e in R]}, identity,
     )
-    expected_weight = q * (k + 1 - q // 2)
-    if report.vector.weight() != expected_weight:
-        raise SelfCheckFailed(
-            f"even_q_min weight {report.vector.weight()} != q(k+1-q/2) = {expected_weight}"
-        )
+    return _attains_min_weight(report, k)
+
+
+def _attains_min_weight(report: ConstructionReport, k: int) -> ConstructionReport:
+    """The report of a minimum-length family, once its vector is checked to
+    weigh the proven minimum weight of P(C)."""
+    weight, formula = report.vector.weight(), min_weight_formula(report.vector.ctx.q, k)
+    if weight != formula:
+        raise SelfCheckFailed(f"{report.family} weight {weight} != min_weight_formula = {formula}")
     return report
 
 
@@ -388,12 +392,7 @@ def build_odd_q_min(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> C
         ctx, k, g, ctx.zero, predicted, "odd_q_min",
         {"R": [e.index for e in R]}, identity,
     )
-    expected_weight = (q + 1) * (k - (q - 1) // 2)
-    if report.vector.weight() != expected_weight:
-        raise SelfCheckFailed(
-            f"odd_q_min weight {report.vector.weight()} != (q+1)(k-(q-1)/2) = {expected_weight}"
-        )
-    return report
+    return _attains_min_weight(report, k)
 
 
 # ----------------------------------------------------------------------

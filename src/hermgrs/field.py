@@ -35,17 +35,6 @@ from .errors import ValidationRefused
 MAX_Q = 64
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -177,7 +166,7 @@ class FieldCtx:
         # huge inputs are refused at once
         if p > MAX_Q:
             raise ValidationRefused(f"p={p} exceeds the supported cap {MAX_Q}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValidationRefused(f"p={p} is not prime")
         if h < 1:
             raise ValidationRefused(f"h={h} must be a positive integer")

@@ -10,11 +10,10 @@ the Gram matrix.
 Three independent computations are provided and cross-validated elsewhere:
 
 * ``puncture_direct``  - the kernel of H over GF(q);
-* ``u_space_basis``    - evaluate the structured polynomial space whose
-                         evaluations (plus one coefficient coordinate)
-                         realize P(C) exactly;
-* ``g_form_vector``    - produce individual members from a low-degree g via
-                         x -> g(x) + g(x)^q + c x^((q-k)(q+1)).
+* ``u_space_basis``    - the row-reduced g-forms of the monomial basis of
+                         the g-space (the u-space);
+* ``g_form_vector``    - the member of P(C) of a low-degree g and c in GF(q):
+                         x -> g(x) + g(x)^q + c x^((q-k)(q+1)), then c.
 
 The minimum weight of P(C) follows a proven closed formula; this module can
 also certify it by exhaustive search at desk scale.  The dimension is
@@ -60,20 +59,16 @@ class PunctureVector:
         self.v = arr.astype(np.uint8)
 
     @classmethod
-    def from_felts(cls, ctx: FieldCtx, entries: list[Felt]) -> PunctureVector:
-        comp = np.empty(len(entries), dtype=np.int64)
-        for pos, x in enumerate(entries):
-            if x.ctx is not ctx:
-                raise ValueError("entry belongs to a different field context")
-            c = int(ctx.fq.compact_of_idx[x.i])
-            if c < 0:
-                raise ValidationRefused(f"entry {x!r} does not lie in GF(q)")
-            comp[pos] = c
-        return cls(ctx, comp)
-
-    @classmethod
     def from_serialized(cls, ctx: FieldCtx, indices) -> PunctureVector:
-        return cls.from_felts(ctx, [ctx.felt(int(i)) for i in indices])
+        """The vector whose entries have the field enumeration indices ``indices``
+        (the JSON form).  Each must be an int naming an element of GF(q);
+        nothing else (a bool, a float, a string) is read as an index."""
+        if not all(type(i) is int and 0 <= i < ctx.q2 for i in indices):
+            raise ValidationRefused(f"puncture vector entries must be field indices 0..{ctx.q2 - 1}")
+        comp = ctx.fq.compact_of_idx[np.array(indices, dtype=np.int64)]
+        if (comp < 0).any():
+            raise ValidationRefused("puncture vector entries must lie in GF(q)")
+        return cls(ctx, comp)
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.v))
@@ -107,69 +102,6 @@ class PunctureVector:
         return f"PunctureVector(q={self.ctx.q}, weight={self.weight()})"
 
 
-class UPoly:
-    """A member of the structured polynomial space realizing P(C).
-
-    h(X) = sum_(0<=i<=q-k-1, i+1<=j<=q-1) (h_ij X^(iq+j) + h_ij^q X^(jq+i))
-         + sum_(0<=i<=q-k) h_i X^(i(q+1))
-
-    with h_ij in GF(q^2) and h_i in GF(q).  Every such h evaluates into
-    GF(q) at every point of GF(q^2).
-    """
-
-    __slots__ = ("ctx", "k", "pair_coeffs", "diag_coeffs")
-
-    def __init__(
-        self,
-        ctx: FieldCtx,
-        k: int,
-        pair_coeffs: dict[tuple[int, int], Felt] | None = None,
-        diag_coeffs: dict[int, Felt] | None = None,
-    ):
-        q = ctx.q
-        if not 1 <= k <= q:
-            raise ValidationRefused(f"k={k} must satisfy 1 <= k <= q")
-        self.ctx = ctx
-        self.k = k
-        self.pair_coeffs: dict[tuple[int, int], Felt] = {}
-        self.diag_coeffs: dict[int, Felt] = {}
-        for (i, j), c in (pair_coeffs or {}).items():
-            if not (0 <= i <= q - k - 1 and i + 1 <= j <= q - 1):
-                raise ValidationRefused(f"pair slot (i={i}, j={j}) out of range for k={k}")
-            if c.ctx is not ctx:
-                raise ValueError("coefficient belongs to a different field context")
-            if c:
-                self.pair_coeffs[(i, j)] = c
-        for i, c in (diag_coeffs or {}).items():
-            if not 0 <= i <= q - k:
-                raise ValidationRefused(f"diagonal slot i={i} out of range for k={k}")
-            if c.ctx is not ctx:
-                raise ValueError("coefficient belongs to a different field context")
-            if not c.in_subfield():
-                raise ValidationRefused("diagonal coefficients must lie in GF(q)")
-            if c:
-                self.diag_coeffs[i] = c
-
-    def expand(self) -> Poly:
-        ctx, q = self.ctx, self.ctx.q
-        out = Poly.zero(ctx)
-        for (i, j), c in sorted(self.pair_coeffs.items()):
-            out = out + Poly.monomial(ctx, c, i * q + j)
-            out = out + Poly.monomial(ctx, c**q, j * q + i)
-        for i, c in sorted(self.diag_coeffs.items()):
-            out = out + Poly.monomial(ctx, c, i * (q + 1))
-        return out
-
-    def final_coordinate(self) -> Felt:
-        """h_(q-k), carried into the coefficient coordinate of the vector."""
-        return self.diag_coeffs.get(self.ctx.q - self.k, self.ctx.zero)
-
-    def vector(self) -> PunctureVector:
-        """(h(a_1), ..., h(a_(q^2)), h_(q-k)) as a puncture vector."""
-        vals = self.expand().eval_all()
-        return _vector_from_values(self.ctx, vals, self.final_coordinate())
-
-
 class PunctureBasis:
     """Canonical (RREF, pivots leftmost) GF(q)-basis of P(C)."""
 
@@ -196,14 +128,12 @@ class PunctureBasis:
         return f"PunctureBasis(q={self.ctx.q}, k={self.k}, method={self.method}, dim={self.dim})"
 
 
-def _vector_from_values(ctx: FieldCtx, vals: np.ndarray, final: Felt) -> PunctureVector:
+def _labels(ctx: FieldCtx, vals: np.ndarray) -> np.ndarray:
+    """GF(q) labels of GF(q^2) values that the structured form puts in GF(q)."""
     comp = ctx.fq.compact_of_idx[vals]
-    if comp.size and int(comp.min()) < 0:
+    if int(comp.min()) < 0:
         raise SelfCheckFailed("evaluation left GF(q); the structured form is violated")
-    final_c = int(ctx.fq.compact_of_idx[final.i])
-    if final_c < 0:
-        raise ValidationRefused("final coordinate must lie in GF(q)")
-    return PunctureVector(ctx, np.concatenate([comp, [final_c]]))
+    return comp.astype(np.uint8)
 
 
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,35 +200,15 @@ def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> Punctur
     return PunctureBasis(ctx, k, "direct", kernel, pivots)
 
 
-def u_space_generators(ctx: FieldCtx, k: int) -> list[UPoly]:
-    """A GF(q)-spanning set of the structured polynomial space.
-
-    Two generators per off-diagonal slot (coefficients 1 and xi) and one per
-    diagonal slot.
-    """
-    _check_k(ctx, k)
-    q = ctx.q
-    if k > q:
-        return []
-    xi = Felt(ctx, ctx.xi_idx)
-    gens: list[UPoly] = []
-    for i in range(q - k):
-        for j in range(i + 1, q):
-            gens.append(UPoly(ctx, k, pair_coeffs={(i, j): ctx.one}))
-            gens.append(UPoly(ctx, k, pair_coeffs={(i, j): xi}))
-    for i in range(q - k + 1):
-        gens.append(UPoly(ctx, k, diag_coeffs={i: ctx.one}))
-    return gens
-
-
 def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
-    """P(C) as the row-reduced evaluations of the structured space.
+    """P(C) as the row-reduced g-forms (``g_form_vector``) of monomials.
 
-    Evaluates the ``u_space_generators`` in their order, one slot row i at
-    a time (which bounds the temporaries): the pair generator of slot
-    (i, j) with coefficient c in {1, xi} takes the value
-    Tr(c a^(iq+j)) = c a^(iq+j) + (c a^(iq+j))^q at a, and the diagonal
-    generator of slot i the value a^(i(q+1)).
+    Evaluates one slot row i < q-k at a time (which bounds the temporaries):
+    g = c X^(iq+j), c in {1, xi}, i < j < q, takes the value
+    Tr(c a^(iq+j)) = c a^(iq+j) + (c a^(iq+j))^q at a, and g = gamma X^(i(q+1))
+    with Tr(gamma) = 1 the value a^(i(q+1)).  Last comes g = 0, c = 1: the
+    value a^((q-k)(q+1)) and a final 1.  The g-form of every other monomial
+    of degree at most (q-k)q-1 lies in the GF(q)-span of these rows.
     """
     _check_k(ctx, k)
     q, q2 = ctx.q, ctx.q2
@@ -306,23 +216,16 @@ def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
         return PunctureBasis(ctx, k, "u_space", np.empty((0, q2 + 1), dtype=np.uint8), ())
     pts = ctx.points_idx()
     coeffs = np.array([ctx.one.i, ctx.xi_idx], dtype=np.int64)
-
-    def labels(vals: np.ndarray) -> np.ndarray:
-        comp = ctx.fq.compact_of_idx[vals]
-        if int(comp.min()) < 0:
-            raise SelfCheckFailed("evaluation left GF(q); the structured form is violated")
-        return comp.astype(np.uint8)
-
     blocks = []
     for i in range(q - k):
         mono = ctx.vpow_outer(pts, i * q + np.arange(i + 1, q, dtype=np.int64))  # (q-1-i, q^2)
         scaled = ctx.vmul(coeffs[None, :, None], mono[:, None, :])  # (q-1-i, 2, q^2)
-        blocks.append(labels(ctx.vadd(scaled, ctx.vfrob(scaled)).reshape(-1, q2)))
-    blocks.append(labels(ctx.vpow_outer(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64))))
+        blocks.append(_labels(ctx, ctx.vadd(scaled, ctx.vfrob(scaled)).reshape(-1, q2)))
+    blocks.append(_labels(ctx, ctx.vpow_outer(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64))))
     evals = np.concatenate(blocks)
     stacked = np.zeros((evals.shape[0], q2 + 1), dtype=np.uint8)
     stacked[:, :q2] = evals
-    stacked[-1, q2] = 1  # the coefficient coordinate carries h_(q-k), the last diagonal slot
+    stacked[-1, q2] = 1  # the last row, g = 0 and c = 1, carries c = 1 there
     canon, pivots = linalg.rref(ctx.fq, stacked)
     return PunctureBasis(ctx, k, "u_space", canon, pivots)
 
@@ -367,7 +270,7 @@ def g_form_vector(ctx: FieldCtx, k: int, g: Poly, c: Felt) -> PunctureVector:
     if c:
         top = ctx.vpow(ctx.points_idx(), (q - k) * (q + 1))
         vals = ctx.vadd(vals, ctx.vmul(np.int64(c.i), top))
-    return _vector_from_values(ctx, vals, c)
+    return PunctureVector(ctx, _labels(ctx, np.append(vals, c.i)))
 
 
 def membership(basis: PunctureBasis, v: PunctureVector) -> bool:
@@ -382,7 +285,7 @@ def membership(basis: PunctureBasis, v: PunctureVector) -> bool:
 def dim_formula(q: int, k: int) -> int:
     """The proven GF(q)-dimension of P(C) for the k-dimensional code.
 
-    For k <= q the structured space is a direct sum over disjoint monomial
+    For k <= q the u-space is a direct sum over disjoint monomial
     supports, of dimension 2 for each of the (q-k)(q+k-1)/2 pair slots and
     1 for each of the q-k+1 diagonal slots, and evaluation on all of
     GF(q^2) is injective below degree q^2: q^2+1-k^2 in all.

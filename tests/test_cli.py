@@ -156,6 +156,14 @@ def test_verify_rejects_malformed(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 4
 
 
+def test_verify_refuses_a_file_that_is_not_utf8_with_exit_4(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed input" in captured.err
+
+
 def test_construct_qsq(capsys, tmp_path):
     rc, doc = run_json(capsys, ["construct", "qsq-plus-one", "--q", "8"])
     assert rc == 0

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hermgrs import linalg
 from hermgrs.field import make_field
-from hermgrs.puncture import u_space_basis, u_space_generators
+from hermgrs.poly import Poly
+from hermgrs.puncture import g_form_vector, u_space_basis
 
 from oracle import (
     felt_in_row_space,
@@ -126,11 +127,15 @@ def test_in_row_space_matches_rank_test(case, data):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_u_space_basis_is_rref_of_generator_vectors(q):
-    """The one-shot evaluation equals row reducing the UPoly vectors one by one."""
+    """The one-shot evaluation equals row reducing P(C) in the paper's form: the
+    g-forms of c X^e, c in {1, xi}, e <= (q-k)q-1, and of g = 0, c = 1."""
     ctx = make_field(*FIELDS[q])
+    xi = ctx.felt(ctx.xi_idx)
     for k in range(1, q + 1):
-        stacked = np.stack([g.vector().v for g in u_space_generators(ctx, k)])
-        R, pivots = linalg.rref(ctx.fq, stacked)
+        words = [g_form_vector(ctx, k, Poly.monomial(ctx, c, e), ctx.zero)
+                 for e in range((q - k) * q) for c in (ctx.one, xi)]
+        words.append(g_form_vector(ctx, k, Poly.zero(ctx), ctx.one))
+        R, pivots = linalg.rref(ctx.fq, np.stack([w.v for w in words]))
         basis = u_space_basis(ctx, k)
         assert basis.pivots == pivots
         assert np.array_equal(basis.matrix, R)

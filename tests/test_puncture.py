@@ -17,7 +17,6 @@ from hermgrs.field import Felt, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 from hermgrs.puncture import (
     PunctureVector,
-    UPoly,
     constructive_witness,
     dim_formula,
     g_form_vector,
@@ -30,7 +29,6 @@ from hermgrs.puncture import (
     puncture_direct,
     small_support_witness,
     u_space_basis,
-    u_space_generators,
     weight_distribution,
 )
 
@@ -66,49 +64,6 @@ def test_k_equals_q_gives_all_ones(ctx4):
 def test_direct_solver_cap(ctx4):
     with pytest.raises(CapExceeded):
         puncture_direct(ctx4, 2, max_q=3)
-
-
-def test_generator_count_formula(small_grid):
-    for ctx, k in small_grid:
-        q = ctx.q
-        gens = u_space_generators(ctx, k)
-        pairs = (q - 1) * (q - k) - (q - k - 1) * (q - k) // 2
-        assert len(gens) == 2 * pairs + (q - k + 1)
-
-
-def test_upoly_slot_validation(ctx4):
-    with pytest.raises(ValidationRefused):
-        UPoly(ctx4, 2, pair_coeffs={(2, 3): ctx4.one})  # i exceeds q-k-1
-    with pytest.raises(ValidationRefused):
-        UPoly(ctx4, 2, pair_coeffs={(0, 0): ctx4.one})  # j must exceed i
-    with pytest.raises(ValidationRefused):
-        UPoly(ctx4, 2, diag_coeffs={3: ctx4.one})  # i exceeds q-k
-    with pytest.raises(ValidationRefused):
-        UPoly(ctx4, 2, diag_coeffs={0: ctx4.w})  # diagonal not in GF(q)
-
-
-@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (5, 1)])
-def test_upoly_evaluates_into_subfield(p, h):
-    ctx = make_field(p, h)
-    rng = random.Random(21)
-    q = ctx.q
-    for _ in range(20):
-        k = rng.randrange(1, q + 1)
-        pair = {}
-        for i in range(q - k):
-            for j in range(i + 1, q):
-                if rng.random() < 0.4:
-                    pair[(i, j)] = ctx.elems()[rng.randrange(ctx.q2)]
-        diag = {
-            i: ctx.subfield_elems()[rng.randrange(q)]
-            for i in range(q - k + 1)
-            if rng.random() < 0.5
-        }
-        hp = UPoly(ctx, k, pair, diag)
-        vals = hp.expand().eval_all()
-        assert np.all(ctx.vfrob(vals) == vals)
-        vec = hp.vector()  # would raise if any value left GF(q)
-        assert vec.final_entry() == hp.final_coordinate()
 
 
 def test_g_form_vector_trivial(ctx4):
@@ -171,6 +126,16 @@ def test_puncture_vector_serialization_roundtrip(ctx4):
     assert all(
         ctx4.felt(i).in_subfield() for i in v.serialized()
     )
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1", None, -1, 16, 2**70, 2])
+def test_from_serialized_refuses_what_is_not_a_gf_q_index(ctx4, bad):
+    """Index 1 is the element 1; 1.9, True and "1" are not read as it.  Indices
+    outside 0..q^2-1, and index 2 (w, outside GF(4)), are refused too."""
+    good = PunctureVector(ctx4, np.ones(ctx4.q2 + 1, dtype=np.uint8)).serialized()
+    assert good[0] == 1
+    with pytest.raises(ValidationRefused):
+        PunctureVector.from_serialized(ctx4, [bad] + good[1:])
 
 
 def test_membership_basics(ctx4):
