@@ -136,7 +136,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         "method": args.method,
         "dim": primary.dim,
         "expected_dim": puncture.dim_formula(ctx.q, k),
-        "basis": [row.serialized() for row in primary.rows()],
+        "basis": ctx.fq.idx_of_compact[primary.matrix].tolist(),
     }
     if len(bases) == 2:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])
@@ -252,17 +252,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = grscode.code_from_dict(record)
     self_orth = grscode.is_hermitian_self_orthogonal(code)
     mds = grscode.mds_status(code, mds_cap=args.mds_cap, enum_cap=args.enum_cap)
+    checked = grscode.code_to_dict(code, self_orthogonal=self_orth, mds=mds)
     result = {
         "q": code.ctx.q,
         "n": code.n,
         "k": code.k,
         "self_orthogonal": self_orth,
         "mds": mds,
-        "params": {
-            "n": code.n, "k": code.k, "d": code.n - code.k + 1,
-            "verified_d": mds in ("minors", "enumeration"),
-        },
-        "quantum": list(grscode.CodeParams.of_self_orthogonal(code).quantum) if self_orth else None,
+        "params": checked["params"],
+        "quantum": checked["quantum"],
     }
     claims = {}
     if "self_orthogonal" in record:

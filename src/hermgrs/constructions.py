@@ -8,13 +8,16 @@ Hermitian self-orthogonal [n, k] code together with its ((n, n-2k, k+1))_q
 quantum parameters.
 
 Every family runs one pipeline, ``_assemble``.  It gates through
-``puncture.g_form_vector`` first, whose checks on k, deg g and c are the
-only ones, and evaluates h = g + g^q (+ c X^((q-k)(q+1))) once on all q^2
-points.  Those values give the zero count, which must equal the family's
-predicted value, so each run is also a self-test of the predicting
-formula; and they are compared pointwise with the factored identity behind
-the family.  ``build_custom`` claims no formula: its measured count is its
-own prediction.
+``puncture.g_form_vector`` first, the only check of deg g <= (q-k)q-1 and
+of c in GF(q); ``grscode.GrsCode`` checks length, support and thetas, and
+``CodeParams.of_self_orthogonal`` checks n >= 2k.  A family checks only the
+preconditions of its own zero-count formula.  The pipeline evaluates
+h = g + g^q (+ c X^((q-k)(q+1))) once on all q^2 points.  Those values
+give the zero count, which must equal the family's predicted value, so
+each run is also a self-test of the predicting formula; and they are
+compared pointwise with the factored identity behind the family.
+``build_custom`` claims no formula: its measured count is its own
+prediction.
 """
 
 from __future__ import annotations
@@ -109,11 +112,6 @@ def _assemble(
     n = ctx.q2 - zero_count + (1 if c else 0)
     if vector.weight() != n:
         raise SelfCheckFailed(f"{family}: vector weight {vector.weight()} != q^2 - zeros (+[c!=0]) = {n}")
-    if n < 2 * k:
-        raise ValidationRefused(
-            f"{family}: resulting length {n} is below 2k = {2 * k}; "
-            "a Hermitian self-orthogonal code must be at least twice its dimension long"
-        )
     code = grscode.truncate_scale(k, vector)
     if grscode.hermitian_gram(code).any():
         raise SelfCheckFailed(f"{family}: Gram matrix is nonzero on a constructed code")
@@ -197,10 +195,6 @@ def build_example1(ctx: FieldCtx, k: int, t: int, f: Poly) -> ConstructionReport
         raise ValidationRefused("f must have coefficients in GF(q)")
     if f.coeff(0).is_zero():
         raise ValidationRefused("f(0) = 0 would double count x = 0 in the zero-count formula")
-    if t + f.degree * (q + 1) > (q - k) * q - 1:
-        raise ValidationRefused(
-            f"t + deg(f)(q+1) = {t + f.degree * (q + 1)} exceeds (q-k)q-1 = {(q - k) * q - 1}"
-        )
     f_sub = np.zeros(f.degree * (q + 1) + 1, dtype=np.int64)
     f_sub[:: q + 1] = f.c
     fvals = f.eval_on(ctx.vpow(ctx.points_idx(), q + 1))
@@ -220,7 +214,6 @@ def build_example2(ctx: FieldCtx, k: int, t: int, R: Sequence[Felt]) -> Construc
     """
     _k_gate(ctx, k)
     _validate_t(ctx, t)
-    q = ctx.q
     R = list(R)
     _validate_subset(ctx, R, "R")
     for r in R:
@@ -228,10 +221,6 @@ def build_example2(ctx: FieldCtx, k: int, t: int, R: Sequence[Felt]) -> Construc
             raise ValidationRefused(f"R must lie in GF(q); got {r!r}")
         if r.is_zero():
             raise ValidationRefused("0 in R would double count x = 0 in the zero-count formula")
-    if t + len(R) * q > (q - k) * q - 1:
-        raise ValidationRefused(
-            f"t + |R|q = {t + len(R) * q} exceeds (q-k)q-1 = {(q - k) * q - 1}"
-        )
     g, counts, predicted, identity = _skew_tail(ctx, t, t, *_trace_factors(ctx, R))
     return _assemble(
         ctx, k, g, ctx.zero, predicted, "example2",
@@ -263,10 +252,6 @@ def build_example3(ctx: FieldCtx, k: int, t: int, R: Sequence[Felt]) -> Construc
     t_eff = t - len(R)
     if t_eff < 1 or (q + 1) % t_eff != 0:
         raise ValidationRefused(f"t - |R| = {t_eff} must be a positive divisor of q+1 = {q + 1}")
-    if t + len(R) * (q - 1) > (q - k) * q - 1:
-        raise ValidationRefused(
-            f"t + |R|(q-1) = {t + len(R) * (q - 1)} exceeds (q-k)q-1 = {(q - k) * q - 1}"
-        )
     factors = [Poly.monomial(ctx, ctx.one, q - 1) + Poly.monomial(ctx, e, 0) for e in R]
     pow_qm1 = ctx.vpow(ctx.points_idx(), q - 1)
     factor_vals = [ctx.vadd(pow_qm1, np.int64(e.i)) for e in R]
@@ -304,11 +289,23 @@ def square_elements(ctx: FieldCtx) -> list[Felt]:
     return [x for x in ctx.subfield_elems() if x and x ** ((ctx.q - 1) // 2) == ctx.one]
 
 
-def _default_R(ctx: FieldCtx, k: int, eligible: list[Felt]) -> list[Felt]:
+def _min_weight_R(
+    ctx: FieldCtx, k: int, R: Sequence[Felt] | None, eligible: list[Felt], what: str
+) -> list[Felt]:
+    """R of a minimum-weight g: q-k-1 distinct elements of ``eligible``, by
+    default its first ones, enough of which exist at every admitted k."""
     size = ctx.q - k - 1
-    if len(eligible) < size:
-        raise ValidationRefused(f"only {len(eligible)} eligible elements for |R| = {size}")
-    return eligible[:size]
+    if R is None:
+        return eligible[:size]
+    R = list(R)
+    if len(R) != size:
+        raise ValidationRefused(f"|R| = {len(R)} must equal q-k-1 = {size}")
+    _validate_subset(ctx, R, "R")
+    allowed = {e.i for e in eligible}
+    for e in R:
+        if e.i not in allowed:
+            raise ValidationRefused(f"R must consist of {what}; got {e!r}")
+    return R
 
 
 def even_min_g(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[Poly, list[Felt]]:
@@ -318,13 +315,7 @@ def even_min_g(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[
         raise ValidationRefused(f"the even-q construction requires q even; got q={q}")
     if not q // 2 <= k <= q - 1:
         raise ValidationRefused(f"the even-q construction requires q/2 <= k <= q-1; got k={k}")
-    R = list(R) if R is not None else _default_R(ctx, k, trace_one_elements(ctx))
-    if len(R) != q - k - 1:
-        raise ValidationRefused(f"|R| = {len(R)} must equal q-k-1 = {q - k - 1}")
-    _validate_subset(ctx, R, "R")
-    for e in R:
-        if not e.in_subfield() or trace_to_prime(ctx, e) != ctx.one:
-            raise ValidationRefused(f"R must consist of trace-one GF(q) elements; got {e!r}")
+    R = _min_weight_R(ctx, k, R, trace_one_elements(ctx), "trace-one GF(q) elements")
     return math.prod(_trace_factors(ctx, R)[0], start=_trace_poly(ctx)), R
 
 
@@ -363,13 +354,7 @@ def odd_min_g(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[P
         raise ValidationRefused(f"the odd-q construction requires q odd; got q={q}")
     if not (q + 1) // 2 <= k <= q - 1:
         raise ValidationRefused(f"the odd-q construction requires (q+1)/2 <= k <= q-1; got k={k}")
-    R = list(R) if R is not None else _default_R(ctx, k, square_elements(ctx))
-    if len(R) != q - k - 1:
-        raise ValidationRefused(f"|R| = {len(R)} must equal q-k-1 = {q - k - 1}")
-    _validate_subset(ctx, R, "R")
-    for e in R:
-        if e.is_zero() or not e.in_subfield() or e ** ((q - 1) // 2) != ctx.one:
-            raise ValidationRefused(f"R must consist of nonzero GF(q) squares; got {e!r}")
+    R = _min_weight_R(ctx, k, R, square_elements(ctx), "nonzero GF(q) squares")
     norm_factors = [Poly.monomial(ctx, ctx.one, q + 1) - Poly.monomial(ctx, e, 0) for e in R]
     return math.prod(norm_factors, start=Poly.monomial(ctx, ctx.one, (q + 1) // 2)), R
 

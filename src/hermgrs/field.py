@@ -379,11 +379,29 @@ class FieldCtx:
     # ------------------------------------------------------------------
     # element handles
     # ------------------------------------------------------------------
+    def indices(self, values) -> np.ndarray:
+        """Serialized element indices as an int64 array of the same shape.
+
+        The one rule for an index: an int or a numpy integer in 0..q^2-1,
+        range-checked before the int64 conversion.  A bool, a float or a
+        string is refused, never read as an index, also inside a list.
+        """
+        values = np.asarray(values, dtype=object)  # np.asarray([1, True]) would be int64
+        for kind in {type(v) for v in values.flat}:
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                bad = next(v for v in values.flat if type(v) is kind)
+                raise ValidationRefused(f"an element index must be an integer, got {bad!r}")
+        lo, hi = (values.min(), values.max()) if values.size else (0, 0)
+        if lo < 0 or hi >= self.q2:
+            raise ValidationRefused(f"element index {lo if lo < 0 else hi} out of range 0..{self.q2 - 1}")
+        return values.astype(np.int64)
+
     def felt(self, index: int) -> Felt:
         """Element from its serialized enumeration index (0 for zero, i for w^(i-1))."""
-        if not 0 <= index < self.q2:
-            raise ValidationRefused(f"element index {index} out of range 0..{self.q2 - 1}")
-        return Felt(self, index)
+        i = self.indices(index)
+        if i.ndim:
+            raise ValidationRefused(f"expected one element index, got {index!r}")
+        return Felt(self, i)
 
     @property
     def zero(self) -> Felt:

@@ -64,7 +64,8 @@ class GrsCode:
     """A (possibly truncated, column-scaled) GRS code with its generator.
 
     ``support`` lists the surviving 1-based coordinates (q^2+1 denotes the
-    coefficient coordinate); ``thetas`` holds the nonzero column scalings.
+    coefficient coordinate); ``thetas`` holds the column scalings, indices
+    in 1..q^2-1.  Only this constructor checks k, n >= k, support and thetas.
     Row r of the generator is theta_i * a_i^r on evaluation coordinates and
     (0, ..., 0, theta) on the coefficient coordinate (nonzero only at
     r = k-1).
@@ -80,7 +81,7 @@ class GrsCode:
             raise ValidationRefused(f"length n={len(support)} is below the dimension k={k}")
         if list(support) != sorted(set(support)) or not all(1 <= i <= q2 + 1 for i in support):
             raise ValidationRefused("support must be strictly increasing 1-based coordinates")
-        thetas = np.asarray(thetas, dtype=np.int64)
+        thetas = ctx.indices(thetas)
         if thetas.shape != (len(support),) or np.any(thetas == 0):
             raise ValidationRefused("one nonzero theta per support coordinate is required")
         self.ctx = ctx
@@ -127,11 +128,8 @@ def truncate_scale(k: int, lam: PunctureVector) -> GrsCode:
     discrete log is used for reproducibility.
     """
     ctx = lam.ctx
-    support = lam.support()
-    if len(support) < k:
-        raise ValidationRefused(f"puncture vector weight {len(support)} is below the dimension k={k}")
     thetas = ctx.vnorm_root(ctx.fq.idx_of_compact[lam.v[lam.v != 0]])
-    return GrsCode(ctx, k, support, thetas)
+    return GrsCode(ctx, k, lam.support(), thetas)
 
 
 def hermitian_gram(code: GrsCode) -> np.ndarray:
@@ -296,13 +294,17 @@ def _strict_int_list(value) -> list[int]:
 
 
 def code_from_dict(obj: dict) -> GrsCode:
-    """Rebuild a code from its JSON record, validating the schema strictly."""
+    """Rebuild a code from its JSON record, validating the schema strictly.
+
+    A ``puncture_vector``, when the record has one, must be GF(q) element
+    indices whose support is exactly the record's support.
+    """
     try:
         if "schema" in obj and _strict_int(obj["schema"]) != 1:
             raise MalformedInput(f"unsupported schema {obj['schema']!r}; expected 1")
         p, h, k = (_strict_int(obj[key]) for key in ("p", "h", "k"))
         support = _strict_int_list(obj["support"])
-        thetas = _strict_int_list(obj["thetas"])
+        thetas = obj["thetas"]
         if not isinstance(obj.get("self_orthogonal", False), bool):
             raise MalformedInput(f"self_orthogonal must be true or false, got {obj['self_orthogonal']!r}")
         if obj.get("quantum") is not None and len(_strict_int_list(obj["quantum"])) != 4:
@@ -320,15 +322,14 @@ def code_from_dict(obj: dict) -> GrsCode:
         raise MalformedInput(f"missing or ill-typed code field: {exc}") from exc
     try:
         ctx = make_field(p, h)
+        code = GrsCode(ctx, k, tuple(support), thetas)
+        if "puncture_vector" in obj:
+            vector = PunctureVector.from_serialized(ctx, obj["puncture_vector"])
+            if vector.support() != code.support:
+                raise MalformedInput("the puncture_vector's support is not the record's support")
     except ValidationRefused as exc:
         raise MalformedInput(str(exc)) from exc
-    # GrsCode checks the support and the thetas' count and rejects a zero theta
-    if not all(1 <= t <= ctx.q2 - 1 for t in thetas):
-        raise MalformedInput("thetas must be nonzero field element indices")
-    try:
-        return GrsCode(ctx, k, tuple(support), np.array(thetas, dtype=np.int64))
-    except ValidationRefused as exc:
-        raise MalformedInput(str(exc)) from exc
+    return code
 
 
 def generator_rows(code: GrsCode) -> list[list[int]]:

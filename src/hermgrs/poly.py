@@ -61,10 +61,7 @@ class Poly:
 
     @classmethod
     def from_indices(cls, ctx: FieldCtx, indices) -> Poly:
-        c = np.asarray(list(indices), dtype=np.int64)
-        if c.size and (c.min() < 0 or c.max() >= ctx.q2):
-            raise ValidationRefused("coefficient index out of range")
-        return cls(ctx, c)
+        return cls(ctx, ctx.indices(list(indices)))
 
     # ------------------------------------------------------------------
     # structure

@@ -61,11 +61,9 @@ class PunctureVector:
     @classmethod
     def from_serialized(cls, ctx: FieldCtx, indices) -> PunctureVector:
         """The vector whose entries have the field enumeration indices ``indices``
-        (the JSON form).  Each must be an int naming an element of GF(q);
-        nothing else (a bool, a float, a string) is read as an index."""
-        if not all(type(i) is int and 0 <= i < ctx.q2 for i in indices):
-            raise ValidationRefused(f"puncture vector entries must be field indices 0..{ctx.q2 - 1}")
-        comp = ctx.fq.compact_of_idx[np.array(indices, dtype=np.int64)]
+        (the JSON form).  Each must be an index (``FieldCtx.indices``) naming
+        an element of GF(q)."""
+        comp = ctx.fq.compact_of_idx[ctx.indices(indices)]
         if (comp < 0).any():
             raise ValidationRefused("puncture vector entries must lie in GF(q)")
         return cls(ctx, comp)

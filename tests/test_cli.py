@@ -164,6 +164,37 @@ def test_verify_refuses_a_file_that_is_not_utf8_with_exit_4(tmp_path, capsys):
     assert captured.out == "" and "malformed input" in captured.err
 
 
+def _move_first_nonzero_onto_first_zero(vector):
+    moved = list(vector)
+    i = next(pos for pos, v in enumerate(moved) if v)
+    j = moved.index(0)
+    moved[i], moved[j] = 0, moved[i]
+    return moved
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda v: ["x"],
+        lambda v: v[:-1],
+        lambda v: " ".join(map(str, v)),
+        _move_first_nonzero_onto_first_zero,
+    ],
+    ids=["x", "too-short", "not-a-list", "entry-moved"],
+)
+def test_verify_refuses_an_edited_puncture_vector_with_exit_4(tmp_path, capsys, edit):
+    out = tmp_path / "code.json"
+    main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+          "--output", str(out)])
+    doc = json.loads(out.read_text())
+    doc["result"]["puncture_vector"] = edit(doc["result"]["puncture_vector"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed input" in captured.err
+
+
 def test_construct_qsq(capsys, tmp_path):
     rc, doc = run_json(capsys, ["construct", "qsq-plus-one", "--q", "8"])
     assert rc == 0
@@ -576,4 +607,20 @@ def test_custom_above_the_degree_bound_is_refused_without_a_record(tmp_path, cap
     argv = ["construct", "custom", "--q", "4", "--k", "2", "--g", "1,1,1,1,1,1,1,1,1", "--c", "0"]
     assert main(argv + ["--output", str(out)]) == 2
     assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "example1 --q 5 --k 4 --t 3 --f 1,1",  # deg g = t + deg(f)(q+1) = 9 > (q-k)q-1 = 4
+        "example2 --q 7 --k 6 --t 4 --r 9",  # t + |R|q = 11 > 6
+        "example3 --q 5 --k 3 --t 4 --r 5,21",  # t + |R|(q-1) = 12 > 9
+    ],
+)
+def test_family_above_the_degree_bound_is_refused_without_a_record(tmp_path, capsys, family):
+    out = tmp_path / "code.json"
+    assert main(["construct", *family.split(), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the bound (q-k)q-1" in captured.err
     assert not out.exists()

@@ -139,6 +139,13 @@ def test_make_field_is_deterministic_and_cached():
     assert np.array_equal(fresh._polyint[1:], a._polyint[1:])
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "2", -1, 16])
+def test_felt_refuses_what_is_not_an_element_index(ctx4, bad):
+    """1.9, True and "2" are not read as an index; -1 and q^2 = 16 are out of range."""
+    with pytest.raises(ValidationRefused):
+        ctx4.felt(bad)
+
+
 def test_enumeration_convention(ctx5):
     elems = ctx5.elems()
     assert elems[0].is_zero()

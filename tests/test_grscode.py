@@ -207,6 +207,14 @@ def test_check_mds_detects_repeat_free_failure(ctx4):
         GrsCode(ctx4, 2, (1, 2, 3), np.array([1, 0, 1], dtype=np.int64))
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "2", -1, 16, 2**70])
+def test_thetas_that_are_not_nonzero_element_indices_are_refused(ctx4, bad):
+    """Neither wrapped into 1..q^2-1 nor read as an integer; the range is
+    checked before the int64 conversion, which would overflow at 2^70."""
+    with pytest.raises(ValidationRefused):
+        GrsCode(ctx4, 1, (1, 2), [1, bad])
+
+
 def test_check_mds_cap(ctx5):
     code = build_rs(ctx5, 4)
     with pytest.raises(CapExceeded):

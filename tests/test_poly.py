@@ -25,6 +25,13 @@ def test_canonical_form(ctx4):
     assert Poly.zero(ctx4).degree == -1
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "2", -1, 16])
+def test_from_indices_refuses_what_is_not_an_element_index(ctx4, bad):
+    """Also inside a list, where np.asarray([1, True]) would be int64."""
+    with pytest.raises(ValidationRefused):
+        Poly.from_indices(ctx4, [1, bad])
+
+
 def test_eval_examples(ctx5):
     w = ctx5.w
     assert Poly.zero(ctx5).eval(w).is_zero()
