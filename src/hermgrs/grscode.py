@@ -13,7 +13,11 @@ c1 < ... < cj, holds the (k-j) x n residual of the generator reduced by it,
 whose rows span the codewords vanishing on the prefix.  Column c is
 independent of the prefix iff the residual is nonzero at c, so a minor is
 nonsingular iff its path never meets a zero column, and minors sharing a
-prefix share its work.
+prefix share its work.  The walk stops at two rows: by the Schur complement
+the minor on the prefix and {c, j} is nonsingular iff the residual's 2 x 2
+minor on c and j is, so every minor below a node is nonsingular iff the
+residual's later columns are nonzero and pairwise distinct as points
+[a : b] of PG(1, q^2), which one sort of their keys b/a decides.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class CodeParams:
 class GrsCode:
     """A (possibly truncated, column-scaled) GRS code with its generator.
 
-    ``support`` lists the surviving 1-based coordinates (q^2+1 denotes the
+    ``support`` lists the surviving 1-based integer coordinates (q^2+1 denotes the
     coefficient coordinate); ``thetas`` holds the column scalings, indices
     in 1..q^2-1.  Only this constructor checks k, n >= k, support and thetas.
     Row r of the generator is theta_i * a_i^r on evaluation coordinates and
@@ -79,6 +83,9 @@ class GrsCode:
             raise ValidationRefused(f"k={k} out of range 1..q+1={ctx.q + 1}")
         if len(support) < k:
             raise ValidationRefused(f"length n={len(support)} is below the dimension k={k}")
+        for i in support:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValidationRefused(f"a support coordinate must be an integer, got {i!r}")
         if list(support) != sorted(set(support)) or not all(1 <= i <= q2 + 1 for i in support):
             raise ValidationRefused("support must be strictly increasing 1-based coordinates")
         thetas = ctx.indices(thetas)
@@ -86,7 +93,7 @@ class GrsCode:
             raise ValidationRefused("one nonzero theta per support coordinate is required")
         self.ctx = ctx
         self.k = k
-        self.support = tuple(support)
+        self.support = tuple(int(i) for i in support)
         self.thetas = thetas
         self.gen = self._generator()
 
@@ -155,12 +162,22 @@ def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
 
     ``res[b]`` is the (r, n) residual of node b, whose prefix ends at column
     ``last[b]`` and leaves r columns to choose.  Each child is one
-    pivot-and-eliminate step; a one-row residual needs only its nonzero test.
+    pivot-and-eliminate step; a two-row residual closes its node by one sort
+    of the points [a : b] of its later columns, keyed by b/a (q^2 when a = 0)
+    with distinct negative sentinels at or before ``last``.  A one-row
+    residual (k = 1) needs only its nonzero test.
     """
     b, r, n = res.shape
+    later = np.arange(n)[None, :] > last[:, None]
     if r == 1:
-        later = np.arange(n)[None, :] > last[:, None]
         return bool(((res[:, 0, :] != 0) | ~later).all())
+    if r == 2:
+        top, bottom = res[:, 0, :], res[:, 1, :]
+        if (later & (top == 0) & (bottom == 0)).any():
+            return False
+        key = np.where(top == 0, ctx.q2, ctx.vmul(bottom, ctx._vinv0(top)))
+        key = np.sort(np.where(later, key, -1 - np.arange(n)), axis=1)
+        return not (key[:, 1:] == key[:, :-1]).any()
     counts = n - r - last  # children last+1 .. n-r leave r-1 columns after them
     parent = np.repeat(np.arange(b), counts)
     start = np.cumsum(counts) - counts
@@ -197,8 +214,19 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
     (k-j) x n residual whose rows span the codewords that vanish on
     c1..cj.  Column c is independent of the prefix iff the residual is
     nonzero at c, so the minor on (c1..ck) is nonsingular iff the residual
-    is nonzero at every step along its path.  The walk goes depth first,
-    in pieces of at most ``_MDS_BLOCK`` entries per working array.
+    is nonzero at every step along its path.
+
+    The walk closes each node with a two-row residual R at once.  Its
+    prefix is nonsingular, so by the Schur complement the minor on the
+    prefix and {c, j} is nonsingular iff R's 2 x 2 minor on columns c and j
+    is.  Every minor below the node is therefore nonsingular iff no later
+    column of R is zero and no two are proportional, i.e. their points
+    [a : b] on the projective line PG(1, q^2) are distinct.  One sort along
+    the row decides this: the key of a later column is the index of b/a, or
+    q^2 when a = 0, and the earlier columns take distinct negative
+    sentinels.  For k = 2 the whole check is that one sort.  The walk goes
+    depth first, in pieces of at most ``_MDS_BLOCK`` entries per working
+    array.
     """
     n, k = code.n, code.k
     total = math.comb(n, k)

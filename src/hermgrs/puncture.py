@@ -62,8 +62,11 @@ class PunctureVector:
     def from_serialized(cls, ctx: FieldCtx, indices) -> PunctureVector:
         """The vector whose entries have the field enumeration indices ``indices``
         (the JSON form).  Each must be an index (``FieldCtx.indices``) naming
-        an element of GF(q)."""
-        comp = ctx.fq.compact_of_idx[ctx.indices(indices)]
+        an element of GF(q), in a list of length q^2+1."""
+        idx = ctx.indices(indices)
+        if idx.shape != (ctx.q2 + 1,):
+            raise ValidationRefused(f"puncture vector is not a list of length q^2+1 = {ctx.q2 + 1}")
+        comp = ctx.fq.compact_of_idx[idx]
         if (comp < 0).any():
             raise ValidationRefused("puncture vector entries must lie in GF(q)")
         return cls(ctx, comp)

@@ -195,6 +195,19 @@ def test_verify_refuses_an_edited_puncture_vector_with_exit_4(tmp_path, capsys, 
     assert captured.out == "" and "malformed input" in captured.err
 
 
+def test_verify_refuses_a_scalar_puncture_vector_as_not_a_list(tmp_path, capsys):
+    """Index 5 is outside GF(5), but a scalar is refused for its shape first."""
+    out = tmp_path / "code.json"
+    main(["construct", "custom", "--q", "5", "--k", "2", "--g", "0", "--c", "1", "--output", str(out)])
+    doc = json.loads(out.read_text())
+    doc["result"]["puncture_vector"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a list of length q^2+1 = 26" in captured.err
+
+
 def test_construct_qsq(capsys, tmp_path):
     rc, doc = run_json(capsys, ["construct", "qsq-plus-one", "--q", "8"])
     assert rc == 0

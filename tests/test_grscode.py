@@ -215,6 +215,19 @@ def test_thetas_that_are_not_nonzero_element_indices_are_refused(ctx4, bad):
         GrsCode(ctx4, 1, (1, 2), [1, bad])
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2", np.float64(2.0)])
+def test_support_coordinates_that_are_not_integers_are_refused(ctx4, bad):
+    """Not truncated into the int64 generator nor compared as a value."""
+    with pytest.raises(ValidationRefused, match="a support coordinate must be an integer"):
+        GrsCode(ctx4, 1, (bad, 3), [1, 1])
+
+
+def test_numpy_integer_support_is_kept_as_python_ints(ctx4):
+    code = GrsCode(ctx4, 1, (np.int64(1), np.int64(3)), [1, 1])
+    assert code.support == (1, 3) and all(type(i) is int for i in code.support)
+    json.dumps(code_to_dict(code, self_orthogonal=False, mds="minors"))
+
+
 def test_check_mds_cap(ctx5):
     code = build_rs(ctx5, 4)
     with pytest.raises(CapExceeded):
@@ -416,6 +429,78 @@ def test_check_mds_fixed_cases(ctx4, gen, expected):
     assert minors_by_oracle(code) is expected
     assert check_mds(code) is expected
     assert check_mds_at_block_one(code) is expected
+
+
+def _independent(ctx, u, v) -> bool:
+    """Whether generator columns u and v are not proportional (some 2 x 2 minor is nonsingular)."""
+    return any(
+        oracle.nonsingular_by_elimination(ctx, [[ctx.felt(int(u[r])), ctx.felt(int(v[r]))] for r in rows])
+        for rows in itertools.combinations(range(len(u)), 2)
+    )
+
+
+def _sum_of_two_columns(ctx):
+    """k = 3, column 4 = column 1 + column 3: no two generator columns are
+    proportional, but the residual columns 3 and 4 of the prefix {1} are."""
+    gen = build_rs(ctx, 3).gen[:, :5].copy()
+    gen[:, 4] = ctx.vadd(gen[:, 1], gen[:, 3])
+    assert all(_independent(ctx, gen[:, i], gen[:, j]) for i, j in itertools.combinations(range(5), 2))
+    return gen
+
+
+def _multiple_of_the_prefix(ctx):
+    """k = 3, column 3 = w * column 0: the residual of the prefix {0} is
+    [0 : 0] at column 3, and only the nonzero test sees it."""
+    gen = build_rs(ctx, 3).gen[:, :4].copy()
+    gen[:, 3] = ctx.vmul(gen[:, 0], np.int64(2))
+    return gen
+
+
+@pytest.mark.parametrize(
+    "make_gen,expected",
+    [
+        (_sum_of_two_columns, False),
+        (lambda ctx: [[1, 0, 0, 1], [1, 1, 2, 2]], False),  # k = 2: [0 : 1] and [0 : w], key q^2 twice
+        (lambda ctx: [[1, 1, 2, 1], [0, 0, 0, 1], [0, 1, 3, 1]], False),  # a = 0 twice below the prefix {0}
+        (lambda ctx: [[1, 1, 0], [1, 2, 1]], True),  # key q^2 once
+        (lambda ctx: [[1, 0, 1], [1, 0, 2]], False),  # k = 2: a [0 : 0] column
+        (_multiple_of_the_prefix, False),
+        # k >= 4: the prefix columns of every node are [0 : 0], equal points
+        # at or before the prefix's last column, so sentinels must hide them
+        (lambda ctx: build_rs(ctx, 4).gen, True),
+        (lambda ctx: build_rs(ctx, 3).gen, True),
+    ],
+    ids=[
+        "proportional-in-residual",
+        "a-zero-twice",
+        "a-zero-twice-below-prefix",
+        "a-zero-once",
+        "zero-column",
+        "zero-in-residual",
+        "equal-points-at-or-before-prefix-k4",
+        "equal-points-at-or-before-prefix-k3",
+    ],
+)
+def test_check_mds_two_row_step(ctx4, make_gen, expected):
+    code = _code_with_gen(ctx4, make_gen(ctx4))
+    assert minors_by_oracle(code) is expected
+    assert check_mds(code) is expected
+    assert check_mds_at_block_one(code) is expected
+
+
+def test_check_mds_at_k2_is_one_sort_of_projective_points():
+    """RS at q = 32, k = 2: C(1025, 2) = 524800 minors, too many for the
+    scalar oracle, so the singular case is checked on its one bad minor."""
+    ctx = make_field(2, 5)
+    code = build_rs(ctx, 2)
+    assert check_mds(code) is True
+    assert check_mds_at_block_one(code) is True
+    code.gen = code.gen.copy()
+    code.gen[:, 700] = ctx.vmul(code.gen[:, 300], np.int64(5))
+    assert check_mds(code) is False
+    assert check_mds_at_block_one(code) is False
+    minor = [[ctx.felt(int(code.gen[r, c])) for c in (300, 700)] for r in range(2)]
+    assert not oracle.nonsingular_by_elimination(ctx, minor)
 
 
 def test_mds_status_raises_on_a_singular_minor(ctx5):

@@ -138,6 +138,15 @@ def test_from_serialized_refuses_what_is_not_a_gf_q_index(ctx4, bad):
         PunctureVector.from_serialized(ctx4, [bad] + good[1:])
 
 
+@pytest.mark.parametrize(
+    "bad", [5, [5], [[1] * 26], [1] * 25, [1] * 27], ids=["scalar", "one", "nested", "short", "long"]
+)
+def test_from_serialized_refuses_what_is_not_a_list_of_length_q2_plus_1(ctx5, bad):
+    """Index 5 is not in GF(5) inside GF(25), but the shape is refused first."""
+    with pytest.raises(ValidationRefused, match=r"not a list of length q\^2\+1 = 26"):
+        PunctureVector.from_serialized(ctx5, bad)
+
+
 def test_membership_basics(ctx4):
     basis = puncture_direct(ctx4, 2)
     zero = PunctureVector(ctx4, np.zeros(ctx4.q2 + 1, dtype=np.uint8))
