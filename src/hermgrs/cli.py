@@ -9,6 +9,8 @@ verify       recheck a serialized code record independently of its origin
 sweep        per-k summary table of P(C) minimum weights for one field
 
 Output is UTF-8 JSON (schema 1) or CSV; diagnostics go to stderr only.
+JSON is the indent=2 form of the ``json`` module, written by ``_dumps``
+through the C encoder, so the output bytes are those ``json`` writes.
 Exit codes: 0 success, 2 validation refusal (a math-level precondition),
 3 enumeration cap exceeded, 4 malformed input file.
 """
@@ -88,8 +90,38 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+def _dumps(obj, level: int = 0) -> str:
+    """The JSON text of obj indented by two spaces, written by the C encoder.
+
+    The result is byte for byte what ``json`` writes with ``indent=2``, but
+    any ``indent`` sends ``json`` to its pure-Python encoder.  Here a
+    container whose items are all scalars has its body written by one C
+    encoder call whose item separator carries the newline and padding;
+    other containers recurse.  Unsupported types raise ``TypeError``.
+    """
+    if isinstance(obj, dict):
+        items, open_, close = obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items, open_, close = obj, "[", "]"
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return open_ + close
+    pad = "  " * (level + 1)
+    sep = ",\n" + pad
+    if {str, int, float, bool, type(None)}.issuperset(map(type, items)):
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    elif open_ == "{":
+        # json.dumps({key: 0}) is '{<key as json writes it>: 0}'
+        body = sep.join(json.dumps({key: 0})[1:-4] + ": " + _dumps(value, level + 1)
+                        for key, value in obj.items())
+    else:
+        body = sep.join(_dumps(item, level + 1) for item in obj)
+    return f"{open_}\n{pad}{body}\n{pad[2:]}{close}"
+
+
 def _emit_json(args: argparse.Namespace, command: str, config: dict, result: dict | list) -> None:
-    _emit(args, json.dumps(_envelope(command, config, result), indent=2) + "\n")
+    _emit(args, _dumps(_envelope(command, config, result)) + "\n")
 
 
 # ----------------------------------------------------------------------

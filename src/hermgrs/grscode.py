@@ -331,7 +331,9 @@ def code_from_dict(obj: dict) -> GrsCode:
         if "schema" in obj and _strict_int(obj["schema"]) != 1:
             raise MalformedInput(f"unsupported schema {obj['schema']!r}; expected 1")
         p, h, k = (_strict_int(obj[key]) for key in ("p", "h", "k"))
-        support = _strict_int_list(obj["support"])
+        support = obj["support"]
+        if not isinstance(support, (list, tuple)):  # GrsCode checks each coordinate
+            raise MalformedInput(f"expected a list of integers, got {support!r}")
         thetas = obj["thetas"]
         if not isinstance(obj.get("self_orthogonal", False), bool):
             raise MalformedInput(f"self_orthogonal must be true or false, got {obj['self_orthogonal']!r}")

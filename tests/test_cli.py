@@ -4,7 +4,10 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hermgrs import cli, grscode, puncture
 from hermgrs.cli import main
@@ -465,6 +468,17 @@ def test_verify_accepts_a_bare_record_without_params_or_mds(tmp_path, capsys):
     assert r["matches_file"] == {}
 
 
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_verify_refuses_a_non_integer_support_coordinate_in_the_code_check(tmp_path, capsys, bad):
+    """The record path leaves the coordinate rule to GrsCode and its wording."""
+    record = _edited_example1_record(tmp_path, lambda r: r.update(support=[bad, *r["support"][1:]]))
+    capsys.readouterr()
+    assert main(["verify", str(record)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"malformed input: a support coordinate must be an integer, got {bad!r}" in captured.err
+
+
 def test_negative_g_samples_are_refused(capsys):
     assert main(["puncture", "--q", "4", "--k", "2", "--g-samples", "-3"]) == 2
     captured = capsys.readouterr()
@@ -637,3 +651,67 @@ def test_family_above_the_degree_bound_is_refused_without_a_record(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeds the bound (q-k)q-1" in captured.err
     assert not out.exists()
+
+
+# JSON values of every kind json writes: ints past 64 bits, NaN and infinities,
+# text with quotes, escapes, control characters and non-ASCII, and tuples
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats() | st.text(st.characters() | st.sampled_from('"\\\x00\x1f\n\u2028é😀')),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_dumps_writes_what_json_writes_with_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [{}], {"b": [[]]}],
+    {1: "int", 1.5: "float", None: [[]]}, {True: [1], False: {}}, {-0.0: "negative zero", 2.0: [()]},
+    {"x": {2**70: [float("nan"), float("inf"), -float("inf"), -0.0]}},
+    "é\"\n\x00", 2**70, float("nan"), None, False,
+], ids=repr)
+def test_dumps_matches_json_on_empty_containers_and_converted_keys(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(1), {1}, [np.int64(1)], [1, [2, {1}]], {"a": np.int64(1)}, {"a": [{"b": {1}}]},
+    {(1, 2): 3}, {"a": [{(1, 2): 3}]},
+], ids=repr)
+def test_dumps_raises_type_error_where_json_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def _reindented(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    "puncture --q 16 --k 4 --method u-space --g-samples 2",
+    "puncture --q 4 --k 3 --method all --check-min-weight --distribution",
+    "sweep --q 8 --format json",
+    "field-info --q 8",
+])
+def test_json_output_is_the_indent_2_form(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert out == _reindented(out)
+
+
+def test_construct_record_and_its_verify_are_the_indent_2_form(tmp_path, capsys):
+    record = tmp_path / "code.json"
+    assert main(["construct", "qsq-plus-one", "--q", "32", "--output", str(record)]) == 0
+    text = record.read_text(encoding="utf-8")
+    assert text == _reindented(text)
+    capsys.readouterr()
+    assert main(["verify", str(record), "--include-generator"]) == 0
+    out = capsys.readouterr().out
+    assert out == _reindented(out)
