@@ -34,6 +34,9 @@ from .poly import Poly
 
 SCHEMA = 1
 
+# the counts and caps a negative value would switch off; 0 is legal
+_NONNEGATIVE_OPTIONS = ("g_samples", "min_weight_cap", "distribution_cap", "direct_cap_q", "mds_cap", "enum_cap")
+
 SWEEP_COLUMNS = [
     "p", "h", "q", "k", "dim", "formula", "witness_weight",
     "exhaustive_weight", "mode", "agrees",
@@ -145,8 +148,6 @@ def cmd_field_info(args: argparse.Namespace) -> int:
 
 
 def cmd_puncture(args: argparse.Namespace) -> int:
-    if args.g_samples < 0:
-        raise ValidationRefused(f"--g-samples must be at least 0, got {args.g_samples}")
     ctx = _resolve_field(args)
     k = args.k
     config = {
@@ -431,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValidationRefused(f"--threads must be at least 1, got {args.threads}")
+        for name in _NONNEGATIVE_OPTIONS:
+            if getattr(args, name, 0) < 0:
+                flag = "--" + name.replace("_", "-")
+                raise ValidationRefused(f"{flag} must be at least 0, got {getattr(args, name)}")
         return args.func(args)
     except ValidationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)

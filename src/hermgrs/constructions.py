@@ -411,10 +411,10 @@ def build_qsq_plus_one(ctx: FieldCtx, e: Felt | None = None) -> ConstructionRepo
         raise ValidationRefused("e must satisfy e^(q+1) = 1 and e^((q+1)/3) != 1")
     k = q - 1
     # g with g + g^q = e X^3 + e^q X^(3q) + 1 as functions: the constant
-    # comes from any g0 of trace one down to GF(q)
-    g0 = next(x for x in ctx.elems() if x + x**q == ctx.one)
-    g = Poly.monomial(ctx, e, 3) + Poly.monomial(ctx, g0, 0)
+    # comes from the first g0 of trace one down to GF(q)
     pts = ctx.points_idx()
+    g0 = ctx.felt(int(np.flatnonzero(ctx.vadd(pts, ctx.vfrob(pts)) == 1)[0]))
+    g = Poly.monomial(ctx, e, 3) + Poly.monomial(ctx, g0, 0)
     identity = ctx.vadd(
         ctx.vadd(
             ctx.vmul(np.int64(e.i), ctx.vpow(pts, 3)),

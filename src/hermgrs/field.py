@@ -16,7 +16,11 @@ label addition is XOR for p = 2 and addition mod p for q = p; every GF(q)
 matrix and vector in the package holds these labels.
 
 Every sum of many elements is one ``code_sum`` of additive codes: GF(q)
-labels or GF(q^2) polynomial-basis integers (``FieldCtx.vsum``).
+labels or GF(q^2) polynomial-basis integers (``FieldCtx.vsum``).  Every
+sum over the nonzero points of GF(q^2), sum_j v_j w^(je) for all e at
+once, is one discrete Fourier transform of length q^2-1 = (q-1)(q+1)
+(``FieldCtx.dft``), which polynomial evaluation on the whole field and
+the power sums of P(C) read when it counts cheaper.
 
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
@@ -370,6 +374,30 @@ class FieldCtx:
         integers, an XOR of them for p = 2."""
         a = np.asarray(a, dtype=np.int64)
         return self._idx_of_poly[code_sum(self.p, 2 * self.h, self._polyint[a], axis)]
+
+    def dft(self, v: np.ndarray) -> np.ndarray:
+        """out[e] = sum_j v_j w^(je) for every e < q^2-1, from the q^2-1 values v_j.
+
+        A Cooley-Tukey split of q^2-1 = (q-1)(q+1) with j = j2 + (q+1) j1 and
+        e = e1 + (q-1) e2: a length-(q-1) transform with root w^(q+1) over
+        j1, a twiddle by w^(e1 j2), and a length-(q+1) transform with root
+        w^(q-1) over j2.  Each step is one ``vmul`` and one ``vsum``, about
+        2q(q^2-1) terms in all; the roots are built per call.
+        """
+        n1, n2, n = self.q - 1, self.q + 1, self.n_units
+        v = np.asarray(v, dtype=np.int64).reshape(n1, n2)  # v[j1, j2] = v_(j2 + (q+1) j1)
+        e1, j2 = np.arange(n1), np.arange(n2)
+        root1 = 1 + n2 * np.multiply.outer(e1, e1) % n  # w^((q+1) j1 e1)
+        spec = self.vsum(self.vmul(v.T[:, :, None], root1), axis=1)  # [j2, e1]
+        spec = self.vmul(spec, 1 + np.multiply.outer(j2, e1) % n)
+        root2 = 1 + n1 * np.multiply.outer(j2, j2) % n  # w^((q-1) j2 e2)
+        out = self.vsum(self.vmul(spec[:, :, None], root2[:, None, :]), axis=0)  # [e1, e2]
+        return out.T.ravel()
+
+    @property
+    def dft_terms(self) -> int:
+        """The terms ``dft`` adds up: (q^2-1)(q-1) + (q^2-1)(q+1)."""
+        return 2 * self.q * self.n_units
 
     def split_components(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write each element as c0 + c1*xi with c0, c1 in GF(q) (compact labels)."""

@@ -103,8 +103,7 @@ class GrsCode:
         n_eval = len(self.support) - (1 if has_coeff else 0)
         pts = np.array([i - 1 for i in self.support[:n_eval]], dtype=np.int64)
         gen = np.zeros((k, len(self.support)), dtype=np.int64)
-        for r in range(k):
-            gen[r, :n_eval] = ctx.vmul(self.thetas[:n_eval], ctx.vpow(pts, r))
+        gen[:, :n_eval] = ctx.vmul(self.thetas[:n_eval], ctx.vpow_outer(pts, np.arange(k)))
         if has_coeff:
             gen[k - 1, -1] = self.thetas[-1]
         return gen

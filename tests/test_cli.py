@@ -485,6 +485,38 @@ def test_negative_g_samples_are_refused(capsys):
     assert captured.out == "" and "--g-samples must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{record}", "--mds-cap", "-1", "--enum-cap", "-1"],
+    ["verify", "{record}", "--enum-cap", "-1"],
+    ["puncture", "--q", "4", "--k", "2", "--distribution", "--distribution-cap", "-1"],
+    ["puncture", "--q", "4", "--k", "2", "--check-min-weight", "--min-weight-cap", "-5"],
+    ["puncture", "--q", "4", "--k", "2", "--method", "direct", "--direct-cap-q", "-3"],
+    ["sweep", "--q", "3", "--min-weight-cap", "-1"],
+])
+def test_negative_caps_are_refused(tmp_path, capsys, argv):
+    """A negative cap would switch its check off (or refuse every run with exit 3)."""
+    record = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(record)]) == 0
+    capsys.readouterr()
+    argv = [str(record) if a == "{record}" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag, value = next((a, b) for a, b in zip(argv, argv[1:]) if b.startswith("-") and b[1:].isdigit())
+    assert captured.out == "" and f"refused: {flag} must be at least 0, got {value}" in captured.err
+
+
+def test_caps_of_zero_stay_legal(tmp_path, capsys):
+    record = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(record)]) == 0
+    capsys.readouterr()
+    rc, doc = run_json(capsys, ["verify", str(record), "--mds-cap", "0", "--enum-cap", "0"])
+    assert rc == 0 and doc["result"]["mds"] == "asserted_by_construction"
+    assert main(["puncture", "--q", "4", "--k", "2", "--distribution", "--distribution-cap", "0"]) == 3
+    assert "above the cap 0" in capsys.readouterr().err
+
+
 # sha256 of the sweep output, timestamp blanked, as produced by the version that
 # row-reduced the u-space basis for every cell (q = 32: for the admitted cells)
 SWEEP_DIGESTS = {
@@ -626,6 +658,25 @@ def test_construct_output_is_pinned(tmp_path, capsys, command):
     assert capsys.readouterr().out == ""
     text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.read_text())
     assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_DIGESTS[command]
+
+
+# sha256 of the records at sizes where the Gram, the g-forms and h take the
+# transform or stay on the H route and eval_on, as written before the transform
+CONSTRUCT_DIGESTS_AT_SIZE = {
+    "qsq-plus-one --q 32": "424094e6a48b0d39cc936cdee731d57c87d781d2890eb3bcdb9124c0b229c860",
+    "odd-min --q 27 --k 14": "bda1c7950529ebe20a0e85c6a850581651be1b5dc39e8888ae4af05489408d5a",
+    "odd-min --q 49 --k 25": "a5cb0ceb2d61ca0e3e4c34e660a4c72544bf30217557e4599e8dd6d07c13c20e",
+    "even-min --q 64 --k 33": "5952632acdfdbea935946292e9d7003fd5d40f8a91b08b3ee0a09f8ef4f70433",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONSTRUCT_DIGESTS_AT_SIZE))
+def test_construct_output_at_size_is_pinned(tmp_path, capsys, command):
+    out = tmp_path / "code.json"
+    assert main(["construct", *command.split(), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_DIGESTS_AT_SIZE[command]
 
 
 def test_custom_above_the_degree_bound_is_refused_without_a_record(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hermgrs import linalg
+from hermgrs import constructions, linalg, puncture
 from hermgrs.errors import CapExceeded, ValidationRefused
 from hermgrs.field import Felt, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
@@ -518,3 +518,53 @@ def test_certified_cells_are_pinned(q, k):
     r = min_weight_pc(make_field(*PUNCTURE_FIELDS[q]), k)
     digest = hashlib.sha256(json.dumps(r.witness.serialized()).encode()).hexdigest()
     assert (r.weight, r.mode, r.scanned, digest) == CERTIFIED_CELLS[(q, k)]
+
+
+# q -> (p, h) for the power-sum routes: p = 2, prime q and odd composite q
+POWER_SUM_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2), 11: (11, 1),
+                    16: (2, 4), 25: (5, 2), 27: (3, 3), 32: (2, 5)}
+
+
+@given(st.sampled_from(sorted(POWER_SUM_FIELDS)), st.data())
+def test_transform_power_sums_match_the_h_route(q, data):
+    """Random GF(q)* entries on random coordinates that include the zero
+    point (column 1) and the coefficient coordinate (column q^2+1), for
+    every k up to q+1, where the exponents (q-1)q + (q-1) = q^2-1 and past
+    it reduce at the nonzero points only."""
+    ctx = make_field(*POWER_SUM_FIELDS[q])
+    k = data.draw(st.integers(1, q + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = data.draw(st.integers(0, ctx.q2 - 1))
+    cols = np.union1d([1, ctx.q2 + 1], rng.choice(np.arange(2, ctx.q2 + 1), size, replace=False))
+    lam = rng.integers(1, q, cols.size).astype(np.uint8)
+    upper = puncture._power_sums_dft(ctx, k, cols, lam)
+    assert np.array_equal(upper, puncture._power_sums_h(ctx, k, cols, lam))
+    assert upper.shape == (k * (k + 1) // 2,)
+
+
+def _power_sum_routes(monkeypatch):
+    """(route, k, len(cols)) of every power-sum evaluation during the test."""
+    calls = []
+    for name in ("_power_sums_dft", "_power_sums_h"):
+        route = getattr(puncture, name)
+
+        def counted(ctx, k, cols, lam, _name=name, _route=route):
+            calls.append((_name, k, len(cols)))
+            return _route(ctx, k, cols, lam)
+
+        monkeypatch.setattr(puncture, name, counted)
+    return calls
+
+
+def test_power_sums_route_by_counted_cost(monkeypatch):
+    """The Gram of qsq-plus-one q = 32 (k = 31, n = 1025) counts 496 x 1025
+    terms against 2 * 32 * 1023 for the transform; that of odd-min q = 49,
+    k = 25 (n = 50) 325 x 50 against twice 98 * 2400, and keeps H."""
+    calls = _power_sum_routes(monkeypatch)
+    report = constructions.build_qsq_plus_one(make_field(2, 5))
+    assert (report.code.k, report.code.n) == (31, 1025)
+    assert calls == [("_power_sums_dft", 31, 1025)]
+    calls.clear()
+    report = constructions.build_odd_q_min(make_field(7, 2), 25)
+    assert (report.code.k, report.code.n) == (25, 50)
+    assert calls == [("_power_sums_h", 25, 50)]
