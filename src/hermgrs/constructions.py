@@ -30,7 +30,7 @@ import numpy as np
 
 from . import grscode
 from .errors import CapExceeded, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx, skew_element, trace_to_prime
+from .field import Felt, FieldCtx, _integers, skew_element
 from .poly import Poly, distinct_zeros, q_power_mod
 from .puncture import PunctureVector, g_form_vector, min_weight_formula
 
@@ -273,15 +273,16 @@ def _trace_poly(ctx: FieldCtx) -> Poly:
     return Poly(ctx, coeffs)
 
 
-def _abs_trace_values(ctx: FieldCtx) -> np.ndarray:
-    """Pointwise GF(q^2) -> GF(p) trace, sum of x^(p^j) for j < 2h, on the enumeration."""
-    pts = ctx.points_idx()
-    return ctx.vsum(ctx.vpow_outer(pts, ctx.p ** np.arange(2 * ctx.h)), axis=0)
+def _trace_values(ctx: FieldCtx, xs: np.ndarray, degree: int) -> np.ndarray:
+    """Pointwise sum of x^(p^j) for j < ``degree``: the trace down to GF(p)
+    of elements of GF(p^degree)."""
+    return ctx.vsum(ctx.vpow_outer(xs, ctx.p ** np.arange(degree)), axis=0)
 
 
 def trace_one_elements(ctx: FieldCtx) -> list[Felt]:
     """GF(q) elements with absolute trace 1, in enumeration order."""
-    return [x for x in ctx.subfield_elems() if trace_to_prime(ctx, x) == ctx.one]
+    subfield = np.flatnonzero(ctx.fq.compact_of_idx >= 0)
+    return [Felt(ctx, i) for i in subfield[_trace_values(ctx, subfield, ctx.h) == 1]]
 
 
 def square_elements(ctx: FieldCtx) -> list[Felt]:
@@ -328,7 +329,7 @@ def build_even_q_min(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> 
     q = ctx.q
     g, R = even_min_g(ctx, k, R)
     predicted = q * (q - k - 1) + q * q // 2
-    identity = _abs_trace_values(ctx)
+    identity = _trace_values(ctx, ctx.points_idx(), 2 * ctx.h)
     for vals in _trace_factors(ctx, R)[1]:
         identity = ctx.vmul(identity, vals)
     report = _assemble(
@@ -448,15 +449,21 @@ def search_zero_free(ctx: FieldCtx, exponents: Sequence[int], cap: int = 10**4) 
     """Bounded brute-force hook for zero-free h of the open-problem shape.
 
     Scans h(X) = sum_i (h_i X^i + h_i^q X^(iq)) + c + X^(q+1) over the given
-    exponent slots (1 <= i <= q-1), h_i in GF(q^2) and c in GF(q), returning
-    the first h with no zeros in GF(q^2), or None if the scanned region has
-    none.  Refuses when the assignment space exceeds ``cap``; the feasible
-    region of this search is undetermined.
+    distinct integer exponent slots (1 <= i <= q-1), h_i in GF(q^2) and c
+    in GF(q), returning the first h with no zeros in GF(q^2), or None if the
+    scanned region has none.  Refuses when the assignment space exceeds
+    ``cap``; the feasible region of this search is undetermined.
     """
     q, q2 = ctx.q, ctx.q2
-    exponents = sorted(set(int(i) for i in exponents))
-    if not all(1 <= i <= q - 1 for i in exponents):
+    slots = _integers(exponents, "an exponent slot")
+    if slots.ndim != 1:
+        raise ValidationRefused(f"exponent slots must be a list, got {exponents!r}")
+    slots = [int(i) for i in slots]
+    if len(set(slots)) != len(slots):
+        raise ValidationRefused(f"exponent slots must not repeat, got {slots}")
+    if not all(1 <= i <= q - 1 for i in slots):
         raise ValidationRefused("exponent slots must lie in 1..q-1")
+    exponents = sorted(slots)
     total = (q2 ** len(exponents)) * q
     if total > cap:
         raise CapExceeded(f"search space of {total} assignments exceeds the cap {cap}")

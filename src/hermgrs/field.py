@@ -17,10 +17,11 @@ matrix and vector in the package holds these labels.
 
 Every sum of many elements is one ``code_sum`` of additive codes: GF(q)
 labels or GF(q^2) polynomial-basis integers (``FieldCtx.vsum``).  Every
-sum over the nonzero points of GF(q^2), sum_j v_j w^(je) for all e at
-once, is one discrete Fourier transform of length q^2-1 = (q-1)(q+1)
-(``FieldCtx.dft``), which polynomial evaluation on the whole field and
-the power sums of P(C) read when it counts cheaper.
+sum of the form sum_t v_t w^(j_t e) over the nonzero points w^e of
+GF(q^2), polynomial evaluation and the power sums of P(C) alike, is one
+``FieldCtx.spectrum``: term by term, or by the discrete Fourier
+transform of length q^2-1 = (q-1)(q+1) (``FieldCtx.dft``) when that
+counts fewer terms.
 
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
@@ -132,6 +133,18 @@ def code_sum(p: int, digits: int, codes: np.ndarray, axis: int = 0) -> np.ndarra
         total += digit.sum(axis=axis, dtype=np.int64) % p * p**j
     total += rest.sum(axis=axis, dtype=np.int64) % p * p ** (digits - 1)
     return total.astype(codes.dtype)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an object array of the same shape, each an int or a numpy
+    integer.  A bool, a float or a string is refused, also inside a list,
+    where np.asarray([1, True]) would be int64."""
+    values = np.asarray(values, dtype=object)
+    for kind in {type(v) for v in values.flat}:
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            bad = next(v for v in values.flat if type(v) is kind)
+            raise ValidationRefused(f"{what} must be an integer, got {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -375,6 +388,44 @@ class FieldCtx:
         a = np.asarray(a, dtype=np.int64)
         return self._idx_of_poly[code_sum(self.p, 2 * self.h, self._polyint[a], axis)]
 
+    def spectrum(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """out[i] = sum_t v_t w^(j_t e_i) in the shape of e, for distinct j_t >= 0.
+
+        The one rule for such a sum: len(j) x len(e) terms directly, or the
+        2q(q^2-1) terms of the transform plus 2^12 for its 30 to 50 extra
+        numpy calls, whichever counts fewer.
+        """
+        j = np.asarray(j, dtype=np.int64)
+        e = np.asarray(e, dtype=np.int64)
+        if j.size * e.size > 2 * self.q * self.n_units + (1 << 12):
+            return self._spectrum_dft(j, v, e)
+        return self._spectrum_direct(j, v, e)
+
+    def _spectrum_direct(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``spectrum`` term by term, in blocks of about 2^14 terms along j, one
+        field sum per block; larger blocks were no faster below q = 64 and
+        raised the peak resident set."""
+        v = np.asarray(v, dtype=np.int64)
+        j, logs = j[v != 0], v[v != 0] - 1  # v_t = w^(logs_t)
+        flat = e.ravel()
+        out = np.zeros_like(flat)
+        step = max(1, (1 << 14) // max(1, flat.size))
+        for lo in range(0, j.size, step):
+            terms = np.multiply.outer(j[lo : lo + step], flat)  # v_t w^(j_t e) = w^(logs_t + j_t e)
+            terms += logs[lo : lo + step, None]
+            terms %= self.n_units
+            terms += 1
+            out = self.vadd(out, self.vsum(terms, axis=0))
+        return out.reshape(e.shape)
+
+    def _spectrum_dft(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``spectrum`` by the transform: v folds mod q^2-1, since w^(q^2-1) = 1,
+        and the transform is read at e mod q^2-1."""
+        n = self.n_units
+        dense = np.zeros(-(-(int(j.max(initial=0)) + 1) // n) * n, dtype=np.int64)
+        dense[j] = v
+        return self.dft(self.vsum(dense.reshape(-1, n), axis=0))[e % n]
+
     def dft(self, v: np.ndarray) -> np.ndarray:
         """out[e] = sum_j v_j w^(je) for every e < q^2-1, from the q^2-1 values v_j.
 
@@ -394,11 +445,6 @@ class FieldCtx:
         out = self.vsum(self.vmul(spec[:, :, None], root2[:, None, :]), axis=0)  # [e1, e2]
         return out.T.ravel()
 
-    @property
-    def dft_terms(self) -> int:
-        """The terms ``dft`` adds up: (q^2-1)(q-1) + (q^2-1)(q+1)."""
-        return 2 * self.q * self.n_units
-
     def split_components(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write each element as c0 + c1*xi with c0, c1 in GF(q) (compact labels)."""
         a = np.asarray(a, dtype=np.int64)
@@ -414,11 +460,7 @@ class FieldCtx:
         range-checked before the int64 conversion.  A bool, a float or a
         string is refused, never read as an index, also inside a list.
         """
-        values = np.asarray(values, dtype=object)  # np.asarray([1, True]) would be int64
-        for kind in {type(v) for v in values.flat}:
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                bad = next(v for v in values.flat if type(v) is kind)
-                raise ValidationRefused(f"an element index must be an integer, got {bad!r}")
+        values = _integers(values, "an element index")
         lo, hi = (values.min(), values.max()) if values.size else (0, 0)
         if lo < 0 or hi >= self.q2:
             raise ValidationRefused(f"element index {lo if lo < 0 else hi} out of range 0..{self.q2 - 1}")

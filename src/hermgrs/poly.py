@@ -4,10 +4,9 @@ Coefficient vectors are stored low degree first in canonical form (no
 trailing zero coefficient; the zero polynomial has an empty vector).
 Zero counting is exhaustive evaluation over the whole field, never
 root-finding: q^2 <= 4096 keeps that trivially cheap and unconditionally
-correct.  Evaluation on given points adds up the terms of the nonzero
-coefficients with field sums (``FieldCtx.vsum``), whatever the
-polynomial's density; evaluation on the whole field takes the transform
-(``FieldCtx.dft``) instead when it counts fewer terms.
+correct.  Evaluation at w^e is sum_m c_m w^(me) over the nonzero
+coefficients, one ``FieldCtx.spectrum`` for all points at once, which
+decides whether the terms are summed directly or through the transform.
 """
 
 from __future__ import annotations
@@ -157,44 +156,19 @@ class Poly:
         return Felt(ctx, acc)
 
     def eval_on(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an index array of points.
+        """Vectorized evaluation on an index array of points, in its shape.
 
-        The terms c_m x^m of the nonzero coefficients go in blocks of about
-        2^14, one field sum per block; larger blocks were no faster below
-        q = 64 and raised the peak resident set.
+        At w^e the value is the spectrum (``FieldCtx.spectrum``) of the
+        nonzero coefficients at e, and at 0 it is c_0.
         """
-        ctx = self.ctx
         xs = np.asarray(xs, dtype=np.int64)
-        pts = xs.ravel()
         exps = np.flatnonzero(self.c)
-        step = max(1, (1 << 14) // max(1, pts.size))
-        vals = np.zeros_like(pts)
-        for lo in range(0, len(exps), step):
-            block = exps[lo : lo + step]
-            terms = ctx.vmul(self.c[block, None], ctx.vpow_outer(pts, block))
-            vals = ctx.vadd(vals, ctx.vsum(terms, axis=0))
-        return vals.reshape(xs.shape)
+        vals = self.ctx.spectrum(exps, self.c[exps], xs - 1)
+        return np.where(xs == 0, self.coeff(0).i, vals)
 
     def eval_all(self) -> np.ndarray:
-        """Evaluation at the whole enumeration a_1..a_(q^2), as an index array.
-
-        By the transform when it counts cheaper: ``eval_on`` adds up nonzero
-        terms x q^2, ``FieldCtx.dft`` its ``dft_terms`` plus 2^12 for its
-        fixed cost, all of them GF(q^2) sums: the transform makes 30 to 50
-        numpy calls more than one ``eval_on`` block, which below q = 16
-        outweighs a few thousand terms.
-        """
-        ctx = self.ctx
-        if np.count_nonzero(self.c) * ctx.q2 > ctx.dft_terms + (1 << 12):
-            return self._eval_all_dft()
-        return self.eval_on(ctx.points_idx())
-
-    def _eval_all_dft(self) -> np.ndarray:
-        """``eval_all`` by the transform.  At w^e the value is sum_m c_m w^(me),
-        so the coefficients fold mod q^2-1, X^(q^2-1) onto X^0; at 0 it is c_0."""
-        ctx, n = self.ctx, self.ctx.n_units
-        folded = ctx.vsum(np.pad(self.c, (0, -len(self.c) % n)).reshape(-1, n), axis=0)
-        return np.concatenate(([self.coeff(0).i], ctx.dft(folded)))
+        """Evaluation at the whole enumeration a_1..a_(q^2), as an index array."""
+        return self.eval_on(self.ctx.points_idx())
 
 
 def q_power_mod(poly: Poly) -> Poly:

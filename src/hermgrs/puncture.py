@@ -5,9 +5,8 @@ sum_i lambda_i u_i v_i^q = 0 for all codewords u, v: the kernel of the
 full-rank k^2-row parity-check matrix H of the power sums S_(r,s), r <= s < k
 (``parity_check``).  Its weight-r words certify Hermitian self-orthogonal
 truncations of length r.  ``power_sums`` evaluates the S_(r,s) of a given
-lambda as H lambda or, when it counts cheaper, from the transform of
-lambda over GF(q^2)* (``FieldCtx.dft``); those of N(theta) are the Gram
-matrix.
+lambda as the spectrum of lambda over GF(q^2)* (``FieldCtx.spectrum``) at
+the exponents rq+s; those of N(theta) are the Gram matrix.
 
 Three independent computations are provided and cross-validated elsewhere:
 
@@ -171,58 +170,26 @@ def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
 
 def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
     """S_(r,s)(lambda) as a k x k GF(q^2) matrix, for GF(q) labels ``lam`` on the
-    1-based coordinates ``cols``: S_(r,s) for r <= s by the transform when
-    ``_by_transform`` counts it cheaper, by H lambda otherwise, and
-    S_(s,r) = S_(r,s)^q."""
-    route = _power_sums_dft if _by_transform(ctx, k, len(cols)) else _power_sums_h
-    upper = route(ctx, k, cols, lam)
+    distinct 1-based coordinates ``cols``.
+
+    For r <= s, S_(r,s) is the spectrum (``FieldCtx.spectrum``) of lambda on
+    the nonzero points a_i = w^(i-2) at rq+s.  The zero point adds
+    lambda_1 where rq+s = 0 exactly, and the coefficient coordinate adds
+    lambda_(q^2+1) to S_(k-1,k-1) alone, the last pair.  S_(s,r) = S_(r,s)^q.
+    """
+    q2 = ctx.q2
+    cols = np.asarray(cols, dtype=np.int64)
+    lam = ctx.fq.idx_of_compact[np.asarray(lam)]
     r, s = _pairs(k)
+    exps = r * ctx.q + s
+    nonzero = (cols > 1) & (cols <= q2)
+    upper = ctx.spectrum(cols[nonzero] - 2, lam[nonzero], exps)
+    upper = ctx.vadd(upper, np.where(exps == 0, ctx.vsum(lam[cols == 1]), 0))
+    upper[-1] = ctx.add_i(upper[-1], ctx.vsum(lam[cols == q2 + 1]))
     G = np.empty((k, k), dtype=np.int64)
     G[s, r] = ctx.vfrob(upper)
     G[r, s] = upper
     return G
-
-
-def _by_transform(ctx: FieldCtx, k: int, support: int) -> bool:
-    """Whether the power sums on ``support`` coordinates add up fewer digits by
-    the transform: H lambda adds support x k(k+1)/2 terms of GF(q), the
-    transform ``FieldCtx.dft_terms`` of GF(q^2), whose sums take twice the
-    digits of GF(q)'s at odd p and one XOR either way at p = 2."""
-    digits = 1 if ctx.p == 2 else 2
-    return digits * ctx.dft_terms < support * k * (k + 1) // 2
-
-
-def _power_sums_h(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
-    """S_(r,s), r <= s in ``_pairs`` order, as H lambda, in blocks of at most
-    2*10^6 entries of H."""
-    step = max(1, 2 * 10**6 // (k * k))
-    sums = np.zeros(k * k, dtype=np.uint8)
-    for lo in range(0, len(cols), step):  # sums + H(block) lam(block), one product
-        block = np.column_stack([sums, parity_check(ctx, k, cols[lo : lo + step])])
-        sums = linalg.matvec(ctx.fq, block, np.concatenate([[1], lam[lo : lo + step]]))
-    r, s = _pairs(k)
-    off = r < s
-    comps = ctx.fq.idx_of_compact[sums]
-    upper = comps[: r.size]
-    upper[off] = ctx.vadd(upper[off], ctx.vmul(comps[r.size :], np.int64(ctx.xi_idx)))
-    return upper
-
-
-def _power_sums_dft(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
-    """S_(r,s), r <= s in ``_pairs`` order, from the transform of lambda on
-    the nonzero points, where a^(rq+s) = w^(j(rq+s)) reads the spectrum at
-    rq+s mod q^2-1.  The zero point adds lambda_1 where rq+s = 0 exactly,
-    and the coefficient coordinate adds lambda_(q^2+1) to S_(k-1,k-1), the
-    last pair."""
-    q2 = ctx.q2
-    lam_at = np.zeros(q2 + 1, dtype=np.int64)
-    lam_at[np.asarray(cols) - 1] = ctx.fq.idx_of_compact[lam]
-    r, s = _pairs(k)
-    exps = r * ctx.q + s
-    upper = ctx.dft(lam_at[1:q2])[exps % ctx.n_units]
-    upper = ctx.vadd(upper, np.where(exps == 0, lam_at[0], 0))
-    upper[-1] = ctx.add_i(upper[-1], lam_at[q2])
-    return upper
 
 
 def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> PunctureBasis:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hermgrs.constructions import (
@@ -292,6 +293,20 @@ def test_search_zero_free_finds_qsq_shape(ctx8):
     assert distinct_zeros(found)[0] == 0
     with pytest.raises(CapExceeded):
         search_zero_free(ctx8, [1, 2, 3, 4], cap=10**4)
+
+
+@pytest.mark.parametrize("slots", [[1.7], [True], ["1"], [1, 1], [np.int64(1), 1], [[1]], 1])
+def test_search_zero_free_refuses_what_is_not_a_distinct_integer_slot(slots):
+    """The rule of ``FieldCtx.indices`` for each slot, and no slot twice."""
+    with pytest.raises(ValidationRefused):
+        search_zero_free(make_field(2, 2), slots)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 6), (5, 2), (7, 2)])
+def test_trace_one_elements_match_the_felt_trace(p, h):
+    ctx = make_field(p, h)
+    expected = [x for x in ctx.subfield_elems() if trace_to_prime(ctx, x) == ctx.one]
+    assert trace_one_elements(ctx) == expected
 
 
 def test_search_zero_free_visits_c_in_enumeration_order(ctx8):

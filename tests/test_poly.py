@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hermgrs.errors import ValidationRefused
-from hermgrs.field import Felt, frobenius, make_field
+from hermgrs.field import Felt, FieldCtx, frobenius, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 
 from oracle import pow_by_mul
@@ -192,7 +192,10 @@ def test_dense_eval_on_matches_scalar_horner(q, data):
 
 
 def test_dense_eval_on_spans_several_blocks_at_q64():
-    """At q = 64 a block holds 2^14 / 4096 = 4 exponents; degree 1000 takes 251 blocks."""
+    """Degree 1000 at q = 64 counts 1001 x 4096 terms, past the transform's
+    2q(q^2-1) + 2^12, so ``FieldCtx.spectrum`` takes the transform; the
+    direct route's blocks at this size are in
+    ``test_transform_eval_all_matches_eval_on``."""
     ctx = make_field(2, 6)
     rng = random.Random(64)
     poly = Poly.from_indices(ctx, [rng.randrange(1, ctx.q2) for _ in range(1001)])
@@ -234,9 +237,11 @@ ALL_FIELDS = {p**h: (p, h) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
 @given(st.sampled_from(sorted(ALL_FIELDS)), st.data())
 def test_transform_eval_all_matches_eval_on(q, data):
     """Dense, sparse and zero polynomials of degree up to q^2 - 1, whose
-    coefficient of X^(q^2-1) folds onto X^0 at every point but 0.  Dense
-    polynomials are one draw in eight at q >= 49, where eval_on of degree
-    4095 takes a third of a second."""
+    coefficient of X^(q^2-1) folds onto X^0 at every point but 0, through
+    each route of ``FieldCtx.spectrum`` on every point, and by Horner at
+    0, 1, w^(q^2-2) and a sample.  Dense polynomials are one draw in eight
+    at q >= 49, where the direct route of degree 4095 takes a third of a
+    second."""
     ctx = make_field(*ALL_FIELDS[q])
     kinds = ["dense", "sparse", "sparse", "zero"] if q < 49 else ["dense"] + ["sparse"] * 6 + ["zero"]
     kind = data.draw(st.sampled_from(kinds))
@@ -251,6 +256,14 @@ def test_transform_eval_all_matches_eval_on(q, data):
     if kind != "zero":
         coeffs[degree] = rng.integers(1, ctx.q2)
     poly = Poly(ctx, coeffs)
-    expected = poly.eval_on(ctx.points_idx())
-    assert np.array_equal(poly._eval_all_dft(), expected)
-    assert np.array_equal(poly.eval_all(), expected)
+    pts = ctx.points_idx()
+    routes = []
+    for route in (FieldCtx._spectrum_direct, FieldCtx._spectrum_dft):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FieldCtx, "spectrum", route)
+            routes.append(poly.eval_on(pts))
+    direct, transform = routes
+    assert np.array_equal(transform, direct)
+    assert np.array_equal(poly.eval_all(), direct)
+    for x in [0, 1, ctx.q2 - 1, *rng.integers(0, ctx.q2, 5)]:
+        assert int(direct[x]) == poly.eval(Felt(ctx, int(x))).i

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hermgrs import constructions, linalg, puncture
 from hermgrs.errors import CapExceeded, ValidationRefused
-from hermgrs.field import Felt, make_field
+from hermgrs.field import Felt, FieldCtx, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 from hermgrs.puncture import (
     PunctureVector,
@@ -527,44 +527,56 @@ POWER_SUM_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3
 
 @given(st.sampled_from(sorted(POWER_SUM_FIELDS)), st.data())
 def test_transform_power_sums_match_the_h_route(q, data):
-    """Random GF(q)* entries on random coordinates that include the zero
-    point (column 1) and the coefficient coordinate (column q^2+1), for
-    every k up to q+1, where the exponents (q-1)q + (q-1) = q^2-1 and past
-    it reduce at the nonzero points only."""
+    """Random GF(q)* entries on random coordinates in random order, with or
+    without the zero point (column 1) and the coefficient coordinate
+    (column q^2+1), for every k up to q+1, where the exponents
+    (q-1)q + (q-1) = q^2-1 and past it reduce at the nonzero points only:
+    each route of ``FieldCtx.spectrum`` against H lambda over {1, xi}."""
     ctx = make_field(*POWER_SUM_FIELDS[q])
     k = data.draw(st.integers(1, q + 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     size = data.draw(st.integers(0, ctx.q2 - 1))
-    cols = np.union1d([1, ctx.q2 + 1], rng.choice(np.arange(2, ctx.q2 + 1), size, replace=False))
+    ends = [c for c, keep in ((1, data.draw(st.booleans())), (ctx.q2 + 1, data.draw(st.booleans()))) if keep]
+    cols = rng.permutation(np.concatenate([ends, rng.choice(np.arange(2, ctx.q2 + 1), size, replace=False)]))
+    cols = cols.astype(np.int64)
     lam = rng.integers(1, q, cols.size).astype(np.uint8)
-    upper = puncture._power_sums_dft(ctx, k, cols, lam)
-    assert np.array_equal(upper, puncture._power_sums_h(ctx, k, cols, lam))
-    assert upper.shape == (k * (k + 1) // 2,)
-
-
-def _power_sum_routes(monkeypatch):
-    """(route, k, len(cols)) of every power-sum evaluation during the test."""
-    calls = []
-    for name in ("_power_sums_dft", "_power_sums_h"):
-        route = getattr(puncture, name)
-
-        def counted(ctx, k, cols, lam, _name=name, _route=route):
-            calls.append((_name, k, len(cols)))
-            return _route(ctx, k, cols, lam)
-
-        monkeypatch.setattr(puncture, name, counted)
-    return calls
+    sums = linalg.matvec(ctx.fq, parity_check(ctx, k, cols), lam)
+    r, s = np.triu_indices(k)
+    comps = ctx.fq.idx_of_compact[sums]
+    upper = comps[: r.size]
+    upper[r < s] = ctx.vadd(upper[r < s], ctx.vmul(comps[r.size :], np.int64(ctx.xi_idx)))
+    for route in (FieldCtx._spectrum_direct, FieldCtx._spectrum_dft):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FieldCtx, "spectrum", route)
+            G = power_sums(ctx, k, cols, lam)
+        assert np.array_equal(G[r, s], upper)
+        assert np.array_equal(G[s, r], ctx.vfrob(upper))
 
 
 def test_power_sums_route_by_counted_cost(monkeypatch):
-    """The Gram of qsq-plus-one q = 32 (k = 31, n = 1025) counts 496 x 1025
-    terms against 2 * 32 * 1023 for the transform; that of odd-min q = 49,
-    k = 25 (n = 50) 325 x 50 against twice 98 * 2400, and keeps H."""
-    calls = _power_sum_routes(monkeypatch)
+    """The one rule of ``FieldCtx.spectrum``: the Gram of qsq-plus-one q = 32
+    (k = 31, n = 1025) counts 1023 nonzero points x 496 pairs, past
+    2 * 32 * 1023 + 2^12, and takes the transform; that of odd-min q = 49,
+    k = 25 (n = 50) counts at most 50 x 325 and sums directly; at q = 32 the
+    bound itself sums directly and one term past it takes the transform."""
+    calls = []
+    for name in ("_spectrum_direct", "_spectrum_dft"):
+        route = getattr(FieldCtx, name)
+
+        def counted(ctx, j, v, e, _name=name, _route=route):
+            calls.append((_name, j.size, e.size))
+            return _route(ctx, j, v, e)
+
+        monkeypatch.setattr(FieldCtx, name, counted)
     report = constructions.build_qsq_plus_one(make_field(2, 5))
     assert (report.code.k, report.code.n) == (31, 1025)
-    assert calls == [("_power_sums_dft", 31, 1025)]
+    assert [c for c in calls if c[2] == 31 * 32 // 2] == [("_spectrum_dft", 1023, 496)]
     calls.clear()
     report = constructions.build_odd_q_min(make_field(7, 2), 25)
     assert (report.code.k, report.code.n) == (25, 50)
-    assert calls == [("_power_sums_h", 25, 50)]
+    assert [c[0] for c in calls if c[2] == 25 * 26 // 2] == ["_spectrum_direct"]
+    calls.clear()
+    bound = 2 * 32 * 1023 + 2**12
+    for size in (bound, bound + 1):
+        make_field(2, 5).spectrum(np.arange(size), np.ones(size, dtype=np.int64), [1])
+    assert [c[0] for c in calls] == ["_spectrum_direct", "_spectrum_dft"]
