@@ -12,12 +12,12 @@ Every family runs one pipeline, ``_assemble``.  It gates through
 of c in GF(q); ``grscode.GrsCode`` checks length, support and thetas, and
 ``CodeParams.of_self_orthogonal`` checks n >= 2k.  A family checks only the
 preconditions of its own zero-count formula.  The pipeline evaluates
-h = g + g^q (+ c X^((q-k)(q+1))) once on all q^2 points.  Those values
-give the zero count, which must equal the family's predicted value, so
-each run is also a self-test of the predicting formula; and they are
-compared pointwise with the factored identity behind the family.
-``build_custom`` claims no formula: its measured count is its own
-prediction.
+h = g + g^q (+ c X^((q-k)(q+1))) once on all q^2 points.  Its zero count
+must equal the family's prediction, a self-test of the formula, and its
+values the factored identity behind the family pointwise: for the
+minimum-length families ``even_min_values`` or ``odd_min_values``, from
+which ``puncture.constructive_witness`` reads its witnesses too.
+``build_custom`` claims no formula: its measured count is its own prediction.
 """
 
 from __future__ import annotations
@@ -167,13 +167,17 @@ def _skew_tail(
     return g, counts, 1 + t_root * (q - 1) + sum(counts), identity
 
 
-def _trace_factors(ctx: FieldCtx, R: Sequence[Felt]) -> tuple[list[Poly], list[np.ndarray]]:
-    """The factors X^q + X + r over r in R and their values on the enumeration."""
+def _trace_factors(ctx: FieldCtx, R: Sequence[Felt]) -> list[Poly]:
+    """The factors X^q + X + r over r in R."""
+    x_q_plus_x = Poly.monomial(ctx, ctx.one, ctx.q) + Poly.x(ctx)
+    return [x_q_plus_x + Poly.monomial(ctx, r, 0) for r in R]
+
+
+def _trace_factor_values(ctx: FieldCtx, R: Sequence[Felt]) -> list[np.ndarray]:
+    """The values of X^q + X + r over r in R on the enumeration."""
     pts = ctx.points_idx()
     trace_pts = ctx.vadd(ctx.vfrob(pts), pts)
-    x_q_plus_x = Poly.monomial(ctx, ctx.one, ctx.q) + Poly.x(ctx)
-    factors = [x_q_plus_x + Poly.monomial(ctx, r, 0) for r in R]
-    return factors, [ctx.vadd(trace_pts, np.int64(r.i)) for r in R]
+    return [ctx.vadd(trace_pts, np.int64(r.i)) for r in R]
 
 
 def build_example1(ctx: FieldCtx, k: int, t: int, f: Poly) -> ConstructionReport:
@@ -221,7 +225,7 @@ def build_example2(ctx: FieldCtx, k: int, t: int, R: Sequence[Felt]) -> Construc
             raise ValidationRefused(f"R must lie in GF(q); got {r!r}")
         if r.is_zero():
             raise ValidationRefused("0 in R would double count x = 0 in the zero-count formula")
-    g, counts, predicted, identity = _skew_tail(ctx, t, t, *_trace_factors(ctx, R))
+    g, counts, predicted, identity = _skew_tail(ctx, t, t, _trace_factors(ctx, R), _trace_factor_values(ctx, R))
     return _assemble(
         ctx, k, g, ctx.zero, predicted, "example2",
         {"t": t, "R": [r.index for r in R], "N_r": {r.index: n for r, n in zip(R, counts)}}, identity,
@@ -309,29 +313,31 @@ def _min_weight_R(
     return R
 
 
-def even_min_g(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[Poly, list[Felt]]:
-    """g = tr(X) prod (X^q + X + e) over trace-one e; |R| = q-k-1, q even."""
+def even_min_values(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[list[Felt], np.ndarray]:
+    """R and g + g^q = tr(x) prod (x^q + x + e) on the enumeration, tr down to GF(2),
+    for g = tr(X) prod (X^q + X + e) over trace-one e in R; |R| = q-k-1, q even."""
     q = ctx.q
     if ctx.p != 2:
         raise ValidationRefused(f"the even-q construction requires q even; got q={q}")
     if not q // 2 <= k <= q - 1:
         raise ValidationRefused(f"the even-q construction requires q/2 <= k <= q-1; got k={k}")
     R = _min_weight_R(ctx, k, R, trace_one_elements(ctx), "trace-one GF(q) elements")
-    return math.prod(_trace_factors(ctx, R)[0], start=_trace_poly(ctx)), R
+    values = _trace_values(ctx, ctx.points_idx(), 2 * ctx.h)
+    for vals in _trace_factor_values(ctx, R):
+        values = ctx.vmul(values, vals)
+    return R, values
 
 
 def build_even_q_min(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> ConstructionReport:
     """The minimum-weight construction for even q: weight q(k+1-q/2).
 
-    g + g^q agrees pointwise with tr(x) prod (x^q + x + e), the trace taken
-    down to GF(2) from GF(q^2); the zero count is q(q-k-1) + q^2/2 exactly.
+    g = tr(X) prod (X^q + X + e), whose g + g^q ``even_min_values`` gives
+    pointwise; the zero count is q(q-k-1) + q^2/2 exactly.
     """
     q = ctx.q
-    g, R = even_min_g(ctx, k, R)
+    R, identity = even_min_values(ctx, k, R)
+    g = math.prod(_trace_factors(ctx, R), start=_trace_poly(ctx))
     predicted = q * (q - k - 1) + q * q // 2
-    identity = _trace_values(ctx, ctx.points_idx(), 2 * ctx.h)
-    for vals in _trace_factors(ctx, R)[1]:
-        identity = ctx.vmul(identity, vals)
     report = _assemble(
         ctx, k, g, ctx.zero, predicted, "even_q_min",
         {"R": [e.index for e in R]}, identity,
@@ -348,32 +354,34 @@ def _attains_min_weight(report: ConstructionReport, k: int) -> ConstructionRepor
     return report
 
 
-def odd_min_g(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[Poly, list[Felt]]:
-    """g = X^((q+1)/2) prod (X^(q+1) - e) over nonzero squares e; q odd."""
+def odd_min_values(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> tuple[list[Felt], np.ndarray]:
+    """R and g + g^q = (x^((q^2+q)/2) + x^((q+1)/2)) prod (x^(q+1) - e) on the enumeration,
+    for g = X^((q+1)/2) prod (X^(q+1) - e) over nonzero squares e in R; |R| = q-k-1, q odd."""
     q = ctx.q
     if ctx.p == 2:
         raise ValidationRefused(f"the odd-q construction requires q odd; got q={q}")
     if not (q + 1) // 2 <= k <= q - 1:
         raise ValidationRefused(f"the odd-q construction requires (q+1)/2 <= k <= q-1; got k={k}")
     R = _min_weight_R(ctx, k, R, square_elements(ctx), "nonzero GF(q) squares")
-    norm_factors = [Poly.monomial(ctx, ctx.one, q + 1) - Poly.monomial(ctx, e, 0) for e in R]
-    return math.prod(norm_factors, start=Poly.monomial(ctx, ctx.one, (q + 1) // 2)), R
+    pts = ctx.points_idx()
+    values = ctx.vadd(ctx.vpow(pts, (q * q + q) // 2), ctx.vpow(pts, (q + 1) // 2))
+    norm_pts = ctx.vnorm(pts)
+    for e in R:
+        values = ctx.vmul(values, ctx.vadd(norm_pts, np.int64((-e).i)))
+    return R, values
 
 
 def build_odd_q_min(ctx: FieldCtx, k: int, R: Sequence[Felt] | None = None) -> ConstructionReport:
     """The minimum-weight construction for odd q: weight (q+1)(k-(q-1)/2).
 
-    g + g^q agrees pointwise with (x^((q^2+q)/2) + x^((q+1)/2)) prod
-    (x^(q+1) - e); the zero count is (q^2+1)/2 + (q-k-1)(q+1) exactly.
+    g = X^((q+1)/2) prod (X^(q+1) - e), whose g + g^q ``odd_min_values``
+    gives pointwise; the zero count is (q^2+1)/2 + (q-k-1)(q+1) exactly.
     """
     q = ctx.q
-    g, R = odd_min_g(ctx, k, R)
+    R, identity = odd_min_values(ctx, k, R)
+    norm_factors = [Poly.monomial(ctx, ctx.one, q + 1) - Poly.monomial(ctx, e, 0) for e in R]
+    g = math.prod(norm_factors, start=Poly.monomial(ctx, ctx.one, (q + 1) // 2))
     predicted = (q * q + 1) // 2 + (q - k - 1) * (q + 1)
-    pts = ctx.points_idx()
-    identity = ctx.vadd(ctx.vpow(pts, (q * q + q) // 2), ctx.vpow(pts, (q + 1) // 2))
-    norm_pts = ctx.vnorm(pts)
-    for e in R:
-        identity = ctx.vmul(identity, ctx.vadd(norm_pts, np.int64((-e).i)))
     report = _assemble(
         ctx, k, g, ctx.zero, predicted, "odd_q_min",
         {"R": [e.index for e in R]}, identity,

@@ -80,9 +80,6 @@ class Poly:
             return Felt(self.ctx, int(self.c[exponent]))
         return self.ctx.zero
 
-    def felts(self) -> tuple[Felt, ...]:
-        return tuple(Felt(self.ctx, int(i)) for i in self.c)
-
     def indices(self) -> list[int]:
         return [int(i) for i in self.c]
 

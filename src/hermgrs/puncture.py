@@ -83,9 +83,6 @@ class PunctureVector:
         """Entry at 1-based coordinate i, as a field element."""
         return self.ctx.compact_to_felt(int(self.v[i - 1]))
 
-    def final_entry(self) -> Felt:
-        return self.ctx.compact_to_felt(int(self.v[-1]))
-
     def serialized(self) -> list[int]:
         """Entries as field enumeration indices (the JSON form)."""
         return self.ctx.fq.idx_of_compact[self.v].tolist()
@@ -316,23 +313,23 @@ def small_support_witness(ctx: FieldCtx, k: int) -> PunctureVector:
     """Weight-2k member of P(C) supported on 2k subfield points (k <= q/2).
 
     On them H has only the rows a^(r+s) of a (2k-1) x 2k Vandermonde system
-    and zero rows, so its kernel is one dimensional and of full weight.
+    and zero rows; its kernel is spanned by the dual GRS column multipliers
+    u_i = 1 / prod_(j != i) (a_i - a_j), scaled here so that u_1 = 1.
     """
-    q = ctx.q
-    if not 1 <= 2 * k <= q:
-        raise ValidationRefused(f"the 2k-point witness needs 2k <= q; got k={k}, q={q}")
+    if not 1 <= 2 * k <= ctx.q:
+        raise ValidationRefused(f"the 2k-point witness needs 2k <= q; got k={k}, q={ctx.q}")
     points = np.array([x.i for x in ctx.subfield_elems()[: 2 * k]], dtype=np.int64)
-    kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points + 1))
-    assert kernel.shape[0] == 1, "Vandermonde kernel is not one dimensional"
-    lam = kernel[0]
-    assert np.count_nonzero(lam) == 2 * k, "kernel vector of a Vandermonde system lost weight"
+    diffs = ctx.vadd(points[:, None], ctx.vneg(points)[None, :])
+    np.fill_diagonal(diffs, 1)  # leave out j = i; index 1 + m is w^m
+    logs = (diffs - 1).sum(axis=1)
     out = np.zeros(ctx.q2 + 1, dtype=np.uint8)
-    out[points] = lam  # coordinate of a_i is its field index position
+    out[points] = _labels(ctx, 1 + (logs[0] - logs) % ctx.n_units)  # coordinate of a_i is its index
     return PunctureVector(ctx, out)
 
 
 def constructive_witness(ctx: FieldCtx, k: int) -> PunctureVector:
-    """A minimum-weight member of P(C) from the proven constructions."""
+    """A minimum-weight member of P(C) from the proven constructions; for 2k > q the
+    g-form (c = 0) read off the family's pointwise g + g^q, g itself never built."""
     q = ctx.q
     _check_k(ctx, k)
     if k > q:
@@ -343,11 +340,9 @@ def constructive_witness(ctx: FieldCtx, k: int) -> PunctureVector:
         return small_support_witness(ctx, k)
     from . import constructions  # deferred: constructions imports this module
 
-    if q % 2 == 0:
-        g, _ = constructions.even_min_g(ctx, k)
-    else:
-        g, _ = constructions.odd_min_g(ctx, k)
-    return g_form_vector(ctx, k, g, ctx.zero)
+    family = constructions.even_min_values if q % 2 == 0 else constructions.odd_min_values
+    _, values = family(ctx, k)
+    return PunctureVector(ctx, _labels(ctx, np.append(values, 0)))
 
 
 @dataclass

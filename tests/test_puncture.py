@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hermgrs import constructions, linalg, puncture
-from hermgrs.errors import CapExceeded, ValidationRefused
+from hermgrs.errors import CapExceeded, SelfCheckFailed, ValidationRefused
 from hermgrs.field import Felt, FieldCtx, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 from hermgrs.puncture import (
@@ -77,7 +77,7 @@ def test_g_form_vector_c_only(ctx4):
     k = 2
     v = g_form_vector(ctx4, k, Poly.zero(ctx4), ctx4.one)
     assert v.weight() == ctx4.q2
-    assert v.final_entry() == ctx4.one
+    assert v.entry(ctx4.q2 + 1) == ctx4.one
     assert v.entry(1).is_zero()
 
 
@@ -216,6 +216,87 @@ def test_small_support_witness_sits_on_the_first_subfield_points(p, h):
     points = [x.i for x in ctx.subfield_elems()]
     for k in range(1, ctx.q // 2 + 1):
         assert small_support_witness(ctx, k).support() == tuple(i + 1 for i in points[: 2 * k])
+
+
+# q -> (p, h) for every prime power 2 <= q <= 64
+WITNESS_FIELDS = {p**h: (p, h) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+                  for h in range(1, 7) if p**h <= 64}
+
+# sha256 of bytes(constructive_witness(ctx, k).v) fed for q ascending, then
+# k = 1..q, as produced by the version that multiplied out g, evaluated it
+# and solved the Vandermonde kernels
+WITNESS_DIGEST = "12dde52ecc19aaa42876dc7cffb6fd4a006c0b8612f89dc3de12d2c3bc7e0b28"
+
+
+def test_constructive_witnesses_are_pinned():
+    hasher = hashlib.sha256()
+    for q in sorted(WITNESS_FIELDS):
+        ctx = make_field(*WITNESS_FIELDS[q])
+        for k in range(1, q + 1):
+            hasher.update(bytes(constructive_witness(ctx, k).v))
+    assert hasher.hexdigest() == WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("q", sorted(WITNESS_FIELDS))
+def test_small_support_witness_is_the_vandermonde_kernel(q):
+    """The closed form is the one RREF kernel row of H on the same 2k points."""
+    ctx = make_field(*WITNESS_FIELDS[q])
+    points = np.array([x.i for x in ctx.subfield_elems()], dtype=np.int64)
+    for k in range(1, q // 2 + 1):
+        kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points[: 2 * k] + 1))
+        v = small_support_witness(ctx, k)
+        assert kernel.shape == (1, 2 * k) and np.count_nonzero(kernel) == v.weight() == 2 * k
+        assert np.array_equal(v.v[points[: 2 * k]], kernel[0])
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(WITNESS_FIELDS) if q <= 16])
+def test_constructive_witness_is_the_family_vector(q):
+    """For 2k > q, k < q, the family's pointwise values give the vector that
+    ``build_*_q_min`` takes from its multiplied-out g."""
+    ctx = make_field(*WITNESS_FIELDS[q])
+    build = constructions.build_even_q_min if q % 2 == 0 else constructions.build_odd_q_min
+    for k in range(q // 2 + 1, q):
+        assert constructive_witness(ctx, k) == build(ctx, k).vector
+
+
+def test_constructive_witness_multiplies_no_polynomial_and_solves_no_system(monkeypatch):
+    ctxs = {q: make_field(*WITNESS_FIELDS[q]) for q in (9, 16, 64)}
+    calls = []
+    for owner, name in [(Poly, "__mul__"), (Poly, "eval_on"), (FieldCtx, "spectrum"),
+                        (linalg, "kernel_basis"), (puncture, "parity_check")]:
+        original = getattr(owner, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    for q, k in [(9, 7), (16, 4), (16, 12), (64, 40)]:
+        assert constructive_witness(ctxs[q], k).weight() == min_weight_formula(q, k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,h,k", [(5, 1, 2), (2, 3, 6), (3, 2, 7)])
+def test_min_weight_pc_refuses_a_witness_with_one_label_changed(p, h, k, monkeypatch):
+    """A word one coordinate away from a member of P(C) is not a member, as
+    P(C) has no word of weight 1."""
+    ctx = make_field(p, h)
+    labels = constructive_witness(ctx, k).v.copy()
+    pos = int(np.flatnonzero(labels)[-1])
+    labels[pos] = ctx.fq.add[labels[pos], 1]
+    monkeypatch.setattr(puncture, "constructive_witness", lambda ctx, k: PunctureVector(ctx, labels))
+    with pytest.raises(SelfCheckFailed, match=r"not a member of P\(C\)"):
+        min_weight_pc(ctx, k, cap=10)
+
+
+def test_min_weight_pc_refuses_a_member_of_the_wrong_weight(monkeypatch):
+    """Under cap = 0 no scan runs, and the witness weight must be the formula's."""
+    ctx, k = make_field(2, 4), 9
+    word = g_form_vector(ctx, k, rand_g(ctx, random.Random(16), k), ctx.zero)
+    assert parity_check_holds(ctx, k, word) and word.weight() != min_weight_formula(16, k)
+    monkeypatch.setattr(puncture, "constructive_witness", lambda ctx, k: word)
+    with pytest.raises(SelfCheckFailed, match="weighs"):
+        min_weight_pc(ctx, k, cap=0)
 
 
 def test_min_weight_pc_exhaustive_cells(ctx4, ctx5):
