@@ -11,13 +11,15 @@ Every family runs one pipeline, ``_assemble``.  It gates through
 ``puncture.g_form_vector`` first, the only check of deg g <= (q-k)q-1 and
 of c in GF(q); ``grscode.GrsCode`` checks length, support and thetas, and
 ``CodeParams.of_self_orthogonal`` checks n >= 2k.  A family checks only the
-preconditions of its own zero-count formula.  The pipeline evaluates
-h = g + g^q (+ c X^((q-k)(q+1))) once on all q^2 points.  Its zero count
-must equal the family's prediction, a self-test of the formula, and its
-values the factored identity behind the family pointwise: for the
-minimum-length families ``even_min_values`` or ``odd_min_values``, from
-which ``puncture.constructive_witness`` reads its witnesses too.
-``build_custom`` claims no formula: its measured count is its own prediction.
+preconditions of its own zero-count formula.  The pipeline reads
+g + g^q (+ c x^((q-k)(q+1))) on all q^2 points from that vector, the one
+evaluation of g.  Its zero count must equal the family's prediction, a
+self-test of the formula, and its values the factored identity behind the
+family pointwise: for the minimum-length families ``even_min_values`` or
+``odd_min_values``, from which ``puncture.constructive_witness`` reads its
+witnesses too.  ``build_custom`` claims no formula: its values are compared
+with the reduced polynomial h = g + g^q (+ c X^((q-k)(q+1))), and its
+measured count is its own prediction.
 """
 
 from __future__ import annotations
@@ -84,34 +86,35 @@ def _assemble(
     predicted: int | None,
     family: str,
     parameters: dict,
-    identity_values: np.ndarray | None,
+    identity: np.ndarray | None,
 ) -> ConstructionReport:
-    """The pipeline every family runs: vector, h's zeros and identity, code, checks.
+    """The pipeline every family runs: vector, its zeros and identity, code, checks.
 
-    A ``predicted`` of None claims no formula: the measurement stands.
+    The vector carries g + g^q (+ c x^((q-k)(q+1))) on the q^2 points; those
+    values must equal ``identity`` pointwise, the family's factored form.
+    An ``identity`` of None takes h = g + g^q (+ c X^((q-k)(q+1))) reduced
+    mod X^(q^2) - X instead, built once the vector has checked g and c.  A
+    ``predicted`` of None claims no formula: the measurement stands.
     """
     q = ctx.q
     vector = g_form_vector(ctx, k, g, c)
-    h = g + q_power_mod(g)
-    if c:
-        h = h + Poly.monomial(ctx, c, (q - k) * (q + 1))
-    values = h.eval_all()
+    values = ctx.fq.idx_of_compact[vector.v[:-1]]
     zero_count = int(np.count_nonzero(values == 0))
-    assert h.is_zero() or zero_count <= h.degree, (
-        f"polynomial of degree {h.degree} evaluated to zero at {zero_count} points"
-    )
+    if identity is None:
+        h = g + q_power_mod(g)
+        if c:
+            h = h + Poly.monomial(ctx, c, (q - k) * (q + 1))
+        identity = h.eval_all()
+        assert h.is_zero() or np.count_nonzero(identity == 0) <= h.degree, "h has more zeros than its degree"
+    if not np.array_equal(values, identity):
+        raise SelfCheckFailed(f"{family}: factored identity fails pointwise")
     if predicted is None:
         predicted = zero_count
     elif zero_count != predicted:
         raise SelfCheckFailed(
             f"{family}: measured {zero_count} zeros, predicted {predicted}"
         )
-    if identity_values is not None and not np.array_equal(values, identity_values):
-        raise SelfCheckFailed(f"{family}: factored identity fails pointwise")
 
-    n = ctx.q2 - zero_count + (1 if c else 0)
-    if vector.weight() != n:
-        raise SelfCheckFailed(f"{family}: vector weight {vector.weight()} != q^2 - zeros (+[c!=0]) = {n}")
     code = grscode.truncate_scale(k, vector)
     if grscode.hermitian_gram(code).any():
         raise SelfCheckFailed(f"{family}: Gram matrix is nonzero on a constructed code")

@@ -21,12 +21,13 @@ codeword built from exactly j rows has exactly j nonzero entries on the
 pivot columns, hence weight >= j; therefore scanning levels 1..w-1 in full
 certifies that a found weight w is the true minimum.  The same fact makes
 a word's weight j plus its weight on the n - m non-pivot columns, so
-levels j >= 2 look at those columns only.  Subsets whose rows have at
-least ``best`` columns touched by exactly one row (their j pivots among
-them) are skipped: such columns cannot cancel, so no combination from the
-subset can beat ``best``.  Inside a subset the coefficients are split in
-two halves A and B, whose combinations are gathered from the scalar
-multiples of every basis row on the non-pivot columns, built once per scan.
+every level, level 1 included, looks at those columns only.  Subsets
+whose rows have at least ``best`` columns touched by exactly one row
+(their j pivots among them) are skipped: such columns cannot cancel, so
+no combination from the subset can beat ``best``.  Inside a subset the
+coefficients are split in two halves A and B, whose combinations are
+gathered from the scalar multiples of every basis row on the non-pivot
+columns, built once per scan.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
@@ -168,15 +169,23 @@ class ScanResult:
     scanned: int  # codewords actually materialized
 
 
-def _coeff_block(q: int, j: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the (q-1)^j table of nonzero-coefficient vectors."""
-    ints = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, j), dtype=np.uint8)
+def _coeff_block(q: int, j: int) -> np.ndarray:
+    """The (q-1)^j nonzero-coefficient vectors of length j, last coordinate fastest."""
+    ints = np.arange((q - 1) ** j, dtype=np.int64)
+    out = np.empty((len(ints), j), dtype=np.uint8)
     base = q - 1
     for t in range(j - 1, -1, -1):
         ints, rem = np.divmod(ints, base)
         out[:, t] = rem + 1
     return out
+
+
+def _map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], in item order, on ``threads`` threads when several items."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _combinations(m: int, j: int) -> np.ndarray:
@@ -261,12 +270,7 @@ def span_weights(
         w = int(nonzero[0]) + 1
         return counts, w, lo * len(A) + int(np.argmax(wts == w))
 
-    starts = range(0, len(B), block)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, starts))
-    else:
-        results = [one(lo) for lo in starts]
+    results = _map(one, range(0, len(B), block), threads)
     counts = np.sum([c for c, _, _ in results], axis=0)
     _, best_w, at = min(results, key=lambda t: t[1])  # ties: earliest block wins
     if best_w > n:
@@ -316,7 +320,7 @@ def min_weight_scan(
     (final weight - 1) was covered, either by scanning or by the sound
     single-row-column skip, and words on deeper levels weigh at least their
     level.  A level-j word weighs j plus its weight on the non-pivot
-    columns, the only columns levels j >= 2 compare.  ``upper`` may supply
+    columns, the only columns the levels compare.  ``upper`` may supply
     a verified (weight, word) pair from a constructive existence result; it
     caps the certification depth but is never trusted for the lower bound.
 
@@ -331,16 +335,13 @@ def min_weight_scan(
     m, n = basis.shape
     if m == 0:
         return ScanResult(True, None, None, 0)
-    qm1 = fq.q - 1
-    best_w: int | None = None
-    best_vec: np.ndarray | None = None
+    best_w, best_vec = n + 1, None
     if upper is not None:
-        best_w = upper[0]
-        best_vec = np.array(upper[1], dtype=np.uint8, copy=True)
-    depth = m if best_w is None else min(m, best_w - 1)
+        best_w, best_vec = upper[0], np.array(upper[1], dtype=np.uint8, copy=True)
+    depth = m if upper is None else min(m, best_w - 1)
     projected = projected_work(fq.q, m, depth, cap)
     if projected > cap:
-        return ScanResult(False, best_w, best_vec, 0)
+        return ScanResult(False, None if upper is None else best_w, best_vec, 0)
     nonzero = basis != 0
     pivots = nonzero.argmax(axis=1)
     on_pivots = basis[:, pivots]  # a zero row puts a 0 on the diagonal
@@ -349,30 +350,14 @@ def min_weight_scan(
     full = fq.q**m
     if full <= cap and full <= 2 * projected:
         _, w, vec = _label_span_weights(fq, basis, threads)
-        if best_w is None or w < best_w:
+        if w < best_w:
             best_w, best_vec = w, vec
         return ScanResult(True, best_w, best_vec, full - 1)
 
     # a fixed wave of groups keeps the scanned set (hence the witness)
     # independent of the thread count
     wave = 8
-    # Level 1 needs no multiples: a nonzero multiple of a row weighs what the
-    # row weighs, so the level's subsets, lightest first, find the first
-    # lightest row (times label 1).  They are scanned in groups of
-    # _BLOCK // (q-1); the first wave holds the lightest rows under the bound
-    # and sets a bound that no later row passes.
-    weights = nonzero.sum(axis=1)
-    order = np.argsort(weights, kind="stable")
-    light = order[weights[order] < (n + 1 if best_w is None else best_w)]
-    scanned = 0
-    if light.size:
-        scanned = min(light.size, wave * max(1, _BLOCK // qm1)) * qm1
-        best_w, best_vec = int(weights[light[0]]), basis[light[0]].astype(np.uint8)
-    assert best_w is not None  # the basis has a row, and every row is nonzero
-    if min(depth, best_w - 1) < 2:
-        return ScanResult(True, best_w, best_vec, scanned)
-
-    q = fq.q
+    q, qm1 = fq.q, fq.q - 1
     add = _code_adder(fq)
     # a word of level j weighs j on the pivots, so only the other columns are compared
     free = np.ones(n, dtype=bool)
@@ -381,14 +366,17 @@ def min_weight_scan(
     mult = _code_multiples(fq, basis[:, free]).reshape(-1, m * q)  # column r * q + c: label c times row r
 
     def half(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(S, t) rows x (C, t) coefficients -> (n - m, S, C) combinations, t >= 1."""
+        """(S, t) rows x (C, t) coefficients -> (n - m, S, C) combinations; t = 0 is the zero word."""
+        if not rows.shape[1]:
+            return np.zeros((len(mult), len(rows), 1), dtype=np.uint8)
         at = rows[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
         part = mult.take(at[:, :, 0], axis=1)
         for t in range(1, rows.shape[1]):
             add(part, mult.take(at[:, :, t], axis=1))
         return part
 
-    for j in range(2, depth + 1):
+    scanned = 0
+    for j in range(1, depth + 1):
         if j >= best_w:
             break
         subsets = _combinations(m, j)
@@ -400,8 +388,7 @@ def min_weight_scan(
         # meet in the middle inside the subset: halve the coefficient space
         j1 = j // 2
         ca, cb = qm1**j1, qm1 ** (j - j1)
-        coeffs_a = _coeff_block(fq.q, j1, 0, ca)
-        coeffs_b = _coeff_block(fq.q, j - j1, 0, cb)
+        coeffs_a, coeffs_b = _coeff_block(q, j1), _coeff_block(q, j - j1)
         group = max(1, _BLOCK // (ca * cb))
 
         def scan_group(take: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -428,12 +415,7 @@ def min_weight_scan(
                     takes.append(chunk)
             if not takes:
                 continue
-            if threads > 1 and len(takes) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    results = list(ex.map(scan_group, takes))
-            else:
-                results = [scan_group(t) for t in takes]
-            for take, (w, rows, coeffs) in zip(takes, results):
+            for take, (w, rows, coeffs) in zip(takes, _map(scan_group, takes, threads)):
                 scanned += len(take) * ca * cb
                 if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
                     best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hermgrs import constructions
 from hermgrs.constructions import (
     build_custom,
     build_even_q_min,
@@ -16,7 +17,7 @@ from hermgrs.constructions import (
     square_elements,
     trace_one_elements,
 )
-from hermgrs.errors import CapExceeded, ValidationRefused
+from hermgrs.errors import CapExceeded, SelfCheckFailed, ValidationRefused
 from hermgrs.field import make_field, skew_element, trace_to_prime
 from hermgrs.poly import Poly, distinct_zeros
 from hermgrs.puncture import membership, puncture_direct
@@ -349,17 +350,58 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
+def _count_q_powers(monkeypatch):
+    calls = []
+    q_power = constructions.q_power_mod
+
+    def counted(g):
+        calls.append(g.degree)
+        return q_power(g)
+
+    monkeypatch.setattr(constructions, "q_power_mod", counted)
+    return calls
+
+
 def test_custom_evaluates_g_and_h_once_each(ctx4, monkeypatch):
     calls = _count_evaluations(monkeypatch)
+    q_powers = _count_q_powers(monkeypatch)
     g = Poly.from_indices(ctx4, [0, 1])
     build_custom(ctx4, 2, g, ctx4.zero)
-    # g in g_form_vector, then h = g + g^q for its zeros and nothing else
+    # g in g_form_vector, then h = g + g^q to compare with its values pointwise
     assert calls == [1, 4]
+    assert q_powers == [1]
 
 
 def test_named_family_evaluates_each_polynomial_once(ctx5, monkeypatch):
     calls = _count_evaluations(monkeypatch)
+    q_powers = _count_q_powers(monkeypatch)
     build_example1(ctx5, 4, 3, Poly.one(ctx5))
-    # f on the norms, g in g_form_vector, and h once for both the zero count
-    # and the factored identity
-    assert len(calls) == 3
+    # f on the norms and g in g_form_vector; the family's factored identity
+    # is pointwise, so no h is built or evaluated
+    assert len(calls) == 2
+    assert q_powers == []
+
+
+def test_family_identity_off_at_one_point_fails_pointwise(monkeypatch):
+    """One factor value changed where the identity is nonzero: the vector no longer matches it."""
+    ctx = make_field(2, 3)
+    _, identity = constructions.even_min_values(ctx, 5)
+    at = int(np.flatnonzero(identity)[0])
+    trace_factor_values = constructions._trace_factor_values
+
+    def perturbed(ctx, R):
+        values = [vals.copy() for vals in trace_factor_values(ctx, R)]
+        values[0][at] = 0
+        return values
+
+    monkeypatch.setattr(constructions, "_trace_factor_values", perturbed)
+    with pytest.raises(SelfCheckFailed, match="fails pointwise"):
+        build_even_q_min(ctx, 5)
+
+
+def test_custom_h_off_by_a_constant_fails_pointwise(ctx4, monkeypatch):
+    """Tr(x) and Tr(x) + 1 have equally many zeros, so only a pointwise check tells them apart."""
+    q_power = constructions.q_power_mod
+    monkeypatch.setattr(constructions, "q_power_mod", lambda g: q_power(g) + Poly.one(ctx4))
+    with pytest.raises(SelfCheckFailed, match="fails pointwise"):
+        build_custom(ctx4, 2, Poly.x(ctx4), ctx4.zero)

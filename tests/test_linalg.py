@@ -362,9 +362,10 @@ def bases_with_unit_rows(draw):
 
 @given(bases_with_unit_rows(), st.booleans())
 def test_level_one_takes_the_first_lightest_row(case, hinted):
-    """Level 1 weighs each row once: the first row of minimum weight is the witness.
+    """The level loop's first pass weighs each row: the first row of minimum weight is the witness.
 
-    The rows are scanned lightest first, in groups of _BLOCK // (q-1) and
+    A one-row subset's lonely-column bound is its row's weight, so the
+    rows are scanned lightest first, in groups of _BLOCK // (q-1) and
     waves of 8 groups; the first wave already reaches weight 1, below every
     later row, so the scan counts the q-1 multiples of the rows in that wave
     that are lighter than the bound.  ``hinted`` starts from the heaviest
@@ -403,8 +404,9 @@ def test_projected_work_stops_past_the_cap():
 def test_level_one_counts_the_first_wave_only(monkeypatch, block, scanned):
     """20 rows over GF(3), unit rows and weight-2 rows interleaved.
 
-    With groups of max(1, block // 2) rows, the first wave of 8 groups
-    holds min(20, 8 * group) rows; it finds weight 1, and no later row is
+    The level loop's first pass, level 1, scans groups of
+    max(1, block // 2) one-row subsets; its first wave of 8 groups holds
+    min(20, 8 * group) rows and finds weight 1, and no later row is
     lighter, so the later waves scan nothing.
     """
     fq = make_field(3, 1).fq
@@ -492,6 +494,14 @@ def test_weights_past_255_columns_do_not_wrap():
             scan = linalg.min_weight_scan(fq, R, cap=cap, upper=upper)
             assert scan.admitted and scan.weight == 3
             assert np.count_nonzero(scan.witness) == 3
+
+
+def test_coeff_block_counts_with_the_last_coordinate_fastest():
+    """The scan's witness is the first lightest word in this order."""
+    for q, j in [(2, 0), (2, 3), (3, 2), (4, 1), (5, 3)]:
+        ref = list(itertools.product(range(1, q), repeat=j))
+        assert linalg._coeff_block(q, j).tolist() == [list(c) for c in ref], (q, j)
+    assert linalg._coeff_block(3, 2).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
 def test_combinations_are_the_lexicographic_subsets():
