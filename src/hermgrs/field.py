@@ -2,11 +2,12 @@
 
 Elements are handled through opaque indices into a canonical enumeration:
 index 0 is the zero element and index i >= 1 is w^(i-1), where w is a fixed
-generator of the multiplicative group.  With this representation
-multiplication is index addition mod q^2-1.  Addition works on additive
-codes, the coordinates in the polynomial basis 1, w, ..., w^(2h-1): two
-elements add through one carry-free table read, and a sum of many through
-one ``code_sum``.
+generator of the multiplicative group.  A product is one read of immutable
+tables, exp[log a + log b]: log i = i-1 for a unit, and log 0 is a sentinel
+larger than any sum of two unit logs, past which exp reads zero, so zero
+needs no mask.  Addition works on additive codes, the coordinates in the
+polynomial basis 1, w, ..., w^(2h-1): two elements add through one
+carry-free table read, and a sum of many through one ``code_sum``.
 
 The subfield GF(q) is realized as the Frobenius-fixed set {x : x^q = x}
 inside the same context, with a compact labelling 0..q-1 and its own small
@@ -98,9 +99,13 @@ def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
 
     Lexicographic order compares the constant coefficient first, so the
     enumeration counter uses c_0 as its most significant base-p digit.
+    The norm of a root x down to GF(p) is (-1)^deg c_0, and it generates
+    GF(p)* when x generates GF(p^deg)*, so any other c_0 is skipped
+    untested (at p = 2 that leaves c_0 = 1).
     """
     order = p**deg - 1
     prime_divs = _prime_factors(order)
+    generators = {g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in _prime_factors(p - 1))}
     for counter in range(p**deg):
         coeffs = []
         v = counter
@@ -108,8 +113,8 @@ def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
             v, rem = divmod(v, p)
             coeffs.append(rem)
         coeffs.reverse()  # counter's high digit is c_0
-        if coeffs[0] == 0:
-            continue  # divisible by x
+        if (-1) ** deg * coeffs[0] % p not in generators:
+            continue  # c_0 = 0 (divisible by x) or x's norm is no generator
         mod = coeffs + [1]
         if _x_is_primitive(mod, p, order, prime_divs):
             return tuple(mod)
@@ -245,6 +250,15 @@ class FieldCtx:
             pair_codes = np.add.outer(pair_codes, np.arange(2 * p - 1) % p * places[j]).ravel()
         self._pair_sum = idx_of_poly[pair_codes]
 
+        # products as exp[log a + log b]: log 0 is a sentinel past every sum of
+        # two unit logs (at most 2n-2), and exp reads 0 from the sentinel on;
+        # the inverse of w^l is w^(-l mod n), and inv[0] = 0
+        sentinel = 2 * n - 1
+        self._log = np.concatenate(([sentinel], np.arange(n, dtype=np.int64)))
+        self._exp = np.zeros(2 * sentinel + 1, dtype=np.int64)
+        self._exp[:sentinel] = 1 + np.arange(sentinel, dtype=np.int64) % n
+        self._inv = np.concatenate(([0], 1 + -np.arange(n, dtype=np.int64) % n))
+
     def _build_subfield(self) -> None:
         q, q2, p, h = self.q, self.q2, self.p, self.h
         # label sum_j d_j p^j is the element sum_j d_j b^j, b = w^(q+1)
@@ -335,18 +349,17 @@ class FieldCtx:
         return self._pair_sum[self._spread[a] + self._spread[b]]
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        res = 1 + (a + b - 2) % self.n_units
-        return np.where((a == 0) | (b == 0), 0, res)
+        """Elementwise product: one read of the exp table at log a + log b,
+        where a zero factor's sentinel log lands on exp's zeros."""
+        return self._exp[self._log[a] + self._log[b]]
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         return self._neg[a]
 
     def _vinv0(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse with inv(0) = 0, for masked elimination loops."""
-        a = np.asarray(a, dtype=np.int64)
-        return np.where(a == 0, 0, 1 + (self.n_units - (a - 1)) % self.n_units)
+        """Elementwise inverse with inv(0) = 0, for masked elimination loops:
+        one read of the inverse table."""
+        return self._inv[a]
 
     def vpow(self, a: np.ndarray, m: int) -> np.ndarray:
         """Elementwise a^m for a scalar exponent m >= 0, with 0^0 = 1."""
@@ -432,8 +445,9 @@ class FieldCtx:
         A Cooley-Tukey split of q^2-1 = (q-1)(q+1) with j = j2 + (q+1) j1 and
         e = e1 + (q-1) e2: a length-(q-1) transform with root w^(q+1) over
         j1, a twiddle by w^(e1 j2), and a length-(q+1) transform with root
-        w^(q-1) over j2.  Each step is one ``vmul`` and one ``vsum``, about
-        2q(q^2-1) terms in all; the roots are built per call.
+        w^(q-1) over j2.  Each step is one ``vmul``, a table read per term,
+        and one ``vsum``, about 2q(q^2-1) terms in all; the roots are built
+        per call.
         """
         n1, n2, n = self.q - 1, self.q + 1, self.n_units
         v = np.asarray(v, dtype=np.int64).reshape(n1, n2)  # v[j1, j2] = v_(j2 + (q+1) j1)

@@ -34,8 +34,8 @@ from .puncture import PunctureVector, power_sums
 
 MDS_CAP = 10**6
 ENUM_CAP = 10**8
-# entries per working array of the MDS minor walk
-_MDS_BLOCK = 10**6
+# entries per working array of the MDS minor walk (see check_mds)
+_MDS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
         pivot = node[rows, prow]  # (B, n)
         keep = np.arange(r)[None, :] != prow[:, None]
         inv = ctx._vinv0(at_c[rows, prow])
-        factor = ctx.vneg(ctx.vmul(at_c[keep].reshape(-1, r - 1), inv[:, None]))
+        factor = ctx.vmul(at_c[keep].reshape(-1, r - 1), ctx.vneg(inv)[:, None])
         rest = node[keep].reshape(-1, r - 1, n)
         child = ctx.vadd(rest, ctx.vmul(factor[:, :, None], pivot[:, None, :]))
         if not _prefix_walk(ctx, child, c):
@@ -224,8 +224,14 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
     the row decides this: the key of a later column is the index of b/a, or
     q^2 when a = 0, and the earlier columns take distinct negative
     sentinels.  For k = 2 the whole check is that one sort.  The walk goes
-    depth first, in pieces of at most ``_MDS_BLOCK`` entries per working
-    array.
+    depth first, in pieces of at most ``_MDS_BLOCK`` = 2^16 entries per
+    working array, 512 KB of int64.  At that size a piece's temporaries
+    stay in cache and are reused from the heap.  At 10^6 entries they were
+    8 MB arrays, mapped and faulted in afresh as the allocator's mmap
+    threshold allowed, so the call's time depended on the allocator's
+    state and the peak resident set grew by them.  Between 2^14 and 2^18,
+    2^16 was the fastest or within a few percent of it on odd-min (24, 6),
+    odd-min (20, 6) and even-min (16, 8).
     """
     n, k = code.n, code.k
     total = math.comb(n, k)

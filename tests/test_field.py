@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hermgrs import field
 from hermgrs.errors import ValidationRefused
 from hermgrs.field import (
     FieldCtx,
@@ -101,6 +102,25 @@ def test_modulus_is_lex_smallest_primitive(p, h):
             found = mod
             break
     assert ctx.modulus == found
+
+
+def _unfiltered_modulus_search(p, deg):
+    """The first candidate in lexicographic order, c_0 first, not divisible
+    by x and with x primitive: every candidate is tested."""
+    order = p**deg - 1
+    prime_divs = field._prime_factors(order)
+    for counter in range(p**deg):
+        coeffs = [counter // p ** (deg - 1 - i) % p for i in range(deg)]  # c_0 is the high digit
+        if coeffs[0] and field._x_is_primitive(coeffs + [1], p, order, prime_divs):
+            return tuple(coeffs + [1])
+    raise AssertionError("no primitive polynomial")
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
+def test_modulus_search_skips_no_primitive_candidate(p, h):
+    """Skipping every c_0 whose norm (-1)^deg c_0 does not generate GF(p)*
+    finds the same lex-smallest modulus as testing every candidate."""
+    assert field._find_modulus(p, 2 * h) == _unfiltered_modulus_search(p, 2 * h) == make_field(p, h).modulus
 
 
 def test_make_field_rejects_bad_input():
@@ -315,6 +335,43 @@ def test_vectorized_ops_match_scalar(p, h):
     for x in a:
         acc = ctx.add_i(acc, int(x))
     assert int(total) == acc
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
+def test_vmul_and_vinv0_match_mul_i_and_inv_i(p, h):
+    """The table-read product and inverse equal the scalar ones: every pair
+    at q <= 9; above, every pair with a zero and a fixed random sample."""
+    ctx = make_field(p, h)
+    pairs = _arithmetic_pairs(ctx, [ctx.neg_i(a) for a in range(ctx.q2)])
+    a, b = np.array(pairs, dtype=np.int64).T
+    assert np.array_equal(ctx.vmul(a, b), [ctx.mul_i(x, y) for x, y in pairs])
+    units = np.arange(1, ctx.q2)
+    assert np.array_equal(ctx._vinv0(units), [ctx.inv_i(x) for x in range(1, ctx.q2)])
+    assert ctx._vinv0(np.int64(0)) == 0
+    assert np.array_equal(ctx.vmul(ctx._vinv0(units), units), np.ones_like(units))
+
+
+def test_vmul_takes_lists_scalars_and_broadcast_shapes(ctx9):
+    w5, w7 = 6, 8  # indices of w^5 and w^7
+    out = ctx9.vmul([w5, 0, 1], [w7, w5, 0])
+    assert out.dtype == np.int64 and out.tolist() == [ctx9.mul_i(w5, w7), 0, 0]
+    scalar = ctx9.vmul(np.int64(w5), np.int64(w7))
+    assert scalar.dtype == np.int64 and scalar == ctx9.mul_i(w5, w7)
+    col, row = np.arange(ctx9.q2)[:, None], np.array([[0, 1, w5, ctx9.q2 - 1]])
+    table = ctx9.vmul(col, row)
+    assert table.shape == (ctx9.q2, 4) and table.dtype == np.int64
+    assert table.tolist() == [[ctx9.mul_i(x, y) for y in row[0]] for x in range(ctx9.q2)]
+    inv = ctx9._vinv0([[0, 1], [w5, w7]])
+    assert inv.dtype == np.int64 and inv.tolist() == [[0, 1], [ctx9.inv_i(w5), ctx9.inv_i(w7)]]
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 2), (2, 6)])
+def test_multiply_tables_are_read_only(p, h):
+    ctx = make_field(p, h)
+    for table in (ctx._log, ctx._exp, ctx._inv):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0] = table[0]
 
 
 def test_subfield_tables_consistent(ctx9):

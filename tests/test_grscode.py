@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hermgrs import grscode, linalg
+from hermgrs import constructions, grscode, linalg
 from hermgrs.errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from hermgrs.field import make_field
 from hermgrs.grscode import (
@@ -501,6 +501,35 @@ def test_check_mds_at_k2_is_one_sort_of_projective_points():
     assert check_mds_at_block_one(code) is False
     minor = [[ctx.felt(int(code.gen[r, c])) for c in (300, 700)] for r in range(2)]
     assert not oracle.nonsingular_by_elimination(ctx, minor)
+
+
+def _singular_in_the_last_minor(code):
+    """A copy of the code whose generator entry (k-1, n-1) makes the minor
+    on the last k columns, the walk's last leaf, singular."""
+    ctx, k = code.ctx, code.k
+    doctored = GrsCode(ctx, k, code.support, code.thetas)
+    doctored.gen = code.gen.copy()
+    for x in range(ctx.q2):
+        doctored.gen[k - 1, -1] = x
+        minor = [[ctx.felt(int(v)) for v in row[-k:]] for row in doctored.gen]
+        if not oracle.nonsingular_by_elimination(ctx, minor):
+            return doctored
+    raise AssertionError("no value of the entry makes the minor singular")
+
+
+@pytest.mark.parametrize("family,p,h,k", [("odd-min", 7, 1, 6), ("even-min", 2, 4, 8)])
+def test_check_mds_is_the_same_at_every_block_size(family, p, h, k):
+    """Odd-min (24,6) and even-min (16,8) split the walk into several
+    pieces at the default piece size, which the hypothesis codes (n <= 12)
+    never do; the verdict must not depend on the piece size."""
+    build = {"odd-min": constructions.build_odd_q_min, "even-min": constructions.build_even_q_min}[family]
+    code = build(make_field(p, h), k).code
+    doctored = _singular_in_the_last_minor(code)
+    for block in (1, grscode._MDS_BLOCK, 10**6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grscode, "_MDS_BLOCK", block)
+            assert check_mds(code) is True
+            assert check_mds(doctored) is False
 
 
 def test_mds_status_raises_on_a_singular_minor(ctx5):
