@@ -27,6 +27,12 @@ counts fewer terms.
 The defining modulus is the lexicographically smallest monic primitive
 polynomial of degree 2h over GF(p), coefficients compared low-degree-first,
 which makes w = x (the residue class) and fixes every table deterministically.
+One piece of arithmetic in GF(p)[x]/(modulus) finds and lays out the field:
+the companion matrix C of a candidate modulus, multiplication by x on
+coefficient vectors.  Square-and-multiply with C mod p tests x for
+primitivity, and for the modulus found, doubling by C, C^2, C^4, ... lists
+the coefficient vectors of w^0, ..., w^(q^2-1), the base-p digits of the
+additive codes from which every table follows.
 """
 
 from __future__ import annotations
@@ -55,43 +61,34 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """Product of two coefficient lists (low degree first) reduced mod `mod`."""
+def _companion_squares(mod: list[int], p: int, count: int) -> list[np.ndarray]:
+    """C, C^2, C^4, ..., C^(2^(count-1)) mod p, where C is the companion
+    matrix of the monic ``mod``: multiplication by x on the coefficient
+    vectors (low degree first) of GF(p)[x]/(mod)."""
     deg = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce: mod is monic
-    for i in range(len(res) - 1, deg - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(deg):
-                res[i - deg + j] = (res[i - deg + j] - c * mod[j]) % p
-    res = res[:deg]
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = base[:]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
+    companion = np.eye(deg, k=-1, dtype=np.int64)  # x * x^j = x^(j+1) for j < deg-1
+    companion[:, -1] = -np.array(mod[:-1], dtype=np.int64) % p  # x^deg = -(c_0 + ... + c_(deg-1) x^(deg-1))
+    squares = [companion]
+    for _ in range(count - 1):
+        squares.append(squares[-1] @ squares[-1] % p)
+    return squares
 
 
 def _x_is_primitive(mod: list[int], p: int, order: int, prime_divs: list[int]) -> bool:
-    x = [0, 1]
-    if _poly_powmod(x, order, mod, p) != [1]:
-        return False
-    return all(_poly_powmod(x, order // ell, mod, p) != [1] for ell in prime_divs)
+    """Whether x has multiplicative order ``order`` mod ``mod``: C^order = I
+    and C^(order/l) != I for every prime l in ``prime_divs``, for the
+    companion matrix C, by square-and-multiply mod p."""
+    squares = _companion_squares(mod, p, order.bit_length())
+    one = np.eye(len(mod) - 1, dtype=np.int64)
+
+    def is_one(e: int) -> bool:
+        power = one
+        for i, square in enumerate(squares):
+            if e >> i & 1:
+                power = power @ square % p
+        return np.array_equal(power, one)
+
+    return is_one(order) and not any(is_one(order // ell) for ell in prime_divs)
 
 
 def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
@@ -101,7 +98,8 @@ def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
     enumeration counter uses c_0 as its most significant base-p digit.
     The norm of a root x down to GF(p) is (-1)^deg c_0, and it generates
     GF(p)* when x generates GF(p^deg)*, so any other c_0 is skipped
-    untested (at p = 2 that leaves c_0 = 1).
+    untested (at p = 2 that leaves c_0 = 1).  Each remaining candidate is
+    tested by ``_x_is_primitive``, powers of its companion matrix.
     """
     order = p**deg - 1
     prime_divs = _prime_factors(order)
@@ -212,20 +210,15 @@ class FieldCtx:
     # ------------------------------------------------------------------
     def _build_tables(self) -> None:
         p, deg, n = self.p, 2 * self.h, self.n_units
-        mod = list(self.modulus)
-        exp_poly = np.empty(n, dtype=np.int64)  # polyint of w^e
-        val = [1]
-        pows = [p**i for i in range(deg)]
-        for e in range(n):
-            exp_poly[e] = sum(c * pows[i] for i, c in enumerate(val))
-            # multiply by x, reduce by monic modulus
-            val = [0] + val
-            if len(val) > deg:
-                c = val[deg]
-                val = [(val[i] - c * mod[i]) % p for i in range(deg)]
-            while len(val) > 1 and val[-1] == 0:
-                val.pop()
-        assert val == [1], "w does not have order q^2-1"
+        # coefficient vectors of w^0 .. w^(2^i - 1) as columns, doubled by
+        # C^(2^i) for the companion matrix C of the modulus until they reach w^n
+        powers = np.eye(deg, 1, dtype=np.int64)
+        for square in _companion_squares(list(self.modulus), p, n.bit_length()):
+            powers = np.concatenate((powers, square @ powers % p), axis=1)
+        assert np.array_equal(powers[:, n], powers[:, 0]), "w does not have order q^2-1"
+        digits = np.concatenate((np.zeros((1, deg), dtype=np.int64), powers[:, :n].T))  # per field index
+        places = p ** np.arange(deg, dtype=np.int64)
+        exp_poly = digits[1:] @ places  # polyint of w^e
 
         # polyint -> field index (0 stays 0)
         idx_of_poly = np.full(p**deg, -1, dtype=np.int64)
@@ -241,8 +234,6 @@ class FieldCtx:
         # two additive codes add without carry once each base-p digit sits at
         # a place of base 2p-1, since a sum of two digits is at most 2p-2;
         # _pair_sum reads a spread sum's digits back mod p
-        places = np.array(pows, dtype=np.int64)
-        digits = self._polyint[:, None] // places % p
         self._spread = digits @ np.int64(2 * p - 1) ** np.arange(deg)
         self._neg = idx_of_poly[-digits % p @ places]
         pair_codes = np.zeros(1, dtype=np.int64)

@@ -402,19 +402,16 @@ def min_weight_scan(
             s, a, b = np.unravel_index(flat, wts.shape)
             return j + int(wts.reshape(-1)[flat]), subs[s], np.concatenate([coeffs_a[a], coeffs_b[b]])
 
+        # order ranks subsets by lonely, so those that can still beat best_w
+        # are a prefix of it, cut once per wave
+        ranked = lonely[order]
         pos = 0
-        while pos < len(order):
-            if j >= best_w:
-                break
-            takes = []
-            while pos < len(order) and len(takes) < wave:
-                chunk = order[pos : pos + group]
-                pos += group
-                chunk = chunk[lonely[chunk] < best_w]
-                if chunk.size:
-                    takes.append(chunk)
+        while j < best_w:
+            end = int(np.searchsorted(ranked, best_w))
+            takes = [order[lo : min(lo + group, end)] for lo in range(pos, min(end, pos + wave * group), group)]
             if not takes:
-                continue
+                break
+            pos += len(takes) * group
             for take, (w, rows, coeffs) in zip(takes, _map(scan_group, takes, threads)):
                 scanned += len(take) * ca * cb
                 if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]

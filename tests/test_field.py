@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -121,6 +122,40 @@ def test_modulus_search_skips_no_primitive_candidate(p, h):
     """Skipping every c_0 whose norm (-1)^deg c_0 does not generate GF(p)*
     finds the same lex-smallest modulus as testing every candidate."""
     assert field._find_modulus(p, 2 * h) == _unfiltered_modulus_search(p, 2 * h) == make_field(p, h).modulus
+
+
+# the defining modulus of every q <= 64, coefficients low degree first, kept
+# as literals so that no rewrite of the primitivity test is its own reference
+MODULI = {
+    2: (1, 1, 1), 4: (1, 0, 0, 1, 1), 8: (1, 0, 0, 0, 0, 1, 1), 16: (1, 0, 0, 0, 1, 1, 1, 0, 1),
+    32: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 64: (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1),
+    3: (2, 1, 1), 9: (2, 0, 0, 1, 1), 27: (2, 0, 0, 0, 0, 1, 1), 5: (2, 1, 1), 25: (2, 0, 2, 1, 1),
+    7: (3, 1, 1), 49: (3, 0, 1, 1, 1), 11: (2, 4, 1), 13: (2, 1, 1), 17: (3, 1, 1), 19: (2, 1, 1),
+    23: (5, 2, 1), 29: (2, 5, 1), 31: (3, 2, 1), 37: (2, 4, 1), 41: (6, 3, 1), 43: (3, 1, 1),
+    47: (5, 2, 1), 53: (2, 4, 1), 59: (2, 1, 1), 61: (2, 1, 1),
+}
+# sha256 over every read-only table of every context, contexts in the order
+# of ALL_Q_PH and tables by name, each table preceded by "q name dtype shape"
+TABLES_DIGEST = "4653cbe884c23197c5565a3eb42eb7ef71f011516a51abb33829c47e5edbf007"
+
+
+@pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
+def test_modulus_is_pinned(p, h):
+    assert field._find_modulus(p, 2 * h) == make_field(p, h).modulus == MODULI[p**h]
+
+
+def test_field_tables_are_pinned():
+    """Every element index, sum, product and GF(q) label in the package's
+    output is read from these tables, so they must not move by a byte."""
+    digest = hashlib.sha256()
+    for p, h in ALL_Q_PH:
+        ctx = make_field(p, h)
+        named = [*vars(ctx).items(), *((f"fq.{name}", t) for name, t in vars(ctx.fq).items())]
+        for name, table in sorted(named, key=lambda item: item[0]):
+            if isinstance(table, np.ndarray):
+                digest.update(f"{p**h} {name} {table.dtype} {table.shape}".encode())
+                digest.update(np.ascontiguousarray(table).tobytes())
+    assert digest.hexdigest() == TABLES_DIGEST
 
 
 def test_make_field_rejects_bad_input():

@@ -532,6 +532,29 @@ def test_check_mds_is_the_same_at_every_block_size(family, p, h, k):
             assert check_mds(doctored) is False
 
 
+def test_check_mds_walks_the_last_piece_of_a_level():
+    """q = 16, k = 3, support 2..13, last column the sum of the two before
+    it: the minor on columns {9, 10, 11} is the only singular one, and it
+    lies below the last child of the root.  At a piece size of k * n every
+    root child is a piece of its own, so a walk that skips a level's last
+    piece answers True."""
+    ctx = make_field(2, 4)
+    code = GrsCode(ctx, 3, tuple(range(2, 14)), np.ones(12, dtype=np.int64))
+    code.gen = code.gen.copy()
+    code.gen[:, 11] = ctx.vadd(code.gen[:, 9], code.gen[:, 10])
+    gen = [[ctx.felt(int(x)) for x in row] for row in code.gen]
+    singular = [
+        cols
+        for cols in itertools.combinations(range(code.n), code.k)
+        if not oracle.nonsingular_by_elimination(ctx, [[row[c] for c in cols] for row in gen])
+    ]
+    assert singular == [(9, 10, 11)]
+    assert check_mds(code) is False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grscode, "_MDS_BLOCK", code.k * code.n)
+        assert check_mds(code) is False
+
+
 def test_mds_status_raises_on_a_singular_minor(ctx5):
     code = GrsCode(ctx5, 2, (1, 2, 3, 4, 5), np.ones(5, dtype=np.int64))
     assert mds_status(code) == "minors"
