@@ -68,6 +68,8 @@ def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
+    if not all(item.strip() for item in text.split(",")):
+        raise ValidationRefused(f"empty item in the integer list {text!r}")
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -174,8 +176,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
     if len(bases) == 2:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])
     if args.check_min_weight:
-        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads,
-                                   basis=primary)
+        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, basis=primary)
         result["min_weight"] = {
             "value": r.weight,
             "mode": r.mode,
@@ -186,8 +187,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         result["formula_value"] = r.formula
         result["agrees"] = r.agrees
     if args.distribution:
-        counts = puncture.weight_distribution(ctx, k, cap=args.distribution_cap, threads=args.threads,
-                                              basis=primary)
+        counts = puncture.weight_distribution(ctx, k, cap=args.distribution_cap, basis=primary)
         result["weight_distribution"] = {
             str(w): int(c) for w, c in enumerate(counts) if c
         }
@@ -316,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     rows = []
     for k in range(1, ctx.q + 1):
-        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap, threads=args.threads)
+        r = puncture.min_weight_pc(ctx, k, cap=args.min_weight_cap)
         rows.append(
             {
                 "p": ctx.p,
@@ -339,11 +339,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buf.write(f"# command: sweep\n# config: {json.dumps(config)}\n")
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        if out["exhaustive_weight"] is None:
-            out["exhaustive_weight"] = ""
-        writer.writerow(out)
+    writer.writerows(rows)  # None is written as an empty field
     _emit(args, buf.getvalue())
     return 0
 
@@ -360,7 +356,8 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
+    p.add_argument("--threads", type=int, default=1,
+                   help="at least 1; echoed in the config, but every enumeration runs on one thread")
 
 
 @functools.cache

@@ -33,12 +33,12 @@ Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
 differs from -a, and they compare only the columns where such a sum can
 cancel.  Only the word returned as the witness is added up, at full width.
+Every enumeration runs on the calling thread, one block after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,14 +180,6 @@ def _coeff_block(q: int, j: int) -> np.ndarray:
     return out
 
 
-def _map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], in item order, on ``threads`` threads when several items."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _combinations(m: int, j: int) -> np.ndarray:
     """The j-subsets of range(m) as rows, in lexicographic order (j >= 1).
 
@@ -225,23 +217,21 @@ def _count_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce((x != y).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(x)))
 
 
-def span_weights(
-    add, neg, multiples: np.ndarray, threads: int = 1
-) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | None, np.ndarray | None]:
     """Weights of every word of a row space, by meet-in-the-middle enumeration.
 
     ``multiples[r, c]`` is the c-th scalar multiple of row r, for every
     scalar of the alphabet (c = 0 the zero multiple), ``add`` adds two
     broadcast arrays of entries and ``neg`` negates one.  The words are the
     sums a + b of a word of the span A of the first m//2 rows and one of
-    the span B of the others, visited B-major, one block of about
-    ``_BLOCK`` words at a time; threads split the work only at block
-    boundaries.  A word's weight is the number of columns where
-    b != -a, so only the returned word is ever added up.  Only the columns
-    where both halves have a nonzero row are compared: on the others a + b
-    is a or b, so a's weight on the columns B never touches and b's on the
-    columns A never touches are counted once per half word.  This holds
-    for any rows; on an RREF basis it drops at least the pivot columns.
+    the span B of the others, visited B-major in one pass, one block of
+    about ``_BLOCK`` words at a time.  A word's weight is the number of
+    columns where b != -a, so only the returned word is ever added up.
+    Only the columns where both halves have a nonzero row are compared: on
+    the others a + b is a or b, so a's weight on the columns B never
+    touches and b's on the columns A never touches are counted once per
+    half word.  This holds for any rows; on an RREF basis it drops at least
+    the pivot columns.
 
     Returns (counts indexed by weight with the zero word at index 0, the
     minimum nonzero weight, the first word of that weight in the visiting
@@ -259,27 +249,25 @@ def span_weights(
     own_b = np.count_nonzero(B[:, ~in_a], axis=1).astype(wide)
     neg_a = np.ascontiguousarray(neg(A[:, shared]).T)  # (shared, |A|)
     b_cols = np.ascontiguousarray(B[:, shared].T)  # (shared, |B|)
-
-    def one(lo: int) -> tuple[np.ndarray, int, int]:
+    counts = np.zeros(n + 1, dtype=np.int64)
+    best_w, at = n + 1, 0
+    for lo in range(0, len(B), block):
         wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :])
         wts = (own_b[lo : lo + block, None] + own_a[None, :] + wts).ravel()
-        counts = np.bincount(wts, minlength=n + 1)
-        nonzero = np.flatnonzero(counts[1:])
-        if not nonzero.size:
-            return counts, n + 1, 0
-        w = int(nonzero[0]) + 1
-        return counts, w, lo * len(A) + int(np.argmax(wts == w))
-
-    results = _map(one, range(0, len(B), block), threads)
-    counts = np.sum([c for c, _, _ in results], axis=0)
-    _, best_w, at = min(results, key=lambda t: t[1])  # ties: earliest block wins
+        counts += np.bincount(wts, minlength=n + 1)
+        # counts[1:best_w] was zero before this block, so a word lighter
+        # than best_w is one of this block's
+        lighter = np.flatnonzero(counts[1:best_w])
+        if lighter.size:
+            best_w = int(lighter[0]) + 1
+            at = lo * len(A) + int(np.argmax(wts == best_w))
     if best_w > n:
         return counts, None, None
     bi, ai = divmod(at, len(A))
     return counts, best_w, add(B[bi], A[ai])
 
 
-def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
+def _label_span_weights(fq: SubfieldTables, rows: np.ndarray):
     """``span_weights`` of GF(q) rows of compact labels, scalars in label order."""
     add_into = _code_adder(fq)
 
@@ -289,7 +277,7 @@ def _label_span_weights(fq: SubfieldTables, rows: np.ndarray, threads: int):
         return out
 
     multiples = _code_multiples(fq, rows).transpose(1, 2, 0)  # (m, q, n)
-    return span_weights(add, fq.neg.take, multiples, threads)
+    return span_weights(add, fq.neg.take, multiples)
 
 
 def projected_work(q: int, m: int, depth: int, cap: int) -> int:
@@ -311,7 +299,6 @@ def min_weight_scan(
     fq: SubfieldTables,
     basis: np.ndarray,
     cap: int = 10**8,
-    threads: int = 1,
     upper: tuple[int, np.ndarray] | None = None,
 ) -> ScanResult:
     """Certified minimum nonzero weight of the row space of an RREF basis.
@@ -327,6 +314,11 @@ def min_weight_scan(
     Admission is decided upfront from the projected unpruned work for the
     needed levels; past ``cap`` the search refuses without scanning so the
     caller can fall back to a constructive answer.
+
+    A level is scanned in groups of subsets of about ``_BLOCK`` words each,
+    and the subsets that can still beat the best weight are recounted once
+    per 8 groups.  ``scanned`` counts the words of every group scanned, so
+    this fixed cadence is part of the result.
 
     Raises ValueError, unless it refuses, when the basis is not the
     identity on its pivot columns (the first nonzero column of each row):
@@ -349,14 +341,11 @@ def min_weight_scan(
         raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
     full = fq.q**m
     if full <= cap and full <= 2 * projected:
-        _, w, vec = _label_span_weights(fq, basis, threads)
+        _, w, vec = _label_span_weights(fq, basis)
         if w < best_w:
             best_w, best_vec = w, vec
         return ScanResult(True, best_w, best_vec, full - 1)
 
-    # a fixed wave of groups keeps the scanned set (hence the witness)
-    # independent of the thread count
-    wave = 8
     q, qm1 = fq.q, fq.q - 1
     add = _code_adder(fq)
     # a word of level j weighs j on the pivots, so only the other columns are compared
@@ -375,6 +364,7 @@ def min_weight_scan(
             add(part, mult.take(at[:, :, t], axis=1))
         return part
 
+    wave = 8  # groups per recount of the subsets still worth scanning
     scanned = 0
     for j in range(1, depth + 1):
         if j >= best_w:
@@ -390,41 +380,30 @@ def min_weight_scan(
         ca, cb = qm1**j1, qm1 ** (j - j1)
         coeffs_a, coeffs_b = _coeff_block(q, j1), _coeff_block(q, j - j1)
         group = max(1, _BLOCK // (ca * cb))
-
-        def scan_group(take: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-            """The group's lightest word: (weight, its rows, their coefficients)."""
-            subs = subsets[take]
+        # order ranks subsets by lonely, so those that can still beat best_w
+        # are a prefix of it
+        ranked = lonely[order]
+        for g, lo in enumerate(range(0, len(order), group)):
+            if g % wave == 0:
+                end = int(np.searchsorted(ranked, best_w))
+            if lo >= end:
+                break
+            subs = subsets[order[lo : min(lo + group, end)]]
             part_a = half(subs[:, :j1], coeffs_a)  # (n - m, S, ca)
             part_b = half(subs[:, j1:], coeffs_b)  # (n - m, S, cb)
             # a + b is zero exactly where b == -a
             wts = _count_differences(fq.neg[part_a][:, :, :, None], part_b[:, :, None, :])
+            scanned += wts.size
             flat = int(wts.argmin())
-            s, a, b = np.unravel_index(flat, wts.shape)
-            return j + int(wts.reshape(-1)[flat]), subs[s], np.concatenate([coeffs_a[a], coeffs_b[b]])
-
-        # order ranks subsets by lonely, so those that can still beat best_w
-        # are a prefix of it, cut once per wave
-        ranked = lonely[order]
-        pos = 0
-        while j < best_w:
-            end = int(np.searchsorted(ranked, best_w))
-            takes = [order[lo : min(lo + group, end)] for lo in range(pos, min(end, pos + wave * group), group)]
-            if not takes:
-                break
-            pos += len(takes) * group
-            for take, (w, rows, coeffs) in zip(takes, _map(scan_group, takes, threads)):
-                scanned += len(take) * ca * cb
-                if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
-                    best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
+            w = j + int(wts.reshape(-1)[flat])
+            if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
+                s, a, b = np.unravel_index(flat, wts.shape)
+                rows, coeffs = subs[s], np.concatenate([coeffs_a[a], coeffs_b[b]])
+                best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
     return ScanResult(True, best_w, best_vec, scanned)
 
 
-def weight_distribution(
-    fq: SubfieldTables,
-    basis: np.ndarray,
-    cap: int = 10**8,
-    threads: int = 1,
-) -> np.ndarray:
+def weight_distribution(fq: SubfieldTables, basis: np.ndarray, cap: int = 10**8) -> np.ndarray:
     """Weight enumerator of the row space by full enumeration.
 
     Returns counts indexed by weight (the zero word included at index 0).
@@ -434,4 +413,4 @@ def weight_distribution(
     total = fq.q**m
     if total > cap:
         raise CapExceeded(f"row space has q^{m} = {total} words, above the cap {cap}")
-    return _label_span_weights(fq, basis, threads)[0]
+    return _label_span_weights(fq, basis)[0]

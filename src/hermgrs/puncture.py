@@ -363,7 +363,7 @@ class PuncMinWeight:
 
 
 def min_weight_pc(
-    ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1, basis: PunctureBasis | None = None,
+    ctx: FieldCtx, k: int, cap: int = 10**8, basis: PunctureBasis | None = None,
 ) -> PuncMinWeight:
     """Minimum nonzero weight of P(C), certified exhaustively when feasible.
 
@@ -387,9 +387,7 @@ def min_weight_pc(
         raise SelfCheckFailed("constructive witness is not a member of P(C)")
     if linalg.projected_work(q, dim, min(dim, upper_w - 1), cap) <= cap:
         basis = _checked_basis(ctx, k, basis)
-        res = linalg.min_weight_scan(
-            ctx.fq, basis.matrix, cap=cap, threads=threads, upper=(upper_w, upper_vec.v),
-        )
+        res = linalg.min_weight_scan(ctx.fq, basis.matrix, cap=cap, upper=(upper_w, upper_vec.v))
         assert res.admitted and res.weight is not None and res.witness is not None
         return PuncMinWeight(
             q, k, dim, res.weight, PunctureVector(ctx, res.witness), "exhaustive", formula,
@@ -404,7 +402,7 @@ def min_weight_pc(
 
 
 def weight_distribution(
-    ctx: FieldCtx, k: int, cap: int = 10**8, threads: int = 1, basis: PunctureBasis | None = None,
+    ctx: FieldCtx, k: int, cap: int = 10**8, basis: PunctureBasis | None = None,
 ) -> np.ndarray:
     """Full weight enumerator of P(C) (index = weight, zero word included).
 
@@ -414,7 +412,7 @@ def weight_distribution(
     """
     _check_k(ctx, k)
     basis = _checked_basis(ctx, k, basis)
-    return linalg.weight_distribution(ctx.fq, basis.matrix, cap=cap, threads=threads)
+    return linalg.weight_distribution(ctx.fq, basis.matrix, cap=cap)
 
 
 def _check_k(ctx: FieldCtx, k: int) -> None:

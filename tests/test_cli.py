@@ -302,6 +302,23 @@ def test_sweep_is_thread_count_independent(capsys):
     assert [l for l in one.splitlines() if not l.startswith("#")] == [
         l for l in four.splitlines() if not l.startswith("#")
     ]
+    # a level scan, a full enumeration and both P(C) methods
+    argv = ["puncture", "--q", "5", "--k", "4", "--method", "all", "--check-min-weight", "--distribution"]
+    rc_one, doc_one = run_json(capsys, argv + ["--threads", "1"])
+    rc_four, doc_four = run_json(capsys, argv + ["--threads", "4"])
+    assert rc_one == rc_four == 0
+    assert (doc_one["config"]["threads"], doc_four["config"]["threads"]) == (1, 4)
+    assert doc_one["result"] == doc_four["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["custom", "--q", "4", "--k", "2", "--g", "1,,2", "--c", "0"],
+    ["example2", "--q", "7", "--k", "3", "--t", "4", "--r", "9,"],
+])
+def test_integer_lists_with_an_empty_item_are_refused(capsys, argv):
+    assert main(["construct", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty item" in captured.err
 
 
 def test_seed_changes_are_echoed(tmp_path):

@@ -175,7 +175,7 @@ ENUM_QS = (2, 3, 4, 5, 7, 8, 9)
 ENUM_MAX_WORDS = 729
 
 
-def _label_span_weights(ctx, rows, threads=1):
+def _label_span_weights(ctx, rows):
     """``span_weights`` of GF(q) label rows added through the label tables.
 
     The package adds GF(q) words as additive codes; its witnesses must be
@@ -183,7 +183,7 @@ def _label_span_weights(ctx, rows, threads=1):
     """
     fq = ctx.fq
     multiples = fq.mul[np.arange(fq.q)[None, :, None], rows[:, None, :]]
-    return linalg.span_weights(lambda a, b: fq.add[a, b], lambda a: fq.neg[a], multiples, threads)
+    return linalg.span_weights(lambda a, b: fq.add[a, b], lambda a: fq.neg[a], multiples)
 
 
 @st.composite
@@ -220,7 +220,7 @@ def test_span_weights_matches_scalar_enumeration(case):
 
 @pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
 def test_enumeration_is_independent_of_threads_and_block_size(monkeypatch, block):
-    """The witness is the first lightest word in B-major order however the work is split."""
+    """The witness is the first lightest word in B-major order however the work is split into blocks."""
     ctx = make_field(3, 1)
     rows = np.random.default_rng(3).integers(0, 3, size=(7, 10)).astype(np.uint8)
     R, _ = linalg.rref(ctx.fq, rows)
@@ -228,14 +228,13 @@ def test_enumeration_is_independent_of_threads_and_block_size(monkeypatch, block
     ref_scan = linalg.min_weight_scan(ctx.fq, R)
     assert ref_scan.scanned == 3 ** len(R) - 1  # the full-enumeration branch
     monkeypatch.setattr(linalg, "_BLOCK", block)
-    for threads in (1, 2):
-        counts, weight, witness = _label_span_weights(ctx, rows, threads)
-        assert np.array_equal(counts, ref_counts) and weight == ref_weight
-        assert np.array_equal(witness, ref_witness)
-        assert np.array_equal(linalg.weight_distribution(ctx.fq, rows, threads=threads), ref_counts)
-        scan = linalg.min_weight_scan(ctx.fq, R, threads=threads)
-        assert (scan.weight, scan.scanned) == (ref_scan.weight, ref_scan.scanned)
-        assert np.array_equal(scan.witness, ref_scan.witness)
+    counts, weight, witness = _label_span_weights(ctx, rows)
+    assert np.array_equal(counts, ref_counts) and weight == ref_weight
+    assert np.array_equal(witness, ref_witness)
+    assert np.array_equal(linalg.weight_distribution(ctx.fq, rows), ref_counts)
+    scan = linalg.min_weight_scan(ctx.fq, R)
+    assert (scan.weight, scan.scanned) == (ref_scan.weight, ref_scan.scanned)
+    assert np.array_equal(scan.witness, ref_scan.witness)
 
 
 def test_span_weights_of_no_rows_is_the_zero_word():
@@ -280,19 +279,14 @@ def test_level_scan_matches_brute_force(case, hinted):
     felt_rows = labels_to_felts(ctx, R)
     _, ref_weight = felt_span_weights(ctx, felt_rows, n)
     upper = (int(np.count_nonzero(R[0])), R[0]) if hinted else None
-    results = []
     for block in (linalg._BLOCK, 1):  # one subset per group puts several groups in a wave
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_BLOCK", block)
-            for threads in (1, 2):
-                scan = linalg.min_weight_scan(ctx.fq, R, cap=ctx.q**m - 1, threads=threads, upper=upper)
-                results.append((scan.admitted, scan.weight, scan.scanned, scan.witness.tolist()))
-    assert results[1] == results[0] and results[3] == results[2]
-    admitted, weight, scanned, witness = results[0]
-    assert admitted and weight == ref_weight
-    assert scanned <= ctx.q**m - 1
-    assert np.count_nonzero(witness) == weight
-    assert felt_in_row_space(ctx, felt_rows, labels_to_felts(ctx, [witness])[0], n)
+            scan = linalg.min_weight_scan(ctx.fq, R, cap=ctx.q**m - 1, upper=upper)
+        assert scan.admitted and scan.weight == ref_weight
+        assert scan.scanned <= ctx.q**m - 1
+        assert np.count_nonzero(scan.witness) == scan.weight
+        assert felt_in_row_space(ctx, felt_rows, labels_to_felts(ctx, [scan.witness])[0], n)
 
 
 @pytest.mark.parametrize("basis", [
@@ -383,12 +377,11 @@ def test_level_one_takes_the_first_lightest_row(case, hinted):
     for block in (linalg._BLOCK, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_BLOCK", block)
-            for threads in (1, 2):
-                scan = linalg.min_weight_scan(ctx.fq, R, cap=q**m - 1, threads=threads, upper=upper)
-                assert scan.admitted and scan.weight == ref_weight == 1
-                assert np.array_equal(scan.witness, R[np.flatnonzero(weights == 1)[0]])
-                assert scan.witness.dtype == np.uint8
-                assert scan.scanned == (q - 1) * min(light, 8 * max(1, block // (q - 1)))
+            scan = linalg.min_weight_scan(ctx.fq, R, cap=q**m - 1, upper=upper)
+        assert scan.admitted and scan.weight == ref_weight == 1
+        assert np.array_equal(scan.witness, R[np.flatnonzero(weights == 1)[0]])
+        assert scan.witness.dtype == np.uint8
+        assert scan.scanned == (q - 1) * min(light, 8 * max(1, block // (q - 1)))
 
 
 def test_projected_work_stops_past_the_cap():
@@ -415,10 +408,9 @@ def test_level_one_counts_the_first_wave_only(monkeypatch, block, scanned):
     R[np.arange(m), np.arange(m)] = 1
     R[1::3, m] = 2  # rows 1, 4, ..., 19 weigh 2
     monkeypatch.setattr(linalg, "_BLOCK", block)
-    for threads in (1, 2):
-        scan = linalg.min_weight_scan(fq, R, cap=3**m - 1, threads=threads)
-        assert (scan.admitted, scan.weight, scan.scanned) == (True, 1, scanned)
-        assert np.array_equal(scan.witness, R[0])
+    scan = linalg.min_weight_scan(fq, R, cap=3**m - 1)
+    assert (scan.admitted, scan.weight, scan.scanned) == (True, 1, scanned)
+    assert np.array_equal(scan.witness, R[0])
 
 
 @st.composite
@@ -464,7 +456,7 @@ def test_span_weights_at_the_edge_widths_of_the_shared_columns(q, shared):
     else:
         rows = rng.integers(1, q, size=(m, 7)).astype(np.uint8)
     n = rows.shape[1]
-    counts, weight, witness = linalg._label_span_weights(ctx.fq, rows, threads=1)
+    counts, weight, witness = linalg._label_span_weights(ctx.fq, rows)
     ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
     assert counts.tolist() == ref_counts and weight == ref_weight
     assert np.count_nonzero(witness) == weight

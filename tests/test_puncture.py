@@ -330,12 +330,6 @@ def test_min_weight_pc_constructive_fallback(ctx4):
     assert "formula" in r.note
 
 
-def test_min_weight_pc_threads_deterministic(ctx5):
-    a = min_weight_pc(ctx5, 3, threads=1)
-    b = min_weight_pc(ctx5, 3, threads=4)
-    assert a.weight == b.weight and a.witness == b.witness
-
-
 def test_scan_result_is_independent_of_the_upper_bound_hint(ctx3, ctx4):
     from hermgrs import linalg
 
@@ -564,7 +558,7 @@ def test_min_weight_pc_admits_exactly_up_to_the_projected_work(q, monkeypatch):
     scan = linalg.min_weight_scan
     calls = []
 
-    def stub(fq, basis, cap, threads, upper):
+    def stub(fq, basis, cap, upper):
         calls.append(cap)
         return linalg.ScanResult(True, upper[0], upper[1], 0)
 
