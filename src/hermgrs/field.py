@@ -30,7 +30,8 @@ which makes w = x (the residue class) and fixes every table deterministically.
 One piece of arithmetic in GF(p)[x]/(modulus) finds and lays out the field:
 the companion matrix C of a candidate modulus, multiplication by x on
 coefficient vectors.  Square-and-multiply with C mod p tests x for
-primitivity, and for the modulus found, doubling by C, C^2, C^4, ... lists
+primitivity, the companion matrices of a stack of candidates squared as
+one product, and for the modulus found, doubling by C, C^2, C^4, ... lists
 the coefficient vectors of w^0, ..., w^(q^2-1), the base-p digits of the
 additive codes from which every table follows.
 """
@@ -61,61 +62,71 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _companion_squares(mod: list[int], p: int, count: int) -> list[np.ndarray]:
+def _companion_squares(mods, p: int, count: int) -> list[np.ndarray]:
     """C, C^2, C^4, ..., C^(2^(count-1)) mod p, where C is the companion
-    matrix of the monic ``mod``: multiplication by x on the coefficient
-    vectors (low degree first) of GF(p)[x]/(mod)."""
-    deg = len(mod) - 1
-    companion = np.eye(deg, k=-1, dtype=np.int64)  # x * x^j = x^(j+1) for j < deg-1
-    companion[:, -1] = -np.array(mod[:-1], dtype=np.int64) % p  # x^deg = -(c_0 + ... + c_(deg-1) x^(deg-1))
+    matrix of a monic modulus (coefficients low degree first, on the last
+    axis of ``mods``): multiplication by x on the coefficient vectors of
+    GF(p)[x]/(mod).  Stacked moduli give stacked (..., deg, deg) powers."""
+    mods = np.asarray(mods, dtype=np.int64)
+    deg = mods.shape[-1] - 1
+    companion = np.zeros(mods.shape[:-1] + (deg, deg), dtype=np.int64)
+    companion[..., np.arange(1, deg), np.arange(deg - 1)] = 1  # x * x^j = x^(j+1) for j < deg-1
+    companion[..., -1] = -mods[..., :-1] % p  # x^deg = -(c_0 + ... + c_(deg-1) x^(deg-1))
     squares = [companion]
     for _ in range(count - 1):
         squares.append(squares[-1] @ squares[-1] % p)
     return squares
 
 
-def _x_is_primitive(mod: list[int], p: int, order: int, prime_divs: list[int]) -> bool:
-    """Whether x has multiplicative order ``order`` mod ``mod``: C^order = I
-    and C^(order/l) != I for every prime l in ``prime_divs``, for the
-    companion matrix C, by square-and-multiply mod p."""
-    squares = _companion_squares(mod, p, order.bit_length())
-    one = np.eye(len(mod) - 1, dtype=np.int64)
+def _x_is_primitive(mods, p: int, order: int, prime_divs: list[int]):
+    """Whether x has multiplicative order ``order`` modulo each modulus on
+    the last axis of ``mods``: x^order = 1 and x^(order/l) != 1 for every
+    prime l in ``prime_divs``.  The coefficient vector of x^e is C^e times
+    that of 1, for the companion matrix C, by square-and-multiply mod p
+    over the squares of C, which every exponent shares."""
+    squares = _companion_squares(mods, p, order.bit_length())
+    one = np.eye(squares[0].shape[-1], 1, dtype=np.int64)  # the column of 1
 
-    def is_one(e: int) -> bool:
+    def is_one(e: int):
         power = one
         for i, square in enumerate(squares):
             if e >> i & 1:
-                power = power @ square % p
-        return np.array_equal(power, one)
+                power = square @ power % p
+        return (power == one).all(axis=(-2, -1))
 
-    return is_one(order) and not any(is_one(order // ell) for ell in prime_divs)
+    primitive = is_one(order)
+    for ell in prime_divs:
+        primitive &= ~is_one(order // ell)
+    return primitive
+
+
+# candidate moduli tested as one stack: the first primitive one is the
+# 42nd candidate tested at q = 64 and at most the 15th at every other q
+_MODULUS_STACK = 32
 
 
 def _find_modulus(p: int, deg: int) -> tuple[int, ...]:
     """Lex-smallest monic primitive polynomial of degree `deg` over GF(p).
 
     Lexicographic order compares the constant coefficient first, so the
-    enumeration counter uses c_0 as its most significant base-p digit.
-    The norm of a root x down to GF(p) is (-1)^deg c_0, and it generates
-    GF(p)* when x generates GF(p^deg)*, so any other c_0 is skipped
-    untested (at p = 2 that leaves c_0 = 1).  Each remaining candidate is
-    tested by ``_x_is_primitive``, powers of its companion matrix.
+    candidates are the base-p digits of a counter whose most significant
+    digit is c_0.  The norm of a root x down to GF(p) is (-1)^deg c_0, and
+    it generates GF(p)* when x generates GF(p^deg)*, so any other c_0 is
+    skipped untested (at p = 2 that leaves c_0 = 1).  The others are
+    tested by ``_x_is_primitive`` in order, ``_MODULUS_STACK`` at a time,
+    each stack one matrix product per square of the companion matrices.
     """
     order = p**deg - 1
     prime_divs = _prime_factors(order)
-    generators = {g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in _prime_factors(p - 1))}
-    for counter in range(p**deg):
-        coeffs = []
-        v = counter
-        for _ in range(deg):
-            v, rem = divmod(v, p)
-            coeffs.append(rem)
-        coeffs.reverse()  # counter's high digit is c_0
-        if (-1) ** deg * coeffs[0] % p not in generators:
-            continue  # c_0 = 0 (divisible by x) or x's norm is no generator
-        mod = coeffs + [1]
-        if _x_is_primitive(mod, p, order, prime_divs):
-            return tuple(mod)
+    generators = [g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in _prime_factors(p - 1))]
+    coeffs = np.arange(p**deg)[:, None] // p ** np.arange(deg - 1, -1, -1) % p  # c_0 first
+    coeffs = coeffs[np.isin((-1) ** deg * coeffs[:, 0] % p, generators)]
+    mods = np.column_stack([coeffs, np.ones(len(coeffs), dtype=np.int64)])
+    for lo in range(0, len(mods), _MODULUS_STACK):
+        stack = mods[lo : lo + _MODULUS_STACK]
+        hits = np.flatnonzero(_x_is_primitive(stack, p, order, prime_divs))
+        if hits.size:
+            return tuple(int(c) for c in stack[hits[0]])
     raise AssertionError(f"no primitive polynomial of degree {deg} over GF({p})")
 
 
@@ -213,7 +224,7 @@ class FieldCtx:
         # coefficient vectors of w^0 .. w^(2^i - 1) as columns, doubled by
         # C^(2^i) for the companion matrix C of the modulus until they reach w^n
         powers = np.eye(deg, 1, dtype=np.int64)
-        for square in _companion_squares(list(self.modulus), p, n.bit_length()):
+        for square in _companion_squares(self.modulus, p, n.bit_length()):
             powers = np.concatenate((powers, square @ powers % p), axis=1)
         assert np.array_equal(powers[:, n], powers[:, 0]), "w does not have order q^2-1"
         digits = np.concatenate((np.zeros((1, deg), dtype=np.int64), powers[:, :n].T))  # per field index

@@ -243,17 +243,17 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
 def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:
     """Minimum Hamming weight by full enumeration of the row space.
 
-    ``linalg.span_weights`` runs over the q^2 multiples of each generator
-    row; ``FieldCtx.vadd`` builds the two half spans, and a word's
-    weight is the number of columns where one half is not the negative of
-    the other.
+    ``linalg.span_min_weight`` runs over the q^2 multiples of each
+    generator row; ``FieldCtx.vadd`` builds the two half spans, and a
+    word's weight is the number of columns where one half is not the
+    negative of the other.
     """
     ctx, k = code.ctx, code.k
     total = ctx.q2**k
     if total > cap:
         raise CapExceeded(f"row space has (q^2)^{k} = {total} words, above the cap {cap}")
     multiples = ctx.vmul(ctx.points_idx()[None, :, None], code.gen[:, None, :])  # (k, q^2, n)
-    return linalg.span_weights(ctx.vadd, ctx.vneg, multiples)[1]
+    return linalg.span_min_weight(ctx.vadd, ctx.vneg, multiples)[0]
 
 
 def quantum_params(code: GrsCode) -> CodeParams:

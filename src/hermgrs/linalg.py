@@ -8,11 +8,14 @@ and one table gather for the other q).  A sum of many labels, as in
 ``matvec``, is one ``field.code_sum``: digitwise mod p, an XOR at p = 2.
 No path does per-element Python arithmetic.
 
-``span_weights`` is the one full row-space enumerator: given the scalar
+``_span_blocks`` is the one full row-space enumerator: given the scalar
 multiples of each row, an addition and a negation, it meets in the middle
-over any alphabet.  The weight distribution and the full-enumeration
-branch of the minimum-weight search call it on GF(q) rows, and
-``grscode.min_weight`` on GF(q^2) generator rows with the field's
+over any alphabet and yields the weights of the words block by block.
+Two results read it: ``span_weights`` adds each block into the weight
+histogram, which only the weight distribution uses, and
+``span_min_weight`` keeps each block's first lightest nonzero word, for
+the full-enumeration branch of the minimum-weight search on GF(q) rows
+and for ``grscode.min_weight`` on GF(q^2) generator rows with the field's
 pair-sum and negation tables (``FieldCtx.vadd``, ``FieldCtx.vneg``).
 
 The certified minimum-weight search enumerates row combinations of an RREF
@@ -25,9 +28,11 @@ every level, level 1 included, looks at those columns only.  Subsets
 whose rows have at least ``best`` columns touched by exactly one row
 (their j pivots among them) are skipped: such columns cannot cancel, so
 no combination from the subset can beat ``best``.  Inside a subset the
-coefficients are split in two halves A and B, whose combinations are
-gathered from the scalar multiples of every basis row on the non-pivot
-columns, built once per scan.
+coefficients are split in two halves A (the first j // 2 rows) and B.
+Every combination of every t-subset of rows, on the non-pivot columns, is
+one table per half size t, built the first time a level reads it (the
+negated table once more for the A halves); a group of subsets reads each
+half with one ``take`` at the lexicographic ranks of its subsets' halves.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
@@ -38,6 +43,7 @@ Every enumeration runs on the calling thread, one block after another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,8 +223,8 @@ def _count_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce((x != y).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(x)))
 
 
-def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | None, np.ndarray | None]:
-    """Weights of every word of a row space, by meet-in-the-middle enumeration.
+def _span_blocks(add, neg, multiples: np.ndarray):
+    """The weights of every word of a row space, one block at a time.
 
     ``multiples[r, c]`` is the c-th scalar multiple of row r, for every
     scalar of the alphabet (c = 0 the zero multiple), ``add`` adds two
@@ -226,16 +232,16 @@ def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | Non
     sums a + b of a word of the span A of the first m//2 rows and one of
     the span B of the others, visited B-major in one pass, one block of
     about ``_BLOCK`` words at a time.  A word's weight is the number of
-    columns where b != -a, so only the returned word is ever added up.
-    Only the columns where both halves have a nonzero row are compared: on
-    the others a + b is a or b, so a's weight on the columns B never
-    touches and b's on the columns A never touches are counted once per
-    half word.  This holds for any rows; on an RREF basis it drops at least
-    the pivot columns.
+    columns where b != -a, so no word is added up here.  Only the columns
+    where both halves have a nonzero row are compared: on the others a + b
+    is a or b, so a's weight on the columns B never touches and b's on the
+    columns A never touches are counted once per half word.  This holds
+    for any rows; on an RREF basis it drops at least the pivot columns.
 
-    Returns (counts indexed by weight with the zero word at index 0, the
-    minimum nonzero weight, the first word of that weight in the visiting
-    order); the last two are None when no word is nonzero.
+    Returns (blocks, word): ``blocks`` yields, in visiting order, the index
+    of a block's first word and the block's weights, a fresh flat array in
+    the narrowest unsigned type that holds the column count; ``word(i)``
+    is the i-th word visited.
     """
     m, _, n = multiples.shape
     A = _span(add, multiples[: m // 2])
@@ -249,26 +255,72 @@ def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | Non
     own_b = np.count_nonzero(B[:, ~in_a], axis=1).astype(wide)
     neg_a = np.ascontiguousarray(neg(A[:, shared]).T)  # (shared, |A|)
     b_cols = np.ascontiguousarray(B[:, shared].T)  # (shared, |B|)
+
+    def blocks():
+        for lo in range(0, len(B), block):
+            wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :])
+            wts = wts.astype(wide, copy=False)  # the shared columns alone may fit a narrower type
+            wts += own_b[lo : lo + block, None]
+            wts += own_a
+            yield lo * len(A), wts.ravel()
+
+    def word(at: int) -> np.ndarray:
+        bi, ai = divmod(at, len(A))
+        return add(B[bi], A[ai])
+
+    return blocks(), word
+
+
+def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+    """Weight histogram of a row space, by the enumeration of ``_span_blocks``.
+
+    Returns (counts indexed by weight with the zero word at index 0, the
+    minimum nonzero weight, the first word of that weight in the visiting
+    order); the last two are None when no word is nonzero.
+    """
+    n = multiples.shape[2]
+    blocks, word = _span_blocks(add, neg, multiples)
     counts = np.zeros(n + 1, dtype=np.int64)
     best_w, at = n + 1, 0
-    for lo in range(0, len(B), block):
-        wts = _count_differences(b_cols[:, lo : lo + block, None], neg_a[:, None, :])
-        wts = (own_b[lo : lo + block, None] + own_a[None, :] + wts).ravel()
+    for lo, wts in blocks:
         counts += np.bincount(wts, minlength=n + 1)
         # counts[1:best_w] was zero before this block, so a word lighter
         # than best_w is one of this block's
         lighter = np.flatnonzero(counts[1:best_w])
         if lighter.size:
             best_w = int(lighter[0]) + 1
-            at = lo * len(A) + int(np.argmax(wts == best_w))
+            at = lo + int(np.argmax(wts == best_w))
     if best_w > n:
         return counts, None, None
-    bi, ai = divmod(at, len(A))
-    return counts, best_w, add(B[bi], A[ai])
+    return counts, best_w, word(at)
 
 
-def _label_span_weights(fq: SubfieldTables, rows: np.ndarray):
-    """``span_weights`` of GF(q) rows of compact labels, scalars in label order."""
+def span_min_weight(add, neg, multiples: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """Minimum nonzero weight of a row space and the first word of that
+    weight in the visiting order of ``_span_blocks``; (None, None) when no
+    word is nonzero.
+
+    Each block gives its first lightest word by one ``argmin``.  A zero
+    word can sit anywhere when the rows are dependent, so the weights are
+    taken less one in their unsigned type: a zero word wraps to the
+    largest value, which is at least the column count n, and no block
+    whose words are all zero beats the start value n.
+    """
+    blocks, word = _span_blocks(add, neg, multiples)
+    best, at = multiples.shape[2], 0  # weight - 1 of the lightest nonzero word so far
+    for lo, wts in blocks:
+        wts -= 1
+        i = int(wts.argmin())
+        if wts[i] < best:
+            best, at = int(wts[i]), lo + i
+    if best == multiples.shape[2]:
+        return None, None
+    return best + 1, word(at)
+
+
+def _label_span(fq: SubfieldTables, rows: np.ndarray):
+    """The ``add``, ``neg`` and ``multiples`` of GF(q) rows of compact labels
+    for the span enumerators, scalars in label order."""
     add_into = _code_adder(fq)
 
     def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,7 +329,7 @@ def _label_span_weights(fq: SubfieldTables, rows: np.ndarray):
         return out
 
     multiples = _code_multiples(fq, rows).transpose(1, 2, 0)  # (m, q, n)
-    return span_weights(add, fq.neg.take, multiples)
+    return add, fq.neg.take, multiples
 
 
 def projected_work(q: int, m: int, depth: int, cap: int) -> int:
@@ -341,7 +393,7 @@ def min_weight_scan(
         raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
     full = fq.q**m
     if full <= cap and full <= 2 * projected:
-        _, w, vec = _label_span_weights(fq, basis)
+        w, vec = span_min_weight(*_label_span(fq, basis))
         if w < best_w:
             best_w, best_vec = w, vec
         return ScanResult(True, best_w, best_vec, full - 1)
@@ -353,16 +405,35 @@ def min_weight_scan(
     free[pivots] = False
     touched = nonzero[:, free]
     mult = _code_multiples(fq, basis[:, free]).reshape(-1, m * q)  # column r * q + c: label c times row r
+    # binom[a, b] = C(a, b) up to the larger half of the deepest level, for
+    # the lexicographic ranks of subsets, column by column:
+    # C(a, b) = C(a, b - 1) (a - b + 1) / b
+    binom = np.ones((m + 1, depth - depth // 2 + 1), dtype=np.int64)
+    for b in range(1, binom.shape[1]):
+        binom[:, b] = binom[:, b - 1] * np.maximum(np.arange(m + 1) - b + 1, 0) // b
 
-    def half(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """(S, t) rows x (C, t) coefficients -> (n - m, S, C) combinations; t = 0 is the zero word."""
-        if not rows.shape[1]:
-            return np.zeros((len(mult), len(rows), 1), dtype=np.uint8)
-        at = rows[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
+    @functools.cache
+    def table(t: int) -> np.ndarray:
+        """(n - m, C(m, t), (q-1)^t): every combination of every t-subset of
+        rows, subsets by lexicographic rank and coefficients in the order of
+        ``_coeff_block``; t = 0 is the zero word."""
+        if not t:
+            return np.zeros((len(mult), 1, 1), dtype=np.uint8)
+        at = _combinations(m, t)[:, None, :] * q + _coeff_block(q, t)[None, :, :]  # (S, C, t)
         part = mult.take(at[:, :, 0], axis=1)
-        for t in range(1, rows.shape[1]):
-            add(part, mult.take(at[:, :, t], axis=1))
+        for i in range(1, t):
+            add(part, mult.take(at[:, :, i], axis=1))
         return part
+
+    @functools.cache
+    def neg_table(t: int) -> np.ndarray:
+        return fq.neg[table(t)]
+
+    def rank(subs: np.ndarray) -> np.ndarray:
+        """Lexicographic ranks among the t-subsets of range(m) of sorted (S, t) rows:
+        C(m, t) - 1 - sum_i C(m - 1 - subs[:, i], t - i)."""
+        t = subs.shape[1]
+        return binom[m, t] - 1 - binom[m - 1 - subs, np.arange(t, 0, -1)].sum(axis=1)
 
     wave = 8  # groups per recount of the subsets still worth scanning
     scanned = 0
@@ -375,30 +446,33 @@ def min_weight_scan(
         # the lonely non-pivot columns
         lonely = j + (touched[subsets].sum(axis=1) == 1).sum(axis=1)
         order = np.argsort(lonely, kind="stable")
-        # meet in the middle inside the subset: halve the coefficient space
+        # meet in the middle inside the subset: halve the coefficient space,
+        # the first j1 rows of the subset in half A and the others in half B
         j1 = j // 2
         ca, cb = qm1**j1, qm1 ** (j - j1)
-        coeffs_a, coeffs_b = _coeff_block(q, j1), _coeff_block(q, j - j1)
         group = max(1, _BLOCK // (ca * cb))
         # order ranks subsets by lonely, so those that can still beat best_w
         # are a prefix of it
         ranked = lonely[order]
+        rank_a, rank_b = rank(subsets[:, :j1]), rank(subsets[:, j1:])
         for g, lo in enumerate(range(0, len(order), group)):
             if g % wave == 0:
                 end = int(np.searchsorted(ranked, best_w))
             if lo >= end:
                 break
-            subs = subsets[order[lo : min(lo + group, end)]]
-            part_a = half(subs[:, :j1], coeffs_a)  # (n - m, S, ca)
-            part_b = half(subs[:, j1:], coeffs_b)  # (n - m, S, cb)
+            chosen = order[lo : min(lo + group, end)]
+            # a table is built by the first group that reads it
+            neg_a = neg_table(j1).take(rank_a[chosen], axis=1)  # (n - m, S, ca)
+            part_b = table(j - j1).take(rank_b[chosen], axis=1)  # (n - m, S, cb)
             # a + b is zero exactly where b == -a
-            wts = _count_differences(fq.neg[part_a][:, :, :, None], part_b[:, :, None, :])
+            wts = _count_differences(neg_a[:, :, :, None], part_b[:, :, None, :])
             scanned += wts.size
             flat = int(wts.argmin())
             w = j + int(wts.reshape(-1)[flat])
             if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
                 s, a, b = np.unravel_index(flat, wts.shape)
-                rows, coeffs = subs[s], np.concatenate([coeffs_a[a], coeffs_b[b]])
+                rows = subsets[chosen[s]]
+                coeffs = np.concatenate([_coeff_block(q, j1)[a], _coeff_block(q, j - j1)[b]])
                 best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
     return ScanResult(True, best_w, best_vec, scanned)
 
@@ -413,4 +487,4 @@ def weight_distribution(fq: SubfieldTables, basis: np.ndarray, cap: int = 10**8)
     total = fq.q**m
     if total > cap:
         raise CapExceeded(f"row space has q^{m} = {total} words, above the cap {cap}")
-    return _label_span_weights(fq, basis)[0]
+    return span_weights(*_label_span(fq, basis))[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -237,6 +238,72 @@ def test_enumeration_is_independent_of_threads_and_block_size(monkeypatch, block
     assert np.array_equal(scan.witness, ref_scan.witness)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_span_min_weight_takes_the_histograms_first_lightest_word(monkeypatch, q, block):
+    """``span_min_weight`` against the histogram path of ``span_weights``:
+    the same weight and the same witness, however the words are blocked.
+
+    A zero row in each half and a row in both halves put zero words at
+    every few indices, past index 0 and past the first block; rows that are
+    all zero, or nonzero in one row only, have only zero words or a few
+    nonzero ones.  GF(q) label rows are checked with the label arithmetic,
+    and at q <= 3 the same rows read as GF(q^2) indices with the field's
+    tables, as ``grscode.min_weight`` enumerates them.
+    """
+    ctx = make_field(*FIELDS[q])
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    r = np.random.default_rng(q).integers(0, q, size=(3, 9)).astype(np.uint8)
+    zero = np.zeros(9, dtype=np.uint8)
+    rows = np.array([r[0], zero, r[1], r[1], zero, r[2]])  # halves rows[:3] and rows[3:]
+    lone = np.zeros_like(rows)
+    lone[3] = rows[0]
+    for case in (rows, lone, np.zeros_like(rows)):
+        alphabets = [linalg._label_span(ctx.fq, case)]
+        if q <= 3:  # (q^2)^6 words
+            alphabets.append((ctx.vadd, ctx.vneg, ctx.vmul(ctx.points_idx()[None, :, None], case[:, None, :])))
+        for add, neg, multiples in alphabets:
+            counts, weight, witness = linalg.span_weights(add, neg, multiples)
+            got_weight, got_witness = linalg.span_min_weight(add, neg, multiples)
+            assert got_weight == weight
+            if weight is None:
+                assert got_witness is None and not counts[1:].any()
+            else:
+                assert counts[weight] and not counts[1:weight].any()
+                assert np.array_equal(got_witness, witness) and got_witness.dtype == witness.dtype
+
+
+# block size -> ``scanned`` of the level scan below, and the sha256 of its
+# witness bytes, as produced by the version that built each group's half
+# words from the scalar multiples of every basis row
+LEVEL_SCAN_BLOCKS = {1: 296, 7: 300, 64: 404, linalg._BLOCK: 404}
+LEVEL_SCAN_WITNESS = "a2f48be87dab63f264f4959ddebc1faea76acf4ab74dadc983f49aa0b8278f97"
+
+
+@pytest.mark.parametrize("block", sorted(LEVEL_SCAN_BLOCKS))
+def test_level_scan_keeps_its_report_for_every_block_size(monkeypatch, block):
+    """Twelve random rows over GF(3) on 20 columns, minimum weight 4, with
+    the heaviest row (weight 8) as the ``upper`` hint: the full enumeration
+    of 3^12 words is over twice the projected work of levels 1..7, so the
+    level branch runs.  It finds weight 4 on level 3, then stops.  The
+    groups change with the block, and with them ``scanned``; the witness
+    is the same first lightest word for every block."""
+    fq = make_field(3, 1).fq
+    rows = np.random.default_rng(6).integers(0, 3, size=(12, 20)).astype(np.uint8)
+    R, _ = linalg.rref(fq, rows)
+    m = len(R)
+    weights = np.count_nonzero(R, axis=1)
+    heaviest = int(np.argmax(weights))
+    upper = (int(weights[heaviest]), R[heaviest])
+    assert upper[0] == 8 and 3**m > 2 * linalg.projected_work(3, m, upper[0] - 1, 10**8)
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    scan = linalg.min_weight_scan(fq, R, upper=upper)
+    assert (scan.admitted, scan.weight, scan.scanned) == (True, 4, LEVEL_SCAN_BLOCKS[block])
+    assert hashlib.sha256(scan.witness.tobytes()).hexdigest() == LEVEL_SCAN_WITNESS
+    assert linalg.weight_distribution(fq, R)[1:4].sum() == 0  # weight 4 is the minimum
+    assert linalg.in_row_space(fq, R, tuple(np.argmax(R != 0, axis=1)), scan.witness)
+
+
 def test_span_weights_of_no_rows_is_the_zero_word():
     ctx = make_field(2, 2)
     counts, weight, witness = _label_span_weights(ctx, np.zeros((0, 5), dtype=np.uint8))
@@ -456,7 +523,7 @@ def test_span_weights_at_the_edge_widths_of_the_shared_columns(q, shared):
     else:
         rows = rng.integers(1, q, size=(m, 7)).astype(np.uint8)
     n = rows.shape[1]
-    counts, weight, witness = linalg._label_span_weights(ctx.fq, rows)
+    counts, weight, witness = linalg.span_weights(*linalg._label_span(ctx.fq, rows))
     ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
     assert counts.tolist() == ref_counts and weight == ref_weight
     assert np.count_nonzero(witness) == weight

@@ -595,6 +595,22 @@ def test_certified_cells_are_pinned(q, k):
     assert (r.weight, r.mode, r.scanned, digest) == CERTIFIED_CELLS[(q, k)]
 
 
+
+# the same report of (11,2) at a cap of 10^9: its level 3 projects 2.7 * 10^8
+# words, past the default cap, and scans 2.5 * 10^8; taken at the version
+# that built each group's half words from the scalar multiples of every
+# basis row
+CERTIFIED_PAST_THE_DEFAULT_CAP = {
+    (11, 2): (4, "exhaustive", 251861700, "c39b836350cc2d3724efbf5d4f8ed4590ec7b5b4f307f56059349de075f5916f"),
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(CERTIFIED_PAST_THE_DEFAULT_CAP))
+def test_certified_cells_past_the_default_cap_are_pinned(q, k):
+    r = min_weight_pc(make_field(*PUNCTURE_FIELDS[q]), k, cap=10**9)
+    digest = hashlib.sha256(json.dumps(r.witness.serialized()).encode()).hexdigest()
+    assert (r.weight, r.mode, r.scanned, digest) == CERTIFIED_PAST_THE_DEFAULT_CAP[(q, k)]
+
 # q -> (p, h) for the power-sum routes: p = 2, prime q and odd composite q
 POWER_SUM_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2), 11: (11, 1),
                     16: (2, 4), 25: (5, 2), 27: (3, 3), 32: (2, 5)}
