@@ -6,6 +6,11 @@ ways (the kernel of its parity-check matrix, the u-space of row-reduced
 g-forms of the monomial basis of the g-space, and single g-form members),
 and verify minimum-weight formulas and polynomial constructions by
 exhaustive computation at small q.
+
+GF(q^2) arithmetic is one set of tables, read alike by the ``Felt``
+operators on single elements and by the ``FieldCtx`` methods on index
+arrays.  The Frobenius, the norm and the trace to GF(q) are the operators
+``x ** q``, ``x ** (q+1)`` and ``x + x ** q``.
 """
 
 from .errors import (
@@ -18,13 +23,10 @@ from .errors import (
 from .field import (
     Felt,
     FieldCtx,
-    frobenius,
     make_field,
-    norm,
     skew_element,
     solve_norm,
     trace_to_prime,
-    trace_to_subfield,
 )
 from .grscode import (
     CodeParams,
@@ -87,7 +89,6 @@ __all__ = [
     "build_rs",
     "check_mds",
     "distinct_zeros",
-    "frobenius",
     "g_form_vector",
     "hermitian_gram",
     "is_hermitian_self_orthogonal",
@@ -96,7 +97,6 @@ __all__ = [
     "min_weight",
     "min_weight_formula",
     "min_weight_pc",
-    "norm",
     "primal_basis",
     "puncture_direct",
     "q_power_mod",
@@ -104,7 +104,6 @@ __all__ = [
     "skew_element",
     "solve_norm",
     "trace_to_prime",
-    "trace_to_subfield",
     "truncate_scale",
     "u_space_basis",
     "weight_distribution",

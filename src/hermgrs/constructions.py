@@ -198,7 +198,7 @@ def build_example1(ctx: FieldCtx, k: int, t: int, f: Poly) -> ConstructionReport
         raise ValueError("f belongs to a different field context")
     if f.is_zero():
         raise ValidationRefused("f must be nonzero")
-    if not all(ctx.in_subfield_i(int(ci)) for ci in f.c):
+    if (ctx.fq.compact_of_idx[f.c] < 0).any():
         raise ValidationRefused("f must have coefficients in GF(q)")
     if f.coeff(0).is_zero():
         raise ValidationRefused("f(0) = 0 would double count x = 0 in the zero-count formula")

@@ -7,7 +7,8 @@ tables, exp[log a + log b]: log i = i-1 for a unit, and log 0 is a sentinel
 larger than any sum of two unit logs, past which exp reads zero, so zero
 needs no mask.  Addition works on additive codes, the coordinates in the
 polynomial basis 1, w, ..., w^(2h-1): two elements add through one
-carry-free table read, and a sum of many through one ``code_sum``.
+carry-free table read, and a sum of many through one ``code_sum``.  A
+single element (``Felt``) reads the same tables as an array of indices.
 
 The subfield GF(q) is realized as the Frobenius-fixed set {x : x^q = x}
 inside the same context, with a compact labelling 0..q-1 and its own small
@@ -311,40 +312,6 @@ class FieldCtx:
         self._comp1 = comp1.astype(np.uint8)
 
     # ------------------------------------------------------------------
-    # scalar index arithmetic
-    # ------------------------------------------------------------------
-    def add_i(self, a: int, b: int) -> int:
-        return int(self._pair_sum[self._spread[a] + self._spread[b]])
-
-    def mul_i(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return 1 + (a - 1 + b - 1) % self.n_units
-
-    def neg_i(self, a: int) -> int:
-        return int(self._neg[a])
-
-    def inv_i(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return 1 + (self.n_units - (a - 1)) % self.n_units
-
-    def pow_i(self, a: int, m: int) -> int:
-        if m == 0:
-            return 1
-        if a == 0:
-            if m < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return 1 + ((a - 1) * m) % self.n_units
-
-    def frob_i(self, a: int) -> int:
-        return self.pow_i(a, self.q)
-
-    def in_subfield_i(self, a: int) -> bool:
-        return bool(self.fq.compact_of_idx[a] >= 0)
-
-    # ------------------------------------------------------------------
     # vectorized index arithmetic (int64 arrays in and out)
     # ------------------------------------------------------------------
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -520,15 +487,18 @@ class FieldCtx:
         """GF(q) in enumeration order: 0, 1, w^(q+1), w^(2(q+1)), ..."""
         return (self.zero,) + tuple(Felt(self, 1 + (self.q + 1) * j) for j in range(self.q - 1))
 
-    def compact_to_felt(self, c: int) -> Felt:
-        return Felt(self, int(self.fq.idx_of_compact[c]))
-
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, h={self.h}, q={self.q})"
 
 
 class Felt:
     """Opaque element of a specific FieldCtx.
+
+    Its operators read the tables the array methods read (``vadd``,
+    ``vneg``, ``vmul``, ``vpow``), so a scalar and an array of indices
+    share one arithmetic.  The maps of the Hermitian form are operators
+    too: the Frobenius ``x ** q``, the norm ``x ** (q+1)`` and the trace
+    to GF(q) ``x + x ** q``.
 
     Arithmetic between elements of different contexts is rejected even if the
     contexts were built from the same (p, h).
@@ -555,34 +525,41 @@ class Felt:
         return self.i == 0
 
     def in_subfield(self) -> bool:
-        return self.ctx.in_subfield_i(self.i)
+        return bool(self.ctx.fq.compact_of_idx[self.i] >= 0)
 
     def __add__(self, other: Felt) -> Felt:
         self._join(other)
-        return Felt(self.ctx, self.ctx.add_i(self.i, other.i))
+        return Felt(self.ctx, self.ctx.vadd(self.i, other.i))
 
     def __sub__(self, other: Felt) -> Felt:
         self._join(other)
-        return Felt(self.ctx, self.ctx.add_i(self.i, self.ctx.neg_i(other.i)))
+        return self + -other
 
     def __neg__(self) -> Felt:
-        return Felt(self.ctx, self.ctx.neg_i(self.i))
+        return Felt(self.ctx, self.ctx.vneg(self.i))
 
     def __mul__(self, other: Felt) -> Felt:
         self._join(other)
-        return Felt(self.ctx, self.ctx.mul_i(self.i, other.i))
+        return Felt(self.ctx, self.ctx.vmul(self.i, other.i))
 
     def __truediv__(self, other: Felt) -> Felt:
         self._join(other)
-        return Felt(self.ctx, self.ctx.mul_i(self.i, self.ctx.inv_i(other.i)))
+        return self * other.inverse()
 
     def __pow__(self, m: int) -> Felt:
-        if m < 0:
-            return Felt(self.ctx, self.ctx.pow_i(self.ctx.inv_i(self.i), -m))
-        return Felt(self.ctx, self.ctx.pow_i(self.i, m))
+        """x^m for any integer m, with 0^0 = 1.  A positive m is reduced to
+        1..q^2-1, which keeps 0^m = 0 and keeps ``vpow``'s int64 product
+        from overflowing."""
+        base = self.inverse() if m < 0 else self
+        m = abs(m)
+        if m:
+            m = (m - 1) % self.ctx.n_units + 1
+        return Felt(self.ctx, self.ctx.vpow(base.i, m))
 
     def inverse(self) -> Felt:
-        return Felt(self.ctx, self.ctx.inv_i(self.i))
+        if not self.i:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return Felt(self.ctx, self.ctx._vinv0(self.i))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Felt) and other.ctx is self.ctx and other.i == self.i
@@ -613,38 +590,18 @@ def make_field(p: int, h: int) -> FieldCtx:
     return FieldCtx(p, h)
 
 
-def frobenius(ctx: FieldCtx, x: Felt) -> Felt:
-    """x -> x^q, the conjugation underlying the Hermitian form."""
-    _check(ctx, x)
-    return Felt(ctx, ctx.frob_i(x.i))
-
-
-def norm(ctx: FieldCtx, x: Felt) -> Felt:
-    """x -> x^(q+1); lands in GF(q)."""
-    _check(ctx, x)
-    return Felt(ctx, ctx.pow_i(x.i, ctx.q + 1))
-
-
-def trace_to_subfield(ctx: FieldCtx, x: Felt) -> Felt:
-    """x -> x + x^q; lands in GF(q)."""
-    _check(ctx, x)
-    return Felt(ctx, ctx.add_i(x.i, ctx.frob_i(x.i)))
-
-
 def trace_to_prime(ctx: FieldCtx, x: Felt) -> Felt:
     """GF(q) -> GF(p) trace: sum of x^(p^j) for j = 0..h-1.
 
     Rejects arguments outside GF(q).
     """
     _check(ctx, x)
-    if not ctx.in_subfield_i(x.i):
+    if not x.in_subfield():
         raise ValidationRefused("trace_to_prime argument must lie in GF(q)")
-    acc = 0
-    t = x.i
+    acc, t = ctx.zero, x
     for _ in range(ctx.h):
-        acc = ctx.add_i(acc, t)
-        t = ctx.pow_i(t, ctx.p)
-    return Felt(ctx, acc)
+        acc, t = acc + t, t**ctx.p
+    return acc
 
 
 def solve_norm(ctx: FieldCtx, lam: Felt) -> Felt:
@@ -656,7 +613,7 @@ def solve_norm(ctx: FieldCtx, lam: Felt) -> Felt:
     _check(ctx, lam)
     if lam.is_zero():
         raise ValidationRefused("solve_norm requires a nonzero argument")
-    if not ctx.in_subfield_i(lam.i):
+    if not lam.in_subfield():
         raise ValidationRefused("solve_norm argument must lie in GF(q)")
     return Felt(ctx, int(ctx.vnorm_root(lam.i)))
 

@@ -119,13 +119,15 @@ def rref(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ..
     return A[:r], tuple(pivots)
 
 
-def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
+def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """RREF basis of the right null space {x : mat @ x = 0} over GF(q).
 
-    One elimination of the reversed columns, whose pivots are the last
-    columns that span: the kernel vector e_f - sum_i R[i, f] e_(pivot i) of
-    any other column f is nonzero only at f and at pivots right of f, so
-    these vectors, by increasing f, are the kernel's RREF already.
+    Returns (basis rows, pivot column indices), as ``rref`` does.  One
+    elimination of the reversed columns, whose pivots are the last columns
+    that span: the kernel vector e_f - sum_i R[i, f] e_(pivot i) of any
+    other column f is nonzero only at f and at pivots right of f, so these
+    vectors, by increasing f, are the kernel's RREF already, and the free
+    columns f are its pivots.
     """
     R, reversed_pivots = rref(fq, np.asarray(mat)[..., ::-1])
     cols = R.shape[1]
@@ -137,7 +139,7 @@ def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> np.ndarray:
     basis = np.zeros((free.size, cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = fq.neg[R[:, free]].T
-    return basis
+    return basis, tuple(free.tolist())
 
 
 def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -388,8 +390,9 @@ def min_weight_scan(
         return ScanResult(False, None if upper is None else best_w, best_vec, 0)
     nonzero = basis != 0
     pivots = nonzero.argmax(axis=1)
-    on_pivots = basis[:, pivots]  # a zero row puts a 0 on the diagonal
-    if np.count_nonzero(on_pivots) != m or not (on_pivots.diagonal() == 1).all():
+    # each row is 1 at its pivot (a zero row has 0 at column 0) and alone in its column
+    on_pivot = basis[np.arange(m), pivots] == 1
+    if not (on_pivot.all() and (np.count_nonzero(nonzero, axis=0)[pivots] == 1).all()):
         raise ValueError("min_weight_scan needs a basis that is the identity on its pivot columns")
     full = fq.q**m
     if full <= cap and full <= 2 * projected:

@@ -149,7 +149,7 @@ class Poly:
         ctx = self.ctx
         acc = 0
         for coef in self.c[::-1]:
-            acc = ctx.add_i(ctx.mul_i(acc, x.i), int(coef))
+            acc = ctx.vadd(ctx.vmul(acc, x.i), coef)
         return Felt(ctx, acc)
 
     def eval_on(self, xs: np.ndarray) -> np.ndarray:

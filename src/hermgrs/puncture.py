@@ -81,7 +81,7 @@ class PunctureVector:
 
     def entry(self, i: int) -> Felt:
         """Entry at 1-based coordinate i, as a field element."""
-        return self.ctx.compact_to_felt(int(self.v[i - 1]))
+        return Felt(self.ctx, self.ctx.fq.idx_of_compact[self.v[i - 1]])
 
     def serialized(self) -> list[int]:
         """Entries as field enumeration indices (the JSON form)."""
@@ -135,17 +135,20 @@ def _labels(ctx: FieldCtx, vals: np.ndarray) -> np.ndarray:
     return comp.astype(np.uint8)
 
 
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row layout of H, for ``parity_check`` and ``power_sums`` alike.
 
-    The pairs (r, s), r <= s < k, in row-major order.  H's first k(k+1)/2
-    rows are the 1-components of S_(r,s) over these pairs; the k(k-1)/2
-    rows after them the xi-components of the pairs with r < s.  For lambda
+    The pairs (r, s), r <= s < k, in row-major order, and the set Z of
+    their exponents rq+s, where S_(r,s) reads the spectrum of lambda over
+    GF(q^2)*.  H's first k(k+1)/2 rows are the 1-components of S_(r,s)
+    over these pairs; the k(k-1)/2 rows after them the xi-components of
+    the pairs with r < s.  For lambda
     over GF(q), S_(s,r) = S_(r,s)^q and S_(r,r) lies in GF(q) (its
     xi-component is zero), so these k^2 rows span the conditions of all
     k^2 sums, and they are independent.
     """
-    return np.triu_indices(k)
+    r, s = np.triu_indices(k)
+    return r, s, r * q + s
 
 
 def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
@@ -157,8 +160,8 @@ def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
     """
     cols = np.asarray(cols, dtype=np.int64)
     coeff = cols == ctx.q2 + 1  # the coefficient coordinate
-    r, s = _pairs(k)
-    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), r * ctx.q + s))
+    r, s, exps = _pairs(ctx.q, k)
+    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), exps))
     H = np.concatenate([c0, c1[r < s]])
     H[:, coeff] = 0
     H[r.size - 1, coeff] = 1  # the 1-component of S_(k-1,k-1), the last pair
@@ -177,12 +180,11 @@ def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
     q2 = ctx.q2
     cols = np.asarray(cols, dtype=np.int64)
     lam = ctx.fq.idx_of_compact[np.asarray(lam)]
-    r, s = _pairs(k)
-    exps = r * ctx.q + s
+    r, s, exps = _pairs(ctx.q, k)
     nonzero = (cols > 1) & (cols <= q2)
     upper = ctx.spectrum(cols[nonzero] - 2, lam[nonzero], exps)
     upper = ctx.vadd(upper, np.where(exps == 0, ctx.vsum(lam[cols == 1]), 0))
-    upper[-1] = ctx.add_i(upper[-1], ctx.vsum(lam[cols == q2 + 1]))
+    upper[-1] = ctx.vadd(upper[-1], ctx.vsum(lam[cols == q2 + 1]))
     G = np.empty((k, k), dtype=np.int64)
     G[s, r] = ctx.vfrob(upper)
     G[r, s] = upper
@@ -197,9 +199,7 @@ def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> Punctur
         return PunctureBasis(ctx, k, "direct", np.empty((0, q2 + 1), dtype=np.uint8), ())
     if q > max_q:
         raise CapExceeded(f"direct solver capped at q <= {max_q} (q^2+1 = {q2 + 1} unknowns); got q={q}")
-    kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, np.arange(1, q2 + 2)))
-    # the kernel is in RREF already: each row's pivot is its first nonzero column
-    pivots = tuple(np.argmax(kernel != 0, axis=1).tolist())
+    kernel, pivots = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, np.arange(1, q2 + 2)))
     return PunctureBasis(ctx, k, "direct", kernel, pivots)
 
 

@@ -27,7 +27,7 @@ def pow_by_mul(x: Felt, n: int) -> Felt:
 
 
 def conj(x: Felt) -> Felt:
-    """x^q via repeated multiplication, independent of frobenius()."""
+    """x^q via repeated multiplication, independent of the operator x ** q."""
     return pow_by_mul(x, x.ctx.q)
 
 
@@ -179,7 +179,7 @@ class ReferenceField:
 
 def labels_to_felts(ctx: FieldCtx, mat) -> list[list[Felt]]:
     """Compact GF(q) labels (nested sequences) as scalar field elements."""
-    return [[ctx.compact_to_felt(int(c)) for c in row] for row in mat]
+    return [[Felt(ctx, ctx.fq.idx_of_compact[c]) for c in row] for row in mat]
 
 
 def felts_to_labels(ctx: FieldCtx, rows: list[list[Felt]]) -> list[list[int]]:

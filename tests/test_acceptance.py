@@ -78,7 +78,7 @@ def test_criterion_2_triple_method_consistency():
                 for _ in range(100):
                     coeffs = [rng.randrange(ctx.q2) for _ in range(bound + 1)]
                     g = Poly.from_indices(ctx, coeffs) if bound >= 0 else Poly.zero(ctx)
-                    c = ctx.compact_to_felt(rng.randrange(q))
+                    c = ctx.felt(int(ctx.fq.idx_of_compact[rng.randrange(q)]))
                     assert membership(basis, g_form_vector(ctx, k, g, c))
 
 

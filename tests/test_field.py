@@ -10,15 +10,13 @@ import pytest
 from hermgrs import field
 from hermgrs.errors import ValidationRefused
 from hermgrs.field import (
+    Felt,
     FieldCtx,
     code_sum,
-    frobenius,
     make_field,
-    norm,
     skew_element,
     solve_norm,
     trace_to_prime,
-    trace_to_subfield,
 )
 
 from oracle import ReferenceField, pow_by_mul
@@ -41,23 +39,71 @@ def _arithmetic_pairs(ctx, negs):
             + [(rng.randrange(q2), rng.randrange(q2)) for _ in range(2000)])
 
 
+def _reference_frobenius(ref, exp, q, t):
+    """t^q in the reference field by linearity: the coefficients of t lie in
+    GF(p), which x -> x^q fixes, so t^q = sum_j t_j (x^q)^j."""
+    out = ref.zero()
+    for j, c in enumerate(t):
+        out = ref.add(out, tuple(c * v % ref.p for v in exp[j * q % len(exp)]))
+    return out
+
+
+# the exponents of the power test: negative, zero, the Frobenius, the norm,
+# the group order and past it, and one past int64
+def _exponents(q):
+    return [-q * q, -1, 0, 1, q, q + 1, q * q - 1, q * q, 2**70]
+
+
 @pytest.mark.parametrize("p,h", ALL_Q_PH)
 def test_scalar_arithmetic_matches_reference_field(p, h):
-    """Table-driven add/mul/neg agree with raw coefficient arithmetic, as
-    scalars and as arrays; the pair-sum table is as small as carry-free
-    addition allows."""
+    """The ``Felt`` operators and the table-driven vadd/vneg agree with raw
+    coefficient arithmetic; the pair-sum table is as small as carry-free
+    addition allows.
+
+    Index i >= 1 is x^(i-1) in the reference, so inverses and powers there
+    are exponent arithmetic on its own powers of x, and GF(q) is the set
+    its Frobenius fixes.  Zero has no inverse and no negative power, and
+    0^m = 0 for m > 0 while 0^0 = 1."""
     ctx = make_field(p, h)
     ref = ReferenceField(p, h, ctx.modulus)
-    exp = ref.exp_table(ctx.n_units)  # also certifies w = x has full order
+    n = ctx.n_units
+    exp = ref.exp_table(n)  # also certifies w = x has full order
     to_ref = [ref.zero()] + exp
     to_idx = {t: i for i, t in enumerate(to_ref)}
     negs = [to_idx[ref.neg(t)] for t in to_ref]
+    invs = [None] + [to_idx[exp[-i % n]] for i in range(n)]
+    assert all(ref.mul(to_ref[a], to_ref[invs[a]]) == ref.one() for a in range(1, ctx.q2))
+    elems = ctx.elems()
     pairs = _arithmetic_pairs(ctx, negs)
     sums = [to_idx[ref.add(to_ref[a], to_ref[b])] for a, b in pairs]
     for (a, b), s in zip(pairs, sums):
-        assert ctx.add_i(a, b) == s
-        assert ctx.mul_i(a, b) == to_idx[ref.mul(to_ref[a], to_ref[b])]
-        assert ctx.neg_i(a) == negs[a]
+        x, y = elems[a], elems[b]
+        assert (x + y).i == s
+        assert (x - y).i == to_idx[ref.add(to_ref[a], ref.neg(to_ref[b]))]
+        assert (x * y).i == to_idx[ref.mul(to_ref[a], to_ref[b])]
+        if b:
+            assert (x / y).i == to_idx[ref.mul(to_ref[a], to_ref[invs[b]])]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+    fixed = {a for a in range(ctx.q2) if _reference_frobenius(ref, exp, ctx.q, to_ref[a]) == to_ref[a]}
+    assert len(fixed) == ctx.q
+    for a, x in enumerate(elems):
+        assert (-x).i == negs[a]
+        assert x.in_subfield() is (a in fixed)
+        if a:
+            assert x.inverse().i == invs[a]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        for m in _exponents(ctx.q):
+            if a:
+                assert (x**m).i == to_idx[exp[(a - 1) * m % n]]
+            elif m < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x**m
+            else:
+                assert (x**m).i == (m == 0)
     a, b = np.array(pairs, dtype=np.int64).T
     assert np.array_equal(ctx.vadd(a, b), sums)
     assert np.array_equal(ctx.vneg(a), np.array(negs)[a])
@@ -220,7 +266,9 @@ def test_cross_context_rejected(ctx4, ctx5):
     with pytest.raises(ValueError):
         _ = ctx4.one + ctx5.one
     with pytest.raises(ValueError):
-        frobenius(ctx4, ctx5.one)
+        _ = ctx4.one - ctx5.one
+    with pytest.raises(ValueError):
+        trace_to_prime(ctx4, ctx5.one)
     fresh = FieldCtx(2, 2)
     with pytest.raises(ValueError):
         _ = fresh.one * ctx4.one  # same (p, h), different instance
@@ -243,31 +291,33 @@ def test_field_axioms_on_random_triples(p, h):
 
 @pytest.mark.parametrize("p,h", ALL_PH)
 def test_frobenius_is_an_automorphism(p, h):
+    """The Frobenius is the operator x ** q."""
     ctx = make_field(p, h)
+    q = ctx.q
     rng = random.Random(2)
     elems = ctx.elems()
     for _ in range(80):
         a, b = elems[rng.randrange(ctx.q2)], elems[rng.randrange(ctx.q2)]
-        assert frobenius(ctx, a + b) == frobenius(ctx, a) + frobenius(ctx, b)
-        assert frobenius(ctx, a * b) == frobenius(ctx, a) * frobenius(ctx, b)
-        assert frobenius(ctx, frobenius(ctx, a)) == a
-    assert sum(1 for x in elems if frobenius(ctx, x) == x) == ctx.q
+        assert (a + b) ** q == a**q + b**q
+        assert (a * b) ** q == a**q * b**q
+        assert (a**q) ** q == a
+    assert sum(1 for x in elems if x**q == x) == q
 
 
 def test_frobenius_examples(ctx4):
-    assert frobenius(ctx4, ctx4.zero).is_zero()
+    assert (ctx4.zero ** ctx4.q).is_zero()
     for x in ctx4.subfield_elems():
-        assert frobenius(ctx4, x) == x
+        assert x ** ctx4.q == x
     # x = w at q = 4: repeated-squaring oracle gives w^4
     w = ctx4.w
     expected = ((w * w) * (w * w))
-    assert frobenius(ctx4, w) == expected == w**4
+    assert w ** ctx4.q == expected == pow_by_mul(w, 4)
 
 
 @pytest.mark.parametrize("p,h", ALL_PH)
 def test_norm_maps_onto_subfield_with_equal_fibers(p, h):
     ctx = make_field(p, h)
-    fibers = Counter(norm(ctx, x).i for x in ctx.elems() if x)
+    fibers = Counter((x ** (ctx.q + 1)).i for x in ctx.elems() if x)
     assert len(fibers) == ctx.q - 1
     assert all(v == ctx.q + 1 for v in fibers.values())
     subfield = {x.i for x in ctx.subfield_elems()}
@@ -275,11 +325,11 @@ def test_norm_maps_onto_subfield_with_equal_fibers(p, h):
 
 
 def test_norm_examples(ctx3):
-    assert norm(ctx3, ctx3.one) == ctx3.one
-    assert norm(ctx3, ctx3.zero).is_zero()
+    assert ctx3.one**4 == ctx3.one  # the norm is x ** (q+1)
+    assert (ctx3.zero**4).is_zero()
     w = ctx3.w
     chain = w * w * w * w  # multiplication-chain oracle for w^4
-    assert norm(ctx3, w) == chain
+    assert w**4 == chain
     # w^4 generates GF(3)^*: it is not 1 but its square is
     assert chain != ctx3.one and chain * chain == ctx3.one
 
@@ -287,18 +337,18 @@ def test_norm_examples(ctx3):
 @pytest.mark.parametrize("p,h", ALL_PH)
 def test_trace_to_subfield_fibers(p, h):
     ctx = make_field(p, h)
-    fibers = Counter(trace_to_subfield(ctx, x).i for x in ctx.elems())
+    fibers = Counter((x + x**ctx.q).i for x in ctx.elems())
     assert len(fibers) == ctx.q
     assert all(v == ctx.q for v in fibers.values())
 
 
 def test_trace_examples(ctx4, ctx5, ctx8):
-    assert trace_to_subfield(ctx4, ctx4.zero).is_zero()
+    # the trace to GF(q) is x + x ** q
     for x in ctx4.subfield_elems():
-        assert trace_to_subfield(ctx4, x).is_zero()  # x + x = 0 in char 2
+        assert (x + x**4).is_zero()  # x + x = 0 in char 2
     two = ctx5.one + ctx5.one
     for x in ctx5.subfield_elems():
-        assert trace_to_subfield(ctx5, x) == two * x
+        assert x + x**5 == two * x
     assert trace_to_prime(ctx8, ctx8.zero).is_zero()
     ones = sum(1 for x in ctx8.subfield_elems() if trace_to_prime(ctx8, x) == ctx8.one)
     assert ones == 4
@@ -340,7 +390,7 @@ def test_skew_element(p, h):
     ctx = make_field(p, h)
     c = skew_element(ctx)
     assert c
-    assert c + frobenius(ctx, c) == ctx.zero
+    assert c + c**ctx.q == ctx.zero
 
 
 def test_skew_element_examples(ctx5, ctx8):
@@ -352,52 +402,58 @@ def test_skew_element_examples(ctx5, ctx8):
 
 @pytest.mark.parametrize("p,h", ALL_PH)
 def test_vectorized_ops_match_scalar(p, h):
+    """The array methods against the ``Felt`` operators, element by element."""
     ctx = make_field(p, h)
+    elems = ctx.elems()
     rng = np.random.default_rng(3)
     a = rng.integers(0, ctx.q2, 400)
     b = rng.integers(0, ctx.q2, 400)
     va, vm, vn = ctx.vadd(a, b), ctx.vmul(a, b), ctx.vneg(a)
     for i in range(400):
-        assert va[i] == ctx.add_i(int(a[i]), int(b[i]))
-        assert vm[i] == ctx.mul_i(int(a[i]), int(b[i]))
-        assert vn[i] == ctx.neg_i(int(a[i]))
+        x, y = elems[a[i]], elems[b[i]]
+        assert va[i] == (x + y).i
+        assert vm[i] == (x * y).i
+        assert vn[i] == (-x).i
     for m in (0, 1, 2, ctx.q, ctx.q + 1, ctx.q2 - 1):
         vp = ctx.vpow(a, m)
         for i in range(0, 400, 7):
-            assert vp[i] == ctx.pow_i(int(a[i]), m)
-    total = ctx.vsum(a)
-    acc = 0
+            assert vp[i] == (elems[a[i]] ** m).i
+    total = ctx.zero
     for x in a:
-        acc = ctx.add_i(acc, int(x))
-    assert int(total) == acc
+        total = total + elems[x]
+    assert int(ctx.vsum(a)) == total.i
 
 
 @pytest.mark.parametrize("p,h", ALL_Q_PH, ids=[f"q{p**h}" for p, h in ALL_Q_PH])
 def test_vmul_and_vinv0_match_mul_i_and_inv_i(p, h):
-    """The table-read product and inverse equal the scalar ones: every pair
-    at q <= 9; above, every pair with a zero and a fixed random sample."""
+    """The table-read product and inverse of arrays equal the ``Felt`` product
+    and ``inverse()``: every pair at q <= 9; above, every pair with a zero
+    and a fixed random sample."""
     ctx = make_field(p, h)
-    pairs = _arithmetic_pairs(ctx, [ctx.neg_i(a) for a in range(ctx.q2)])
+    elems = ctx.elems()
+    pairs = _arithmetic_pairs(ctx, [(-x).i for x in elems])
     a, b = np.array(pairs, dtype=np.int64).T
-    assert np.array_equal(ctx.vmul(a, b), [ctx.mul_i(x, y) for x, y in pairs])
+    assert np.array_equal(ctx.vmul(a, b), [(elems[x] * elems[y]).i for x, y in pairs])
     units = np.arange(1, ctx.q2)
-    assert np.array_equal(ctx._vinv0(units), [ctx.inv_i(x) for x in range(1, ctx.q2)])
+    assert np.array_equal(ctx._vinv0(units), [x.inverse().i for x in elems[1:]])
     assert ctx._vinv0(np.int64(0)) == 0
     assert np.array_equal(ctx.vmul(ctx._vinv0(units), units), np.ones_like(units))
 
 
 def test_vmul_takes_lists_scalars_and_broadcast_shapes(ctx9):
     w5, w7 = 6, 8  # indices of w^5 and w^7
+    elems = ctx9.elems()
+    prod = (elems[w5] * elems[w7]).i
     out = ctx9.vmul([w5, 0, 1], [w7, w5, 0])
-    assert out.dtype == np.int64 and out.tolist() == [ctx9.mul_i(w5, w7), 0, 0]
+    assert out.dtype == np.int64 and out.tolist() == [prod, 0, 0]
     scalar = ctx9.vmul(np.int64(w5), np.int64(w7))
-    assert scalar.dtype == np.int64 and scalar == ctx9.mul_i(w5, w7)
+    assert scalar.dtype == np.int64 and scalar == prod
     col, row = np.arange(ctx9.q2)[:, None], np.array([[0, 1, w5, ctx9.q2 - 1]])
     table = ctx9.vmul(col, row)
     assert table.shape == (ctx9.q2, 4) and table.dtype == np.int64
-    assert table.tolist() == [[ctx9.mul_i(x, y) for y in row[0]] for x in range(ctx9.q2)]
+    assert table.tolist() == [[(x * elems[y]).i for y in row[0]] for x in elems]
     inv = ctx9._vinv0([[0, 1], [w5, w7]])
-    assert inv.dtype == np.int64 and inv.tolist() == [[0, 1], [ctx9.inv_i(w5), ctx9.inv_i(w7)]]
+    assert inv.dtype == np.int64 and inv.tolist() == [[0, 1], [elems[w5].inverse().i, elems[w7].inverse().i]]
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 2), (2, 6)])
@@ -413,10 +469,10 @@ def test_subfield_tables_consistent(ctx9):
     fq = ctx9.fq
     for ca in range(ctx9.q):
         for cb in range(ctx9.q):
-            xa = int(fq.idx_of_compact[ca])
-            xb = int(fq.idx_of_compact[cb])
-            assert int(fq.idx_of_compact[fq.add[ca, cb]]) == ctx9.add_i(xa, xb)
-            assert int(fq.idx_of_compact[fq.mul[ca, cb]]) == ctx9.mul_i(xa, xb)
+            xa = Felt(ctx9, fq.idx_of_compact[ca])
+            xb = Felt(ctx9, fq.idx_of_compact[cb])
+            assert int(fq.idx_of_compact[fq.add[ca, cb]]) == (xa + xb).i
+            assert int(fq.idx_of_compact[fq.mul[ca, cb]]) == (xa * xb).i
 
 
 def test_split_components_roundtrip(ctx9):
@@ -439,15 +495,15 @@ def test_subfield_elems_come_in_enumeration_order(p, h):
     assert [x.i for x in ctx.subfield_elems()] == [0] + [1 + j * (q + 1) for j in range(q - 1)]
 
 
-def _fold_add_i(ctx, a, axis):
-    """Field sums along ``axis`` by scalar additions, one element at a time."""
+def _fold_add(ctx, a, axis):
+    """Field sums along ``axis`` by ``Felt`` additions, one element at a time."""
     a = np.moveaxis(a, axis, -1)
     out = np.zeros(a.shape[:-1], dtype=np.int64)
     for pos in np.ndindex(out.shape):
-        acc = 0
+        acc = ctx.zero
         for x in a[pos]:
-            acc = ctx.add_i(acc, int(x))
-        out[pos] = acc
+            acc = acc + Felt(ctx, x)
+        out[pos] = acc.i
     return out
 
 
@@ -466,12 +522,12 @@ def test_code_sum_and_vsum_match_a_fold_of_add_i(p, h):
         a = rng.integers(0, ctx.q2, shape)
         labels = rng.integers(0, ctx.q, shape).astype(np.uint8)
         for axis in (0, 1, -1):
-            expect = _fold_add_i(ctx, a, axis)
+            expect = _fold_add(ctx, a, axis)
             assert np.array_equal(ctx.vsum(a, axis=axis), expect)
             codes = code_sum(p, 2 * h, ctx._polyint[a], axis)
             assert codes.dtype == np.uint16
             assert np.array_equal(ctx._idx_of_poly[codes], expect)
             label_sum = code_sum(p, h, labels, axis)
             assert label_sum.dtype == np.uint8
-            expect = _fold_add_i(ctx, fq.idx_of_compact[labels], axis)
+            expect = _fold_add(ctx, fq.idx_of_compact[labels], axis)
             assert np.array_equal(fq.idx_of_compact[label_sum], expect)

@@ -618,13 +618,13 @@ def test_gram_adds_up_coordinate_blocks(k):
     thetas = np.ones(ctx.q2 + 1, dtype=np.int64)
     thetas[list(points)] = 2
     gram = hermitian_gram(GrsCode(ctx, k, tuple(range(1, ctx.q2 + 2)), thetas))
-    delta = ctx.add_i(ctx.pow_i(2, q + 1), ctx.neg_i(1))
+    delta = ctx.w ** (q + 1) - ctx.one
     for r in range(k):
         for s in range(k):
-            want = int((r * q + s == ctx.q2 - 1) != (r == s == k - 1))
+            want = ctx.felt(int((r * q + s == ctx.q2 - 1) != (r == s == k - 1)))
             for a in points:
-                want = ctx.add_i(want, ctx.mul_i(delta, ctx.pow_i(a, r * q + s)))
-            assert int(gram[r, s]) == want, (r, s)
+                want = want + delta * ctx.felt(a) ** (r * q + s)
+            assert int(gram[r, s]) == want.i, (r, s)
 
 
 @given(scaled_truncations())

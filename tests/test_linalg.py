@@ -79,12 +79,13 @@ def _check_rref(ctx, mat):
 
 
 def _check_kernel(ctx, mat):
-    K = linalg.kernel_basis(ctx.fq, mat)
+    K, pivots = linalg.kernel_basis(ctx.fq, mat)
     ncols = mat.shape[1]
     rows = labels_to_felts(ctx, mat)
     ref = felt_kernel(ctx, rows, ncols)
     assert K.shape == (len(ref), ncols)
     assert K.tolist() == felts_to_labels(ctx, ref)
+    assert pivots == tuple(felt_rref(ctx, ref, ncols)[1])
     for vec in labels_to_felts(ctx, K):
         assert felt_matvec_is_zero(ctx, rows, vec)
 
@@ -104,6 +105,19 @@ def test_rref_matches_scalar_elimination(case):
 @given(matrices())
 def test_kernel_basis_matches_scalar_elimination(case):
     _check_kernel(*case)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_kernel_basis_pivots_are_the_first_nonzero_columns(q):
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    for rows, cols in [(1, 1), (1, 6), (3, 3), (3, 8), (5, 9), (8, 4), (4, 12)]:
+        for _ in range(5):
+            mat = rng.integers(0, q, size=(rows, cols)).astype(np.uint8)
+            mat[rng.random(mat.shape) < 0.3] = 0  # zero entries give sparse and rank-deficient cases
+            K, pivots = linalg.kernel_basis(fq, mat)
+            assert K.any(axis=1).all()
+            assert pivots == tuple(np.argmax(K != 0, axis=1).tolist())
 
 
 @given(matrices(), st.data())
@@ -149,7 +163,7 @@ def test_additive_codes_carry_the_label_arithmetic(q):
     ctx = make_field(p, round(np.log(q) / np.log(p)))
     fq = ctx.fq
     idx = fq.idx_of_compact
-    fixed = [i for i in range(ctx.q2) if ctx.frob_i(i) == i]
+    fixed = [x.i for x in ctx.elems() if x**q == x]
     assert sorted(idx.tolist()) == fixed and idx[0] == 0 and idx[1] == 1
     assert np.array_equal(fq.compact_of_idx[idx], np.arange(q))
     assert (fq.compact_of_idx[np.setdiff1d(np.arange(ctx.q2), idx)] == -1).all()
@@ -361,11 +375,35 @@ def test_level_scan_matches_brute_force(case, hinted):
     [[1, 0, 2], [0, 2, 1]],  # the second pivot is 2, not 1
     [[1, 2, 0], [0, 0, 0]],  # a zero row
     [[0, 1, 1], [1, 1, 0]],  # the first row's pivot column is not zero in the second
+    [[0, 0, 0], [1, 2, 0]],  # a zero row first, where column 0 holds the other row's pivot
 ])
 def test_min_weight_scan_refuses_a_basis_that_is_not_reduced(basis):
     fq = make_field(3, 1).fq
     with pytest.raises(ValueError, match="identity on its pivot columns"):
         linalg.min_weight_scan(fq, np.array(basis, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_min_weight_scan_refuses_every_break_of_the_identity_on_the_pivots(q):
+    """From an RREF basis: a second nonzero in a pivot column, a pivot that is
+    neither 0 nor 1, a zero row and a row copied onto another are refused."""
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    R, pivots = linalg.rref(fq, rng.integers(0, q, size=(3, 7)).astype(np.uint8))
+    assert len(R) == 3 and linalg.min_weight_scan(fq, R).admitted
+    broken = []
+    for i in range(len(R)):
+        for j, c in enumerate(pivots):
+            for v in range(2 if i == j else 1, q):  # any v off the diagonal, v >= 2 on it
+                broken.append(R.copy())
+                broken[-1][i, c] = v
+        broken.append(R.copy())
+        broken[-1][i] = 0
+        broken.append(R.copy())
+        broken[-1][i] = R[(i + 1) % len(R)]
+    for basis in broken:
+        with pytest.raises(ValueError, match="identity on its pivot columns"):
+            linalg.min_weight_scan(fq, basis)
 
 
 def test_min_weight_scan_accepts_unordered_reduced_rows():

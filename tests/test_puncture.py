@@ -243,7 +243,7 @@ def test_small_support_witness_is_the_vandermonde_kernel(q):
     ctx = make_field(*WITNESS_FIELDS[q])
     points = np.array([x.i for x in ctx.subfield_elems()], dtype=np.int64)
     for k in range(1, q // 2 + 1):
-        kernel = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points[: 2 * k] + 1))
+        kernel, _ = linalg.kernel_basis(ctx.fq, parity_check(ctx, k, points[: 2 * k] + 1))
         v = small_support_witness(ctx, k)
         assert kernel.shape == (1, 2 * k) and np.count_nonzero(kernel) == v.weight() == 2 * k
         assert np.array_equal(v.v[points[: 2 * k]], kernel[0])
@@ -513,7 +513,8 @@ def test_parity_check_has_full_rank_and_the_u_space_kernel(q):
         H = parity_check(ctx, k, np.arange(1, ctx.q2 + 2))
         assert H.shape == (k * k, ctx.q2 + 1)
         assert len(linalg.rref(ctx.fq, H)[1]) == k * k
-        assert np.array_equal(linalg.kernel_basis(ctx.fq, H), cached_u_space(q, k).matrix)
+        kernel, pivots = linalg.kernel_basis(ctx.fq, H)
+        assert np.array_equal(kernel, cached_u_space(q, k).matrix) and pivots == cached_u_space(q, k).pivots
 
 
 @pytest.mark.parametrize("q,k", [(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
