@@ -277,8 +277,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             obj = json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {args.code_file}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedInput(f"{args.code_file} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # also arrays nested past the recursion limit and over-long integer literals
+        raise MalformedInput(f"{args.code_file} is not readable JSON: {exc}") from exc
     record = obj.get("result", obj) if isinstance(obj, dict) else None
     if not isinstance(record, dict):
         raise MalformedInput("no code record found in the file")

@@ -283,7 +283,7 @@ def _trace_poly(ctx: FieldCtx) -> Poly:
 def _trace_values(ctx: FieldCtx, xs: np.ndarray, degree: int) -> np.ndarray:
     """Pointwise sum of x^(p^j) for j < ``degree``: the trace down to GF(p)
     of elements of GF(p^degree)."""
-    return ctx.vsum(ctx.vpow_outer(xs, ctx.p ** np.arange(degree)), axis=0)
+    return ctx.vsum(ctx.vpow(xs, ctx.p ** np.arange(degree)[:, None]), axis=0)
 
 
 def trace_one_elements(ctx: FieldCtx) -> list[Felt]:

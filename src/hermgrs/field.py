@@ -153,9 +153,13 @@ def code_sum(p: int, digits: int, codes: np.ndarray, axis: int = 0) -> np.ndarra
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as an object array of the same shape, each an int or a numpy
     integer.  A bool, a float or a string is refused, also inside a list,
-    where np.asarray([1, True]) would be int64."""
+    where np.asarray([1, True]) would be int64; so are lists too deep to iterate."""
     values = np.asarray(values, dtype=object)
-    for kind in {type(v) for v in values.flat}:
+    try:
+        kinds = {type(v) for v in values.flat}
+    except RuntimeError as exc:  # the iterator stops at 32 dimensions
+        raise ValidationRefused(f"{what} must be an integer, got lists nested {values.ndim} deep") from exc
+    for kind in kinds:
         if kind is bool or not issubclass(kind, (int, np.integer)):
             bad = next(v for v in values.flat if type(v) is kind)
             raise ValidationRefused(f"{what} must be an integer, got {bad!r}")
@@ -330,21 +334,15 @@ class FieldCtx:
         one read of the inverse table."""
         return self._inv[a]
 
-    def vpow(self, a: np.ndarray, m: int) -> np.ndarray:
-        """Elementwise a^m for a scalar exponent m >= 0, with 0^0 = 1."""
-        a = np.asarray(a, dtype=np.int64)
-        if m == 0:
-            return np.ones_like(a)
-        return np.where(a == 0, 0, 1 + ((a - 1) * m) % self.n_units)
-
-    def vpow_outer(self, a: np.ndarray, ms: np.ndarray) -> np.ndarray:
-        """Matrix a_j^(m_i) of shape (len(ms), len(a)), with 0^0 = 1."""
-        a = np.asarray(a, dtype=np.int64)
-        ms = np.asarray(ms, dtype=np.int64)
-        res = np.multiply.outer(ms, a - 1)
+    def vpow(self, a: np.ndarray | int, m: np.ndarray | int) -> np.ndarray | int:
+        """a^m = w^((a-1)m) over the broadcast of a and m >= 0, masked to 0 where
+        a = 0 < m, so 0^0 = 1.  Python ints give a Python int, an exponent
+        column m[:, None] the table a_j^(m_i).  a and m are Python ints or
+        int64 arrays: an unsigned a would wrap at a - 1."""
+        res = (a - 1) * m
         res %= self.n_units
         res += 1
-        res[:, a == 0] = (ms == 0)[:, None]  # 0^m = 0, but 0^0 = 1
+        res *= (a != 0) | (m == 0)
         return res
 
     def vfrob(self, a: np.ndarray) -> np.ndarray:
@@ -495,8 +493,9 @@ class Felt:
     """Opaque element of a specific FieldCtx.
 
     Its operators read the tables the array methods read (``vadd``,
-    ``vneg``, ``vmul``, ``vpow``), so a scalar and an array of indices
-    share one arithmetic.  The maps of the Hermitian form are operators
+    ``vneg``, ``vmul``), so a scalar and an array of indices share one
+    arithmetic; ``**`` is ``vpow`` on Python ints, which builds no array
+    and takes any exponent.  The maps of the Hermitian form are operators
     too: the Frobenius ``x ** q``, the norm ``x ** (q+1)`` and the trace
     to GF(q) ``x + x ** q``.
 
@@ -547,14 +546,10 @@ class Felt:
         return self * other.inverse()
 
     def __pow__(self, m: int) -> Felt:
-        """x^m for any integer m, with 0^0 = 1.  A positive m is reduced to
-        1..q^2-1, which keeps 0^m = 0 and keeps ``vpow``'s int64 product
-        from overflowing."""
+        """x^m for any integer m, with 0^0 = 1: ``vpow`` on Python ints, of
+        the inverse for a negative m."""
         base = self.inverse() if m < 0 else self
-        m = abs(m)
-        if m:
-            m = (m - 1) % self.ctx.n_units + 1
-        return Felt(self.ctx, self.ctx.vpow(base.i, m))
+        return Felt(self.ctx, self.ctx.vpow(base.i, abs(m)))
 
     def inverse(self) -> Felt:
         if not self.i:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx, make_field
+from .field import Felt, FieldCtx, _integers, make_field
 from .puncture import PunctureVector, power_sums
 
 MDS_CAP = 10**6
@@ -81,11 +81,12 @@ class GrsCode:
         q2 = ctx.q2
         if not 1 <= k <= ctx.q + 1:
             raise ValidationRefused(f"k={k} out of range 1..q+1={ctx.q + 1}")
+        coords = _integers(support, "a support coordinate")
+        if coords.ndim != 1:
+            raise ValidationRefused(f"support must be one list of coordinates, got shape {coords.shape}")
+        support = tuple(int(i) for i in coords)
         if len(support) < k:
             raise ValidationRefused(f"length n={len(support)} is below the dimension k={k}")
-        for i in support:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise ValidationRefused(f"a support coordinate must be an integer, got {i!r}")
         if list(support) != sorted(set(support)) or not all(1 <= i <= q2 + 1 for i in support):
             raise ValidationRefused("support must be strictly increasing 1-based coordinates")
         thetas = ctx.indices(thetas)
@@ -93,7 +94,7 @@ class GrsCode:
             raise ValidationRefused("one nonzero theta per support coordinate is required")
         self.ctx = ctx
         self.k = k
-        self.support = tuple(int(i) for i in support)
+        self.support = support
         self.thetas = thetas
         self.gen = self._generator()
 
@@ -103,7 +104,7 @@ class GrsCode:
         n_eval = len(self.support) - (1 if has_coeff else 0)
         pts = np.array([i - 1 for i in self.support[:n_eval]], dtype=np.int64)
         gen = np.zeros((k, len(self.support)), dtype=np.int64)
-        gen[:, :n_eval] = ctx.vmul(self.thetas[:n_eval], ctx.vpow_outer(pts, np.arange(k)))
+        gen[:, :n_eval] = ctx.vmul(self.thetas[:n_eval], ctx.vpow(pts, np.arange(k)[:, None]))
         if has_coeff:
             gen[k - 1, -1] = self.thetas[-1]
         return gen

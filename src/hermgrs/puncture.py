@@ -161,7 +161,7 @@ def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
     cols = np.asarray(cols, dtype=np.int64)
     coeff = cols == ctx.q2 + 1  # the coefficient coordinate
     r, s, exps = _pairs(ctx.q, k)
-    c0, c1 = ctx.split_components(ctx.vpow_outer(np.where(coeff, 0, cols - 1), exps))
+    c0, c1 = ctx.split_components(ctx.vpow(np.where(coeff, 0, cols - 1), exps[:, None]))
     H = np.concatenate([c0, c1[r < s]])
     H[:, coeff] = 0
     H[r.size - 1, coeff] = 1  # the 1-component of S_(k-1,k-1), the last pair
@@ -221,10 +221,10 @@ def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
     coeffs = np.array([ctx.one.i, ctx.xi_idx], dtype=np.int64)
     blocks = []
     for i in range(q - k):
-        mono = ctx.vpow_outer(pts, i * q + np.arange(i + 1, q, dtype=np.int64))  # (q-1-i, q^2)
+        mono = ctx.vpow(pts, i * q + np.arange(i + 1, q, dtype=np.int64)[:, None])  # (q-1-i, q^2)
         scaled = ctx.vmul(coeffs[None, :, None], mono[:, None, :])  # (q-1-i, 2, q^2)
         blocks.append(_labels(ctx, ctx.vadd(scaled, ctx.vfrob(scaled)).reshape(-1, q2)))
-    blocks.append(_labels(ctx, ctx.vpow_outer(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64))))
+    blocks.append(_labels(ctx, ctx.vpow(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64)[:, None])))
     evals = np.concatenate(blocks)
     stacked = np.zeros((evals.shape[0], q2 + 1), dtype=np.uint8)
     stacked[:, :q2] = evals

@@ -434,6 +434,39 @@ def _edited_example1_record(tmp_path, edit):
     return bad
 
 
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: _written(tmp, "[" * 100_000 + "]" * 100_000),
+        lambda tmp: _written(tmp, '{"p": ' + "9" * 5000 + "}"),
+        lambda tmp: _edited_example1_record(tmp, lambda r: r.update(thetas=_nested(1, 40))),
+        lambda tmp: _edited_example1_record(tmp, lambda r: r.update(puncture_vector=_nested(1, 40))),
+    ],
+    ids=["arrays-past-the-recursion-limit", "integer-of-5000-digits", "thetas-40-deep", "puncture-vector-40-deep"],
+)
+def test_verify_refuses_what_json_or_numpy_cannot_read_with_exit_4(tmp_path, capsys, make):
+    """json.load raises RecursionError and a plain ValueError on the first
+    two, and numpy's flat iterator a RuntimeError past 32 dimensions on the
+    last two: each is a malformed file, not a crash."""
+    bad = make(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed input" in captured.err
+
+
 def _set_params(**changes):
     return lambda record: record["params"].update(changes)
 

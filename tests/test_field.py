@@ -49,9 +49,9 @@ def _reference_frobenius(ref, exp, q, t):
 
 
 # the exponents of the power test: negative, zero, the Frobenius, the norm,
-# the group order and past it, and one past int64
+# the group order and past it, and past int64
 def _exponents(q):
-    return [-q * q, -1, 0, 1, q, q + 1, q * q - 1, q * q, 2**70]
+    return [-q * q, -1, 0, 1, q, q + 1, q * q - 1, q * q, 2**70, 2**200]
 
 
 @pytest.mark.parametrize("p,h", ALL_Q_PH)
@@ -414,10 +414,16 @@ def test_vectorized_ops_match_scalar(p, h):
         assert va[i] == (x + y).i
         assert vm[i] == (x * y).i
         assert vn[i] == (-x).i
-    for m in (0, 1, 2, ctx.q, ctx.q + 1, ctx.q2 - 1):
-        vp = ctx.vpow(a, m)
-        for i in range(0, 400, 7):
-            assert vp[i] == (elems[a[i]] ** m).i
+    # one power map: an exponent column gives the table a^m, a scalar
+    # exponent a row of it, and Python ints a Python int
+    ms = np.array([0, 1, 2, ctx.q, ctx.q + 1, ctx.q2 - 1, 3 * (ctx.q2 - 1) + 5])
+    table = ctx.vpow(ctx.points_idx(), ms[:, None])
+    assert table.tolist() == [[(x ** int(m)).i for x in elems] for m in ms]
+    assert table[:, 0].tolist() == [1] + [0] * (ms.size - 1)  # 0^0 = 1, 0^m = 0
+    for m, row in zip(ms.tolist(), table):
+        assert np.array_equal(ctx.vpow(a, m), row[a])
+        scalars = [ctx.vpow(x, m) for x in range(ctx.q2)]
+        assert all(type(v) is int for v in scalars) and scalars == row.tolist()
     total = ctx.zero
     for x in a:
         total = total + elems[x]

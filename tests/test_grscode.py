@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -220,6 +221,21 @@ def test_support_coordinates_that_are_not_integers_are_refused(ctx4, bad):
     """Not truncated into the int64 generator nor compared as a value."""
     with pytest.raises(ValidationRefused, match="a support coordinate must be an integer"):
         GrsCode(ctx4, 1, (bad, 3), [1, 1])
+
+
+@pytest.mark.parametrize(
+    "support,match",
+    [
+        ([[1, 2], [3, 4]], "one list of coordinates"),
+        (functools.reduce(lambda v, _: [v], range(40), 1), "nested 40 deep"),
+    ],
+    ids=["equal-length-rows", "40-deep"],
+)
+def test_support_that_is_not_one_flat_list_is_refused(ctx4, support, match):
+    """Rows of equal length pass the integer rule as a 2-D array; a list
+    deeper than numpy iterates is refused by the rule itself."""
+    with pytest.raises(ValidationRefused, match=match):
+        GrsCode(ctx4, 1, support, [1, 1])
 
 
 def test_numpy_integer_support_is_kept_as_python_ints(ctx4):
