@@ -8,16 +8,9 @@ Gram matrix H N(theta) of the scaled Hermitian form on the monomial basis
 (H: P(C)'s parity check), which by sesquilinearity covers all codeword pairs.
 
 MDS-ness (d = n-k+1) is checked on every k-column minor by one elimination
-along the lexicographic tree of column subsets: a node, the sorted prefix
-c1 < ... < cj, holds the (k-j) x n residual of the generator reduced by it,
-whose rows span the codewords vanishing on the prefix.  Column c is
-independent of the prefix iff the residual is nonzero at c, so a minor is
-nonsingular iff its path never meets a zero column, and minors sharing a
-prefix share its work.  The walk stops at two rows: by the Schur complement
-the minor on the prefix and {c, j} is nonsingular iff the residual's 2 x 2
-minor on c and j is, so every minor below a node is nonsingular iff the
-residual's later columns are nonzero and pairwise distinct as points
-[a : b] of PG(1, q^2), which one sort of their keys b/a decides.
+along the lexicographic tree of column subsets (``check_mds``): minors that
+share a prefix share its work, and a node with two rows left closes all the
+minors below it by one sort of projective points.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from .puncture import PunctureVector, power_sums
 MDS_CAP = 10**6
 ENUM_CAP = 10**8
 # entries per working array of the MDS minor walk (see check_mds)
-_MDS_BLOCK = 1 << 16
+_MDS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,12 +155,14 @@ def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
 
     ``res[b]`` is the (r, n) residual of node b, whose prefix ends at column
     ``last[b]`` and leaves r columns to choose.  Each child is one
-    pivot-and-eliminate step; a two-row residual closes its node by one sort
-    of the points [a : b] of its later columns, keyed by b/a (q^2 when a = 0)
-    with distinct negative sentinels at or before ``last``.  A one-row
-    residual (k = 1) needs only its nonzero test.
+    pivot-and-eliminate step, taken in column order; a piece of children
+    keeps only the columns after its first pivot c0, so the prefix of a
+    child with pivot c ends at c - c0 - 1.  A two-row residual closes its
+    node by one sort of the points [a : b] of its later columns, keyed by
+    b/a (q^2 when a = 0) with distinct negative sentinels at or before
+    ``last``.  A one-row residual (k = 1) needs only its nonzero test.
     """
-    b, r, n = res.shape
+    _, r, n = res.shape
     later = np.arange(n)[None, :] > last[:, None]
     if r == 1:
         return bool(((res[:, 0, :] != 0) | ~later).all())
@@ -178,27 +173,29 @@ def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
         key = np.where(top == 0, ctx.q2, ctx.vmul(bottom, ctx._vinv0(top)))
         key = np.sort(np.where(later, key, -1 - np.arange(n)), axis=1)
         return not (key[:, 1:] == key[:, :-1]).any()
-    counts = n - r - last  # children last+1 .. n-r leave r-1 columns after them
-    parent = np.repeat(np.arange(b), counts)
-    start = np.cumsum(counts) - counts
-    col = last[parent] + 1 + np.arange(parent.size) - start[parent]
-    step = max(1, _MDS_BLOCK // (r * n))
-    for lo in range(0, parent.size, step):
-        node, c = res[parent[lo : lo + step]], col[lo : lo + step]
-        rows = np.arange(node.shape[0])
-        at_c = node[rows, :, c]  # (B, r)
+    # children last+1 .. n-r leave r-1 columns after them, taken in column order
+    col, parent = np.nonzero(last[None, :] < np.arange(n - r + 1)[:, None])
+    lo = 0
+    while lo < col.size:
+        start = col[lo] + 1  # a piece keeps only the columns after its first pivot
+        hi = lo + max(1, _MDS_BLOCK // (r * (n - start + 1)))
+        c, node = col[lo:hi], parent[lo:hi]
+        rows = np.arange(c.size)
+        at_c = res[node, :, c]  # (B, r)
         nonzero = at_c != 0
         if not nonzero.any(axis=1).all():
             return False
         prow = nonzero.argmax(axis=1)
-        pivot = node[rows, prow]  # (B, n)
-        keep = np.arange(r)[None, :] != prow[:, None]
+        other = np.arange(r - 1)[None, :]
+        other = other + (other >= prow[:, None])  # (B, r-1): every row but the pivot's
         inv = ctx._vinv0(at_c[rows, prow])
-        factor = ctx.vmul(at_c[keep].reshape(-1, r - 1), ctx.vneg(inv)[:, None])
-        rest = node[keep].reshape(-1, r - 1, n)
+        factor = ctx.vmul(at_c[rows[:, None], other], ctx.vneg(inv)[:, None])
+        pivot = res[node, prow, start:]  # (B, n - start)
+        rest = res[node[:, None], other, start:]  # (B, r-1, n - start)
         child = ctx.vadd(rest, ctx.vmul(factor[:, :, None], pivot[:, None, :]))
-        if not _prefix_walk(ctx, child, c):
+        if not _prefix_walk(ctx, child, c - start):
             return False
+        lo = hi
     return True
 
 
@@ -225,14 +222,14 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
     the row decides this: the key of a later column is the index of b/a, or
     q^2 when a = 0, and the earlier columns take distinct negative
     sentinels.  For k = 2 the whole check is that one sort.  The walk goes
-    depth first, in pieces of at most ``_MDS_BLOCK`` = 2^16 entries per
-    working array, 512 KB of int64.  At that size a piece's temporaries
-    stay in cache and are reused from the heap.  At 10^6 entries they were
-    8 MB arrays, mapped and faulted in afresh as the allocator's mmap
-    threshold allowed, so the call's time depended on the allocator's
-    state and the peak resident set grew by them.  Between 2^14 and 2^18,
-    2^16 was the fastest or within a few percent of it on odd-min (24, 6),
-    odd-min (20, 6) and even-min (16, 8).
+    depth first and takes a node's children in column order, in pieces of
+    at most ``_MDS_BLOCK`` = 2^14 entries (128 KB of int64) per working
+    array unless a piece is one child, so its temporaries stay in cache
+    and are not mapped afresh.  A piece keeps only the columns after its
+    first pivot, the only ones its children can take.  In process (2-core
+    Xeon guest), odd-min (24, 6), odd-min (20, 6) and even-min (16, 8) took
+    9.0 ms together at 2^14 and 2^15, 10.3 at 2^13, 11.1 at 2^16, 13.8 at
+    2^12, 16.0 at 2^17 and 18.4 at 2^18.
     """
     n, k = code.n, code.k
     total = math.comb(n, k)

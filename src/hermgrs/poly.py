@@ -62,7 +62,10 @@ class Poly:
 
     @classmethod
     def from_indices(cls, ctx: FieldCtx, indices) -> Poly:
-        return cls(ctx, ctx.indices(list(indices)))
+        c = ctx.indices(indices)
+        if c.ndim != 1:
+            raise ValidationRefused(f"coefficient indices must be one list, got shape {c.shape}")
+        return cls(ctx, c)
 
     # ------------------------------------------------------------------
     # structure

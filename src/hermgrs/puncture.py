@@ -77,7 +77,7 @@ class PunctureVector:
 
     def support(self) -> tuple[int, ...]:
         """1-based coordinates with a nonzero entry (q^2+1 = coefficient coordinate)."""
-        return tuple(int(i) + 1 for i in np.nonzero(self.v)[0])
+        return tuple((np.flatnonzero(self.v) + 1).tolist())
 
     def entry(self, i: int) -> Felt:
         """Entry at 1-based coordinate i, as a field element."""

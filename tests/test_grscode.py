@@ -504,6 +504,84 @@ def test_check_mds_two_row_step(ctx4, make_gen, expected):
     assert check_mds_at_block_one(code) is expected
 
 
+def _singular_minors(code) -> list[tuple[int, ...]]:
+    gen = [[code.ctx.felt(int(x)) for x in row] for row in code.gen]
+    return [
+        cols
+        for cols in itertools.combinations(range(code.n), code.k)
+        if not oracle.nonsingular_by_elimination(code.ctx, [[row[c] for c in cols] for row in gen])
+    ]
+
+
+def _one_dependent_column(k, cols, scale=1):
+    """RS over GF(16) on support 2..13 (n = 12) with column cols[-1] replaced
+    by scale * column cols[0] plus the columns between: the minor on cols is
+    singular."""
+    ctx = make_field(2, 4)
+    code = GrsCode(ctx, k, tuple(range(2, 14)), np.ones(12, dtype=np.int64))
+    gen = code.gen.copy()
+    gen[:, cols[-1]] = ctx.vmul(gen[:, cols[0]], np.int64(scale))
+    for c in cols[1:-1]:
+        gen[:, cols[-1]] = ctx.vadd(gen[:, cols[-1]], gen[:, c])
+    code.gen = gen
+    return code
+
+
+@pytest.mark.parametrize(
+    "k,cols,scale",
+    [(4, (0, 3, 4, 9), 3), (3, (1, 6, 11), 1)],
+    ids=["column-right-after-a-pivot", "last-column"],
+)
+def test_check_mds_finds_the_one_singular_minor(k, cols, scale):
+    """A piece keeps the columns after its first pivot: column 4, right
+    after the pivot 3 of the prefix (0, 3), is the first column of a piece
+    that starts at that pivot, and column 11 is the last column of every
+    piece; both must stay in the children that take them."""
+    code = _one_dependent_column(k, cols, scale)
+    assert _singular_minors(code) == [cols]
+    assert minors_by_oracle(code) is False
+    assert check_mds(code) is False
+    assert check_mds_at_block_one(code) is False
+
+
+@pytest.mark.parametrize("block", [1 << 10, grscode._MDS_BLOCK])
+def test_check_mds_pieces_keep_only_the_columns_after_their_first_pivot(monkeypatch, block):
+    """Odd-min (24, 6): each piece takes the next children of its level in
+    column order and keeps the node's columns after the piece's first pivot
+    c0, so a child's prefix ends at c - c0 - 1.  Its working arrays, r rows
+    of n - c0 entries per child, hold at most the block unless the piece is
+    one child, and every piece but a level's last would pass the block with
+    one more child.  A level whose minors are all nonsingular takes every
+    child."""
+    code = constructions.build_odd_q_min(make_field(7, 1), 6).code
+    walk = grscode._prefix_walk
+    open_levels = []  # [n, r, children in column order, children taken] per open call with r > 2
+
+    def checked(ctx, res, last):
+        if open_levels:
+            n, r, children, taken = open_levels[-1]
+            piece = children[taken : taken + res.shape[0]]
+            c0 = piece[0][0]
+            assert res.shape == (len(piece), r - 1, n - c0 - 1)
+            assert last.tolist() == [c - c0 - 1 for c, _ in piece]
+            assert len(piece) == 1 or len(piece) * r * (n - c0) <= block
+            assert taken + len(piece) == len(children) or (len(piece) + 1) * r * (n - c0) > block
+            open_levels[-1][3] += len(piece)
+        b, r, n = res.shape
+        if r > 2:
+            children = sorted((c, i) for i in range(b) for c in range(int(last[i]) + 1, n - r + 1))
+            open_levels.append([n, r, children, 0])
+        ok = walk(ctx, res, last)
+        if r > 2:
+            _, _, children, taken = open_levels.pop()
+            assert taken == len(children)
+        return ok
+
+    monkeypatch.setattr(grscode, "_MDS_BLOCK", block)
+    monkeypatch.setattr(grscode, "_prefix_walk", checked)
+    assert check_mds(code) is True
+
+
 def test_check_mds_at_k2_is_one_sort_of_projective_points():
     """RS at q = 32, k = 2: C(1025, 2) = 524800 minors, too many for the
     scalar oracle, so the singular case is checked on its one bad minor."""
@@ -537,11 +615,12 @@ def _singular_in_the_last_minor(code):
 def test_check_mds_is_the_same_at_every_block_size(family, p, h, k):
     """Odd-min (24,6) and even-min (16,8) split the walk into several
     pieces at the default piece size, which the hypothesis codes (n <= 12)
-    never do; the verdict must not depend on the piece size."""
+    never do; at a block of 7 the children of one column fall into pieces
+    of their own.  The verdict must not depend on the piece size."""
     build = {"odd-min": constructions.build_odd_q_min, "even-min": constructions.build_even_q_min}[family]
     code = build(make_field(p, h), k).code
     doctored = _singular_in_the_last_minor(code)
-    for block in (1, grscode._MDS_BLOCK, 10**6):
+    for block in (1, 7, grscode._MDS_BLOCK, 10**6):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grscode, "_MDS_BLOCK", block)
             assert check_mds(code) is True
@@ -551,23 +630,16 @@ def test_check_mds_is_the_same_at_every_block_size(family, p, h, k):
 def test_check_mds_walks_the_last_piece_of_a_level():
     """q = 16, k = 3, support 2..13, last column the sum of the two before
     it: the minor on columns {9, 10, 11} is the only singular one, and it
-    lies below the last child of the root.  At a piece size of k * n every
-    root child is a piece of its own, so a walk that skips a level's last
-    piece answers True."""
-    ctx = make_field(2, 4)
-    code = GrsCode(ctx, 3, tuple(range(2, 14)), np.ones(12, dtype=np.int64))
-    code.gen = code.gen.copy()
-    code.gen[:, 11] = ctx.vadd(code.gen[:, 9], code.gen[:, 10])
-    gen = [[ctx.felt(int(x)) for x in row] for row in code.gen]
-    singular = [
-        cols
-        for cols in itertools.combinations(range(code.n), code.k)
-        if not oracle.nonsingular_by_elimination(ctx, [[row[c] for c in cols] for row in gen])
-    ]
-    assert singular == [(9, 10, 11)]
+    lies below the last child of the root.  At a piece size of 64 the
+    root's children, pivots 0..9 of a 12-column node, fall into the pieces
+    {0}, {1}, {2, 3}, {4, 5}, {6, 7, 8} and {9}, 64 // (3 (12 - c0)) from
+    each first pivot c0 on, so a walk that skips a level's last piece
+    answers True; at the default size the root is one piece."""
+    code = _one_dependent_column(3, (9, 10, 11))
+    assert _singular_minors(code) == [(9, 10, 11)]
     assert check_mds(code) is False
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grscode, "_MDS_BLOCK", code.k * code.n)
+        mp.setattr(grscode, "_MDS_BLOCK", 64)
         assert check_mds(code) is False
 
 

@@ -32,6 +32,13 @@ def test_from_indices_refuses_what_is_not_an_element_index(ctx4, bad):
         Poly.from_indices(ctx4, [1, bad])
 
 
+@pytest.mark.parametrize("bad", [[[1, 2], [3, 4]], 5, np.int64(5), np.array(5)], ids=["nested", "int", "np-int", "0-d"])
+def test_from_indices_refuses_what_is_not_one_flat_list(ctx4, bad):
+    """A nested list would give a two-dimensional coefficient array, a single value a 0-d one."""
+    with pytest.raises(ValidationRefused, match="must be one list"):
+        Poly.from_indices(ctx4, bad)
+
+
 def test_eval_examples(ctx5):
     w = ctx5.w
     assert Poly.zero(ctx5).eval(w).is_zero()
