@@ -27,7 +27,7 @@ import random
 import sys
 from datetime import datetime, timezone
 
-from . import constructions, grscode, puncture
+from . import constructions, grscode, linalg, puncture
 from .errors import CapExceeded, MalformedInput, ValidationRefused
 from .field import MAX_Q, FieldCtx, _prime_factors, make_field
 from .poly import Poly
@@ -381,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_punc.add_argument("--k", type=int, required=True, help="dimension of the Reed-Solomon code")
     p_punc.add_argument("--method", choices=["direct", "u-space", "all"], default="all")
     p_punc.add_argument("--check-min-weight", action="store_true")
-    p_punc.add_argument("--min-weight-cap", type=int, default=10**8)
+    p_punc.add_argument("--min-weight-cap", type=int, default=linalg.SCAN_CAP)
     p_punc.add_argument("--direct-cap-q", type=int, default=puncture.DIRECT_MAX_Q)
     p_punc.add_argument("--g-samples", type=int, default=0,
                         help="membership-check this many random (g, c) pairs")
     p_punc.add_argument("--distribution", action="store_true",
                         help="emit the full weight distribution of P(C)")
-    p_punc.add_argument("--distribution-cap", type=int, default=10**7)
+    p_punc.add_argument("--distribution-cap", type=int, default=linalg.DISTRIBUTION_CAP)
     _add_output_args(p_punc)
     p_punc.set_defaults(func=cmd_puncture)
 
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="recheck a serialized code record")
     p_ver.add_argument("code_file", help="JSON file produced by construct (or a bare code record)")
     p_ver.add_argument("--mds-cap", type=int, default=grscode.MDS_CAP)
-    p_ver.add_argument("--enum-cap", type=int, default=10**6)
+    p_ver.add_argument("--enum-cap", type=int, default=grscode.ENUM_CAP)
     p_ver.add_argument("--include-generator", action="store_true",
                        help="embed the generator matrix (row-major element indices)")
     _add_output_args(p_ver)
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="P(C) minimum-weight table for k = 1..q")
     _add_field_args(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--min-weight-cap", type=int, default=10**8)
+    p_sweep.add_argument("--min-weight-cap", type=int, default=linalg.SCAN_CAP)
     _add_output_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

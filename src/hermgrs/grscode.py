@@ -25,8 +25,8 @@ from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefu
 from .field import Felt, FieldCtx, _integers, make_field
 from .puncture import PunctureVector, power_sums
 
-MDS_CAP = 10**6
-ENUM_CAP = 10**8
+MDS_CAP = 10**6  # k-column minors past which check_mds refuses
+ENUM_CAP = 10**6  # words past which min_weight refuses to enumerate the row space
 # entries per working array of the MDS minor walk (see check_mds)
 _MDS_BLOCK = 1 << 14
 
@@ -77,13 +77,14 @@ class GrsCode:
         coords = _integers(support, "a support coordinate")
         if coords.ndim != 1:
             raise ValidationRefused(f"support must be one list of coordinates, got shape {coords.shape}")
-        support = tuple(int(i) for i in coords)
-        if len(support) < k:
-            raise ValidationRefused(f"length n={len(support)} is below the dimension k={k}")
-        if list(support) != sorted(set(support)) or not all(1 <= i <= q2 + 1 for i in support):
+        if coords.size < k:
+            raise ValidationRefused(f"length n={coords.size} is below the dimension k={k}")
+        # the range check comes before the int64 cast, which would overflow at 2^63
+        if coords.min() < 1 or coords.max() > q2 + 1 or (np.diff(coords.astype(np.int64)) <= 0).any():
             raise ValidationRefused("support must be strictly increasing 1-based coordinates")
+        support = tuple(coords.astype(np.int64).tolist())
         thetas = ctx.indices(thetas)
-        if thetas.shape != (len(support),) or np.any(thetas == 0):
+        if thetas.shape != (coords.size,) or np.any(thetas == 0):
             raise ValidationRefused("one nonzero theta per support coordinate is required")
         self.ctx = ctx
         self.k = k
@@ -266,7 +267,7 @@ def quantum_params(code: GrsCode) -> CodeParams:
     return CodeParams.of_self_orthogonal(code)
 
 
-def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = 10**6) -> str:
+def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = ENUM_CAP) -> str:
     """Tiered distance verification: minors, then enumeration, else asserted.
 
     Returns "minors" or "enumeration" when d = n-k+1 was independently
@@ -303,7 +304,7 @@ def code_to_dict(code: GrsCode, *, self_orthogonal: bool, mds: str) -> dict:
         "q": q,
         "k": k,
         "support": list(code.support),
-        "thetas": [int(t) for t in code.thetas],
+        "thetas": code.thetas.tolist(),
         "params": {"n": n, "k": k, "d": n - k + 1, "verified_d": verified},
         "quantum": list(params.quantum) if params else None,
         "self_orthogonal": self_orthogonal,
@@ -351,6 +352,8 @@ def code_from_dict(obj: dict) -> GrsCode:
                 raise MalformedInput(f"params {claimed!r} disagree with the record's support and k")
         if "mds" in obj and obj["mds"] not in ("minors", "enumeration", "asserted_by_construction"):
             raise MalformedInput(f"mds must name a verification tier, got {obj['mds']!r}")
+        if "params" in obj and "mds" in obj and claimed["verified_d"] != (obj["mds"] in ("minors", "enumeration")):
+            raise MalformedInput(f"params.verified_d = {claimed['verified_d']} contradicts mds = {obj['mds']!r}")
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"missing or ill-typed code field: {exc}") from exc
     try:
@@ -367,4 +370,4 @@ def code_from_dict(obj: dict) -> GrsCode:
 
 def generator_rows(code: GrsCode) -> list[list[int]]:
     """Generator matrix as row-major serialized element indices."""
-    return [[int(x) for x in row] for row in code.gen]
+    return code.gen.tolist()

@@ -53,6 +53,8 @@ from .errors import CapExceeded
 from .field import SubfieldTables, code_sum
 
 _BLOCK = 1 << 15
+SCAN_CAP = 10**8  # projected words (``projected_work``) past which min_weight_scan refuses
+DISTRIBUTION_CAP = 10**7  # words past which weight_distribution refuses
 
 
 def _code_adder(fq: SubfieldTables):
@@ -352,7 +354,7 @@ def projected_work(q: int, m: int, depth: int, cap: int) -> int:
 def min_weight_scan(
     fq: SubfieldTables,
     basis: np.ndarray,
-    cap: int = 10**8,
+    cap: int = SCAN_CAP,
     upper: tuple[int, np.ndarray] | None = None,
 ) -> ScanResult:
     """Certified minimum nonzero weight of the row space of an RREF basis.
@@ -480,7 +482,7 @@ def min_weight_scan(
     return ScanResult(True, best_w, best_vec, scanned)
 
 
-def weight_distribution(fq: SubfieldTables, basis: np.ndarray, cap: int = 10**8) -> np.ndarray:
+def weight_distribution(fq: SubfieldTables, basis: np.ndarray, cap: int = DISTRIBUTION_CAP) -> np.ndarray:
     """Weight enumerator of the row space by full enumeration.
 
     Returns counts indexed by weight (the zero word included at index 0).

@@ -8,11 +8,13 @@ truncations of length r.  ``power_sums`` evaluates the S_(r,s) of a given
 lambda as the spectrum of lambda over GF(q^2)* (``FieldCtx.spectrum``) at
 the exponents rq+s; those of N(theta) are the Gram matrix.
 
-Three independent computations are provided and cross-validated elsewhere:
+Three computations are provided and cross-validated elsewhere.  The first
+two share one row builder: P(C) is the kernel of the ``_component_rows`` of
+one exponent-pair set and the span of those of another.  The third reads no
+component table.
 
 * ``puncture_direct``  - the kernel of H over GF(q);
-* ``u_space_basis``    - the row-reduced g-forms of the monomial basis of
-                         the g-space (the u-space);
+* ``u_space_basis``    - the RREF of the g-space's g-forms (the u-space);
 * ``g_form_vector``    - the member of P(C) of a low-degree g and c in GF(q):
                          x -> g(x) + g(x)^q + c x^((q-k)(q+1)), then c.
 
@@ -140,32 +142,35 @@ def _pairs(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The pairs (r, s), r <= s < k, in row-major order, and the set Z of
     their exponents rq+s, where S_(r,s) reads the spectrum of lambda over
-    GF(q^2)*.  H's first k(k+1)/2 rows are the 1-components of S_(r,s)
-    over these pairs; the k(k-1)/2 rows after them the xi-components of
-    the pairs with r < s.  For lambda
-    over GF(q), S_(s,r) = S_(r,s)^q and S_(r,r) lies in GF(q) (its
-    xi-component is zero), so these k^2 rows span the conditions of all
-    k^2 sums, and they are independent.
+    GF(q^2)*.  H's k^2 rows are the ``_component_rows`` of these pairs.
+    For lambda over GF(q), S_(s,r) = S_(r,s)^q and S_(r,r) lies in GF(q),
+    so they span the conditions of all k^2 sums, and they are independent.
     """
     r, s = np.triu_indices(k)
     return r, s, r * q + s
 
 
+def _component_rows(ctx: FieldCtx, r: np.ndarray, s: np.ndarray, cols) -> np.ndarray:
+    """GF(q) rows on the 1-based ``cols``: the 1-components of a^(rq+s) over the
+    pairs r <= s, then the xi-components of the pairs with r < s (zero at
+    r = s).  Coordinate q^2+1 is 1 in the last pair's 1-component, else 0."""
+    cols = np.asarray(cols, dtype=np.int64)
+    coeff = cols == ctx.q2 + 1
+    c0, c1 = ctx.split_components(ctx.vpow(np.where(coeff, 0, cols - 1), (r * ctx.q + s)[:, None]))
+    rows = np.concatenate([c0, c1[r < s]])
+    rows[:, coeff] = 0
+    rows[r.size - 1, coeff] = 1
+    return rows
+
+
 def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
     """The (k^2, len(cols)) GF(q) parity-check matrix H of P(C) on 1-based coordinates.
 
-    Its rows (laid out by ``_pairs``) are {1, xi}-components of the conditions
+    Its rows (``_pairs``) are the {1, xi}-components of the conditions
     S_(r,s)(lambda) = sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_(q^2+1) = 0.
     On all q^2+1 coordinates H has rank k^2.
     """
-    cols = np.asarray(cols, dtype=np.int64)
-    coeff = cols == ctx.q2 + 1  # the coefficient coordinate
-    r, s, exps = _pairs(ctx.q, k)
-    c0, c1 = ctx.split_components(ctx.vpow(np.where(coeff, 0, cols - 1), exps[:, None]))
-    H = np.concatenate([c0, c1[r < s]])
-    H[:, coeff] = 0
-    H[r.size - 1, coeff] = 1  # the 1-component of S_(k-1,k-1), the last pair
-    return H
+    return _component_rows(ctx, *_pairs(ctx.q, k)[:2], cols)
 
 
 def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
@@ -204,33 +209,23 @@ def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> Punctur
 
 
 def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
-    """P(C) as the row-reduced g-forms (``g_form_vector``) of monomials.
+    """P(C) as the RREF of the g-forms (``g_form_vector``) of the g-space.
 
-    Evaluates one slot row i < q-k at a time (which bounds the temporaries):
-    g = c X^(iq+j), c in {1, xi}, i < j < q, takes the value
-    Tr(c a^(iq+j)) = c a^(iq+j) + (c a^(iq+j))^q at a, and g = gamma X^(i(q+1))
-    with Tr(gamma) = 1 the value a^(i(q+1)).  Last comes g = 0, c = 1: the
-    value a^((q-k)(q+1)) and a final 1.  The g-form of every other monomial
-    of degree at most (q-k)q-1 lies in the GF(q)-span of these rows.
+    Its rows are the ``_component_rows`` of the pairs i <= j < q, i < q-k,
+    then (q-k, q-k).  For i < j the g-forms Tr(c a^(iq+j)) of c X^(iq+j),
+    c in {1, xi}, are the components of a^(iq+j) times the nonsingular trace
+    form [[Tr 1, Tr xi], [Tr xi, Tr xi^2]].  A diagonal a^(i(q+1)) lies in
+    GF(q): the g-form of gamma X^(i(q+1)), Tr(gamma) = 1; the last row is that
+    of g = 0, c = 1.  Every other g-form of degree <= (q-k)q-1 is in the span.
     """
     _check_k(ctx, k)
     q, q2 = ctx.q, ctx.q2
     if k > q:
         return PunctureBasis(ctx, k, "u_space", np.empty((0, q2 + 1), dtype=np.uint8), ())
-    pts = ctx.points_idx()
-    coeffs = np.array([ctx.one.i, ctx.xi_idx], dtype=np.int64)
-    blocks = []
-    for i in range(q - k):
-        mono = ctx.vpow(pts, i * q + np.arange(i + 1, q, dtype=np.int64)[:, None])  # (q-1-i, q^2)
-        scaled = ctx.vmul(coeffs[None, :, None], mono[:, None, :])  # (q-1-i, 2, q^2)
-        blocks.append(_labels(ctx, ctx.vadd(scaled, ctx.vfrob(scaled)).reshape(-1, q2)))
-    blocks.append(_labels(ctx, ctx.vpow(pts, (q + 1) * np.arange(q - k + 1, dtype=np.int64)[:, None])))
-    evals = np.concatenate(blocks)
-    stacked = np.zeros((evals.shape[0], q2 + 1), dtype=np.uint8)
-    stacked[:, :q2] = evals
-    stacked[-1, q2] = 1  # the last row, g = 0 and c = 1, carries c = 1 there
-    canon, pivots = linalg.rref(ctx.fq, stacked)
-    return PunctureBasis(ctx, k, "u_space", canon, pivots)
+    r, s = np.triu_indices(q)
+    keep = r < q - k
+    rows = _component_rows(ctx, np.append(r[keep], q - k), np.append(s[keep], q - k), np.arange(1, q2 + 2))
+    return PunctureBasis(ctx, k, "u_space", *linalg.rref(ctx.fq, rows))
 
 
 def primal_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
@@ -363,7 +358,7 @@ class PuncMinWeight:
 
 
 def min_weight_pc(
-    ctx: FieldCtx, k: int, cap: int = 10**8, basis: PunctureBasis | None = None,
+    ctx: FieldCtx, k: int, cap: int = linalg.SCAN_CAP, basis: PunctureBasis | None = None,
 ) -> PuncMinWeight:
     """Minimum nonzero weight of P(C), certified exhaustively when feasible.
 
@@ -402,7 +397,7 @@ def min_weight_pc(
 
 
 def weight_distribution(
-    ctx: FieldCtx, k: int, cap: int = 10**8, basis: PunctureBasis | None = None,
+    ctx: FieldCtx, k: int, cap: int = linalg.DISTRIBUTION_CAP, basis: PunctureBasis | None = None,
 ) -> np.ndarray:
     """Full weight enumerator of P(C) (index = weight, zero word included).
 

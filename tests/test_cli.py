@@ -483,8 +483,12 @@ def _set_params(**changes):
     lambda r: r.update(params=[12, 4, 9, True]),
     lambda r: r.update(mds="bogus"),
     lambda r: r.update(mds=None),
+    lambda r: r.update(mds="asserted_by_construction"),
+    _set_params(verified_d=False),
+    lambda r: (r.update(mds="enumeration"), r["params"].update(verified_d=False)),
 ], ids=["issue-record", "bool-n", "no-verified_d", "wrong-d", "wrong-n", "wrong-k", "int-verified_d",
-        "null-params", "list-params", "bogus-mds", "null-mds"])
+        "null-params", "list-params", "bogus-mds", "null-mds", "asserted-but-verified_d",
+        "minors-but-not-verified_d", "enumeration-but-not-verified_d"])
 def test_verify_refuses_ill_typed_or_inconsistent_params_and_mds(tmp_path, capsys, edit):
     bad = _edited_example1_record(tmp_path, edit)
     capsys.readouterr()
@@ -495,8 +499,14 @@ def test_verify_refuses_ill_typed_or_inconsistent_params_and_mds(tmp_path, capsy
 
 @pytest.mark.parametrize("mds", ["minors", "enumeration", "asserted_by_construction"])
 def test_verify_accepts_every_mds_tier_claim(tmp_path, capsys, mds):
-    """The tier claim is checked for form only: other caps can give another tier."""
-    bad = _edited_example1_record(tmp_path, lambda r: r.update(mds=mds))
+    """The tier claim is checked for form and against its own verified_d only:
+    other caps can give another tier."""
+
+    def claim(record):
+        record.update(mds=mds)
+        record["params"]["verified_d"] = mds in ("minors", "enumeration")
+
+    bad = _edited_example1_record(tmp_path, claim)
     capsys.readouterr()
     rc, vdoc = run_json(capsys, ["verify", str(bad)])
     assert rc == 0 and vdoc["result"]["mds"] == "minors"

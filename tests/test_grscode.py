@@ -223,6 +223,14 @@ def test_support_coordinates_that_are_not_integers_are_refused(ctx4, bad):
         GrsCode(ctx4, 1, (bad, 3), [1, 1])
 
 
+@pytest.mark.parametrize("bad", [2**70, -1, np.uint64(2**64 - 1), 0, 18])
+def test_support_coordinates_out_of_range_are_refused(ctx4, bad):
+    """Range-checked before the int64 conversion, which would overflow at 2^70:
+    a refusal, not an OverflowError."""
+    with pytest.raises(ValidationRefused, match="strictly increasing 1-based coordinates"):
+        GrsCode(ctx4, 1, (bad, 17) if bad < 1 else (1, bad), [1, 1])
+
+
 @pytest.mark.parametrize(
     "support,match",
     [

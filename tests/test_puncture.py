@@ -492,8 +492,16 @@ def test_min_weight_pc_predicts_the_scans_admission(q, monkeypatch):
     assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == MIN_WEIGHT_CELLS[q]
 
 
-@pytest.mark.parametrize("q,k", [(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
-                         + [(q, k) for q in (25, 27, 32) for k in (1, 2, q // 2, q - 1, q)])
+U_SPACE_CELLS = ([(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
+                 + [(q, k) for q in (25, 27, 32) for k in (1, 2, q // 2, q - 1, q)])
+
+# sha256 over u_space_basis at U_SPACE_CELLS in order, fed its matrix bytes and
+# then the JSON [pivots, shape] per cell, as produced by the version that
+# evaluated the traces Tr(c a^(iq+j)), c in {1, xi}, one slot row at a time
+U_SPACE_DIGEST = "2a2a6d1b78a28690d9b62531997fbb2c6c9bc52388f0c004fb7dae5fb87e1f76"
+
+
+@pytest.mark.parametrize("q,k", U_SPACE_CELLS)
 def test_u_space_rref_has_the_formula_dimension(q, k):
     ctx = make_field(*PUNCTURE_FIELDS[q])
     assert u_space_basis(ctx, k).dim == dim_formula(q, k) == max(0, q * q + 1 - k * k)
@@ -517,8 +525,7 @@ def test_parity_check_has_full_rank_and_the_u_space_kernel(q):
         assert np.array_equal(kernel, cached_u_space(q, k).matrix) and pivots == cached_u_space(q, k).pivots
 
 
-@pytest.mark.parametrize("q,k", [(q, k) for q in sorted(MIN_WEIGHT_CELLS) for k in range(1, q + 2)]
-                         + [(q, k) for q in (25, 27, 32) for k in (1, 2, q // 2, q - 1, q)])
+@pytest.mark.parametrize("q,k", U_SPACE_CELLS)
 def test_both_routes_give_the_same_rref(q, k):
     """The kernel of H and the row-reduced u-space evaluations are the same
     bytes, matrix and pivots, and ``primal_basis`` returns them too."""
@@ -528,6 +535,15 @@ def test_both_routes_give_the_same_rref(q, k):
     primal = primal_basis(ctx, k)
     assert np.array_equal(primal.matrix, uspace.matrix) and primal.pivots == uspace.pivots
     assert primal.method == ("direct" if k * k <= dim_formula(q, k) else "u_space")
+
+
+def test_u_space_bytes_are_pinned():
+    hasher = hashlib.sha256()
+    for q, k in U_SPACE_CELLS:
+        basis = cached_u_space(q, k)
+        hasher.update(basis.matrix.tobytes())
+        hasher.update(json.dumps([list(basis.pivots), list(basis.matrix.shape)]).encode())
+    assert hasher.hexdigest() == U_SPACE_DIGEST
 
 
 @pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
