@@ -25,18 +25,14 @@ from .field import (
     FieldCtx,
     make_field,
     skew_element,
-    solve_norm,
-    trace_to_prime,
 )
 from .grscode import (
     CodeParams,
     GrsCode,
-    build_rs,
     check_mds,
     hermitian_gram,
     is_hermitian_self_orthogonal,
     min_weight,
-    quantum_params,
     truncate_scale,
 )
 from .poly import Poly, distinct_zeros, q_power_mod
@@ -86,7 +82,6 @@ __all__ = [
     "build_example3",
     "build_odd_q_min",
     "build_qsq_plus_one",
-    "build_rs",
     "check_mds",
     "distinct_zeros",
     "g_form_vector",
@@ -100,10 +95,7 @@ __all__ = [
     "primal_basis",
     "puncture_direct",
     "q_power_mod",
-    "quantum_params",
     "skew_element",
-    "solve_norm",
-    "trace_to_prime",
     "truncate_scale",
     "u_space_basis",
     "weight_distribution",

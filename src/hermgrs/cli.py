@@ -299,7 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     claims = {}
     if "self_orthogonal" in record:
         claims["self_orthogonal"] = record["self_orthogonal"] == self_orth
-    if record.get("quantum") is not None and result["quantum"] is not None:
+    if record.get("quantum") is not None:
         claims["quantum"] = record["quantum"] == result["quantum"]
     result["matches_file"] = claims
     if args.include_generator:

@@ -585,41 +585,8 @@ def make_field(p: int, h: int) -> FieldCtx:
     return FieldCtx(p, h)
 
 
-def trace_to_prime(ctx: FieldCtx, x: Felt) -> Felt:
-    """GF(q) -> GF(p) trace: sum of x^(p^j) for j = 0..h-1.
-
-    Rejects arguments outside GF(q).
-    """
-    _check(ctx, x)
-    if not x.in_subfield():
-        raise ValidationRefused("trace_to_prime argument must lie in GF(q)")
-    acc, t = ctx.zero, x
-    for _ in range(ctx.h):
-        acc, t = acc + t, t**ctx.p
-    return acc
-
-
-def solve_norm(ctx: FieldCtx, lam: Felt) -> Felt:
-    """Smallest-discrete-log theta with theta^(q+1) = lam, for lam in GF(q)*.
-
-    Any two solutions differ by a (q+1)-st root of unity; the minimal
-    exponent is fixed for reproducibility.
-    """
-    _check(ctx, lam)
-    if lam.is_zero():
-        raise ValidationRefused("solve_norm requires a nonzero argument")
-    if not lam.in_subfield():
-        raise ValidationRefused("solve_norm argument must lie in GF(q)")
-    return Felt(ctx, int(ctx.vnorm_root(lam.i)))
-
-
 def skew_element(ctx: FieldCtx) -> Felt:
     """A nonzero c with c^q = -c: 1 in characteristic 2, else w^((q+1)/2)."""
     if ctx.p == 2:
         return ctx.one
     return ctx.w ** ((ctx.q + 1) // 2)
-
-
-def _check(ctx: FieldCtx, x: Felt) -> None:
-    if x.ctx is not ctx:
-        raise ValueError("element does not belong to this field context")

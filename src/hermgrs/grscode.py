@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx, _integers, make_field
+from .field import FieldCtx, _integers, make_field
 from .puncture import PunctureVector, power_sums
 
 MDS_CAP = 10**6  # k-column minors past which check_mds refuses
@@ -50,7 +50,12 @@ class CodeParams:
 
     @classmethod
     def of_self_orthogonal(cls, code: GrsCode) -> CodeParams:
-        """Parameters of a code whose Hermitian Gram matrix is already known to vanish."""
+        """Parameters of a code whose Hermitian Gram matrix is already known to vanish.
+
+        The quantum code is ((n, n-2k, k+1))_q.  Its distance is the MDS value
+        k+1 of the Hermitian dual; it can in principle be larger (coset
+        minimum weights are not computed).
+        """
         n, k, q = code.n, code.k, code.ctx.q
         if n < 2 * k:
             raise ValidationRefused(f"self-orthogonal parameters need n >= 2k; got n={n}, k={k}")
@@ -113,12 +118,6 @@ class GrsCode:
 
     def __repr__(self) -> str:
         return f"GrsCode(q^2={self.ctx.q2}, n={self.n}, k={self.k})"
-
-
-def build_rs(ctx: FieldCtx, k: int) -> GrsCode:
-    """The full-length Reed-Solomon code: all thetas equal to one."""
-    support = tuple(range(1, ctx.q2 + 2))
-    return GrsCode(ctx, k, support, np.ones(ctx.q2 + 1, dtype=np.int64))
 
 
 def truncate_scale(k: int, lam: PunctureVector) -> GrsCode:
@@ -253,18 +252,6 @@ def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:
         raise CapExceeded(f"row space has (q^2)^{k} = {total} words, above the cap {cap}")
     multiples = ctx.vmul(ctx.points_idx()[None, :, None], code.gen[:, None, :])  # (k, q^2, n)
     return linalg.span_min_weight(ctx.vadd, ctx.vneg, multiples)[0]
-
-
-def quantum_params(code: GrsCode) -> CodeParams:
-    """Parameters ((n, n-2k, k+1))_q of the derived quantum code.
-
-    Requires Hermitian self-orthogonality, which it checks.  The quantum
-    distance reported is the MDS value k+1 of the Hermitian dual; it can in
-    principle be larger (coset minimum weights are not computed).
-    """
-    if not is_hermitian_self_orthogonal(code):
-        raise ValidationRefused("quantum parameters require a Hermitian self-orthogonal code")
-    return CodeParams.of_self_orthogonal(code)
 
 
 def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = ENUM_CAP) -> str:

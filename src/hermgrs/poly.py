@@ -54,13 +54,6 @@ class Poly:
         return cls(ctx, c)
 
     @classmethod
-    def from_felts(cls, ctx: FieldCtx, coeffs: list[Felt]) -> Poly:
-        for x in coeffs:
-            if x.ctx is not ctx:
-                raise ValueError("coefficient belongs to a different field context")
-        return cls(ctx, np.array([x.i for x in coeffs], dtype=np.int64))
-
-    @classmethod
     def from_indices(cls, ctx: FieldCtx, indices) -> Poly:
         c = ctx.indices(indices)
         if c.ndim != 1:
@@ -145,16 +138,6 @@ class Poly:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def eval(self, x: Felt) -> Felt:
-        """Horner evaluation at a single point."""
-        if x.ctx is not self.ctx:
-            raise ValueError("evaluation point belongs to a different field context")
-        ctx = self.ctx
-        acc = 0
-        for coef in self.c[::-1]:
-            acc = ctx.vadd(ctx.vmul(acc, x.i), coef)
-        return Felt(ctx, acc)
-
     def eval_on(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an index array of points, in its shape.
 

@@ -81,10 +81,6 @@ class PunctureVector:
         """1-based coordinates with a nonzero entry (q^2+1 = coefficient coordinate)."""
         return tuple((np.flatnonzero(self.v) + 1).tolist())
 
-    def entry(self, i: int) -> Felt:
-        """Entry at 1-based coordinate i, as a field element."""
-        return Felt(self.ctx, self.ctx.fq.idx_of_compact[self.v[i - 1]])
-
     def serialized(self) -> list[int]:
         """Entries as field enumeration indices (the JSON form)."""
         return self.ctx.fq.idx_of_compact[self.v].tolist()

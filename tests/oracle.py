@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from hermgrs.field import Felt, FieldCtx
+from hermgrs.grscode import GrsCode
 
 
 def pow_by_mul(x: Felt, n: int) -> Felt:
@@ -26,6 +29,23 @@ def pow_by_mul(x: Felt, n: int) -> Felt:
     return result
 
 
+def felt_eval(poly, x: Felt) -> Felt:
+    """Horner evaluation of a Poly at one point, by the scalar operators."""
+    acc = poly.ctx.zero
+    for coef in reversed(poly.indices()):
+        acc = acc * x + poly.ctx.felt(coef)
+    return acc
+
+
+def felt_trace_to_prime(ctx: FieldCtx, x: Felt) -> Felt:
+    """GF(q) -> GF(p) trace: the sum of x^(p^j) for j = 0..h-1."""
+    assert x.in_subfield()
+    total = ctx.zero
+    for j in range(ctx.h):
+        total = total + pow_by_mul(x, ctx.p**j)
+    return total
+
+
 def conj(x: Felt) -> Felt:
     """x^q via repeated multiplication, independent of the operator x ** q."""
     return pow_by_mul(x, x.ctx.q)
@@ -33,6 +53,11 @@ def conj(x: Felt) -> Felt:
 
 def hermitian_norm(x: Felt) -> Felt:
     return pow_by_mul(x, x.ctx.q + 1)
+
+
+def full_length_rs(ctx: FieldCtx, k: int) -> GrsCode:
+    """The full-length Reed-Solomon code: all q^2+1 coordinates, every theta one."""
+    return GrsCode(ctx, k, tuple(range(1, ctx.q2 + 2)), np.ones(ctx.q2 + 1, dtype=np.int64))
 
 
 def gram_entry(code, r: int, s: int) -> Felt:

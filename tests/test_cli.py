@@ -423,6 +423,22 @@ def test_verify_compares_a_null_quantum_claim_with_nothing(tmp_path, capsys):
     assert vdoc["result"]["matches_file"] == {"self_orthogonal": False}
 
 
+@pytest.mark.parametrize("claim", [[12, 4, 5, 5], [99, 1, 2, 5]])
+def test_verify_refutes_a_quantum_claim_on_a_code_that_is_not_self_orthogonal(tmp_path, capsys, claim):
+    """With no self_orthogonal key, the quantum claim is what says the code is self-orthogonal."""
+    def edit(record):
+        record["thetas"][0] = record["thetas"][0] % 24 + 1
+        del record["self_orthogonal"]
+        record["quantum"] = claim
+
+    bad = _edited_example1_record(tmp_path, edit)
+    capsys.readouterr()
+    rc, vdoc = run_json(capsys, ["verify", str(bad)])
+    assert rc == 0
+    assert vdoc["result"]["self_orthogonal"] is False and vdoc["result"]["quantum"] is None
+    assert vdoc["result"]["matches_file"] == {"quantum": False}
+
+
 def _edited_example1_record(tmp_path, edit):
     out = tmp_path / "code.json"
     assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",

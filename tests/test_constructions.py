@@ -18,11 +18,11 @@ from hermgrs.constructions import (
     trace_one_elements,
 )
 from hermgrs.errors import CapExceeded, SelfCheckFailed, ValidationRefused
-from hermgrs.field import make_field, skew_element, trace_to_prime
+from hermgrs.field import make_field, skew_element
 from hermgrs.poly import Poly, distinct_zeros
 from hermgrs.puncture import membership, puncture_direct
 
-from oracle import function_zero_positions, pow_by_mul
+from oracle import felt_trace_to_prime, function_zero_positions, pow_by_mul
 
 
 def test_example1_end_to_end(ctx5):
@@ -51,7 +51,7 @@ def test_example1_nonsquare_roots(ctx7):
     nonsquare = next(
         x for x in ctx7.subfield_elems() if x and pow_by_mul(x, (q - 1) // 2) != ctx7.one
     )
-    f = Poly.from_felts(ctx7, [-nonsquare, ctx7.one])
+    f = Poly.from_indices(ctx7, [(-nonsquare).i, 1])
     rep = build_example1(ctx7, 5, 2, f)
     assert rep.parameters["M"] == 8
     assert rep.zero_count == 21
@@ -68,10 +68,10 @@ def test_example1_validation(ctx5):
         build_example1(ctx5, 4, 3, Poly.zero(ctx5))
     with pytest.raises(ValidationRefused):
         # degree bound: t + deg(f)(q+1) = 3 + 6 > (q-k)q-1 = 4
-        build_example1(ctx5, 4, 3, Poly.from_felts(ctx5, [ctx5.one, ctx5.one]))
+        build_example1(ctx5, 4, 3, Poly.from_indices(ctx5, [1, 1]))
     with pytest.raises(ValidationRefused):
         # f must have GF(q) coefficients
-        build_example1(ctx5, 2, 3, Poly.from_felts(ctx5, [ctx5.w]))
+        build_example1(ctx5, 2, 3, Poly.from_indices(ctx5, [ctx5.w.i]))
 
 
 def test_example2_empty_R_matches_example1(ctx5):
@@ -187,7 +187,7 @@ def test_even_q_min_validation(ctx4, ctx5, ctx8):
         build_even_q_min(ctx4, 1)  # k below q/2
     with pytest.raises(ValidationRefused):
         build_even_q_min(ctx8, 5, trace_one_elements(ctx8)[:1])  # |R| wrong
-    bad = next(x for x in ctx8.subfield_elems() if trace_to_prime(ctx8, x).is_zero())
+    bad = next(x for x in ctx8.subfield_elems() if felt_trace_to_prime(ctx8, x).is_zero())
     with pytest.raises(ValidationRefused):
         build_even_q_min(ctx8, 6, [bad])
 
@@ -306,7 +306,7 @@ def test_search_zero_free_refuses_what_is_not_a_distinct_integer_slot(slots):
 @pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 6), (5, 2), (7, 2)])
 def test_trace_one_elements_match_the_felt_trace(p, h):
     ctx = make_field(p, h)
-    expected = [x for x in ctx.subfield_elems() if trace_to_prime(ctx, x) == ctx.one]
+    expected = [x for x in ctx.subfield_elems() if felt_trace_to_prime(ctx, x) == ctx.one]
     assert trace_one_elements(ctx) == expected
 
 

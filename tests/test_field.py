@@ -15,11 +15,9 @@ from hermgrs.field import (
     code_sum,
     make_field,
     skew_element,
-    solve_norm,
-    trace_to_prime,
 )
 
-from oracle import ReferenceField, pow_by_mul
+from oracle import ReferenceField, felt_trace_to_prime, pow_by_mul
 
 ALL_PH = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 # every q = p^h <= 64
@@ -267,8 +265,6 @@ def test_cross_context_rejected(ctx4, ctx5):
         _ = ctx4.one + ctx5.one
     with pytest.raises(ValueError):
         _ = ctx4.one - ctx5.one
-    with pytest.raises(ValueError):
-        trace_to_prime(ctx4, ctx5.one)
     fresh = FieldCtx(2, 2)
     with pytest.raises(ValueError):
         _ = fresh.one * ctx4.one  # same (p, h), different instance
@@ -349,40 +345,23 @@ def test_trace_examples(ctx4, ctx5, ctx8):
     two = ctx5.one + ctx5.one
     for x in ctx5.subfield_elems():
         assert x + x**5 == two * x
-    assert trace_to_prime(ctx8, ctx8.zero).is_zero()
-    ones = sum(1 for x in ctx8.subfield_elems() if trace_to_prime(ctx8, x) == ctx8.one)
+    assert felt_trace_to_prime(ctx8, ctx8.zero).is_zero()
+    ones = sum(1 for x in ctx8.subfield_elems() if felt_trace_to_prime(ctx8, x) == ctx8.one)
     assert ones == 4
-    assert trace_to_prime(ctx4, ctx4.one).is_zero()
-
-
-def test_trace_to_prime_rejects_outside_subfield(ctx4):
-    with pytest.raises(ValidationRefused):
-        trace_to_prime(ctx4, ctx4.w)
+    assert felt_trace_to_prime(ctx4, ctx4.one).is_zero()
 
 
 @pytest.mark.parametrize("p,h", ALL_PH)
 def test_solve_norm_properties(p, h):
+    """``vnorm_root`` solves theta^(q+1) = lam for all of GF(q)* in one call,
+    with the smallest discrete log, which fixes every record's thetas."""
     ctx = make_field(p, h)
-    for lam in ctx.subfield_elems():
-        if lam.is_zero():
-            with pytest.raises(ValidationRefused):
-                solve_norm(ctx, lam)
-            continue
-        theta = solve_norm(ctx, lam)
-        assert pow_by_mul(theta, ctx.q + 1) == lam
-
-
-def test_solve_norm_examples(ctx3):
-    assert solve_norm(ctx3, ctx3.one) == ctx3.one
-    lam = ctx3.w**4
-    # discrete-log scan oracle: smallest j with (w^j)^(q+1) = lam
-    j = next(j for j in range(ctx3.n_units) if pow_by_mul(ctx3.w**j, 4) == lam)
-    assert solve_norm(ctx3, lam) == ctx3.w**j == ctx3.w
-
-
-def test_solve_norm_rejects_outside_subfield(ctx4):
-    with pytest.raises(ValidationRefused):
-        solve_norm(ctx4, ctx4.w)
+    lams = [lam for lam in ctx.subfield_elems() if lam]
+    thetas = ctx.vnorm_root(np.array([lam.i for lam in lams], dtype=np.int64))
+    for lam, theta in zip(lams, thetas.tolist()):
+        # discrete-log scan oracle: smallest j with (w^j)^(q+1) = lam
+        j = next(j for j in range(ctx.n_units) if pow_by_mul(ctx.w**j, ctx.q + 1) == lam)
+        assert ctx.felt(theta) == ctx.w**j
 
 
 @pytest.mark.parametrize("p,h", ALL_PH)

@@ -16,8 +16,8 @@ from hermgrs import constructions, grscode, linalg
 from hermgrs.errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
 from hermgrs.field import make_field
 from hermgrs.grscode import (
+    CodeParams,
     GrsCode,
-    build_rs,
     check_mds,
     code_from_dict,
     code_to_dict,
@@ -25,7 +25,6 @@ from hermgrs.grscode import (
     is_hermitian_self_orthogonal,
     mds_status,
     min_weight,
-    quantum_params,
     truncate_scale,
 )
 from hermgrs.puncture import PunctureVector, puncture_direct, small_support_witness, u_space_basis
@@ -34,16 +33,16 @@ import oracle
 
 
 def test_build_rs_shapes(ctx2, ctx4):
-    code = build_rs(ctx2, 1)
+    code = oracle.full_length_rs(ctx2, 1)
     assert code.gen.shape == (1, 5)
     assert np.all(code.gen == 1)  # row of ones: evaluations of X^0, plus f_0
-    code = build_rs(ctx4, 3)
+    code = oracle.full_length_rs(ctx4, 3)
     assert code.gen.shape == (3, 17)
     assert list(code.gen[:, 0]) == [1, 0, 0]  # column at a_1 = 0
 
 
 def test_build_rs_rank_is_k(ctx4):
-    code = build_rs(ctx4, 3)
+    code = oracle.full_length_rs(ctx4, 3)
     # any k evaluation columns at distinct points form a Vandermonde minor
     cols = [1, 4, 9]
     rows = [[ctx4.felt(int(code.gen[r][c])) for c in cols] for r in range(3)]
@@ -52,16 +51,16 @@ def test_build_rs_rank_is_k(ctx4):
 
 def test_build_rs_k_range(ctx4):
     with pytest.raises(ValidationRefused):
-        build_rs(ctx4, 0)
+        oracle.full_length_rs(ctx4, 0)
     with pytest.raises(ValidationRefused):
-        build_rs(ctx4, ctx4.q + 2)
+        oracle.full_length_rs(ctx4, ctx4.q + 2)
 
 
 def test_truncate_scale_all_ones(ctx4):
     lam = PunctureVector(ctx4, np.ones(ctx4.q2 + 1, dtype=np.uint8))
     out = truncate_scale(2, lam)
     assert out.n == ctx4.q2 + 1
-    assert np.all(out.thetas == 1)  # solve_norm(1) = 1
+    assert np.all(out.thetas == 1)  # vnorm_root(1) = 1, the smallest root
 
 
 def test_truncate_scale_small_support(ctx5):
@@ -80,7 +79,7 @@ def test_truncate_scale_weight_below_k_refused(ctx4):
 
 
 def test_gram_matches_direct_summation_oracle(ctx4):
-    code = build_rs(ctx4, 3)
+    code = oracle.full_length_rs(ctx4, 3)
     gram = hermitian_gram(code)
     ref = oracle.gram_matrix(code)
     for r in range(3):
@@ -166,7 +165,7 @@ def test_gram_zero_is_basis_independent(ctx4):
     assert is_hermitian_self_orthogonal(code)
     scales = [ctx4.elems()[rng.randrange(1, ctx4.q2)] for _ in range(code.k)]
     assert oracle.scaled_basis_gram_zero(code, scales)
-    not_so = build_rs(ctx4, 3)
+    not_so = oracle.full_length_rs(ctx4, 3)
     scales = [ctx4.elems()[rng.randrange(1, ctx4.q2)] for _ in range(3)]
     assert not oracle.scaled_basis_gram_zero(not_so, scales)
 
@@ -181,7 +180,7 @@ def test_check_mds_on_truncations(ctx4):
 
 
 def test_check_mds_k1_votes_on_columns(ctx4):
-    code = build_rs(ctx4, 1)
+    code = oracle.full_length_rs(ctx4, 1)
     assert check_mds(code)  # all thetas nonzero, so all columns nonzero
 
 
@@ -253,17 +252,17 @@ def test_numpy_integer_support_is_kept_as_python_ints(ctx4):
 
 
 def test_check_mds_cap(ctx5):
-    code = build_rs(ctx5, 4)
+    code = oracle.full_length_rs(ctx5, 4)
     with pytest.raises(CapExceeded):
         check_mds(code, cap=10)
 
 
 def test_min_weight_examples(ctx2, ctx4):
-    code = build_rs(ctx2, 1)  # k = 1, n = 5: every scaled row has full weight
+    code = oracle.full_length_rs(ctx2, 1)  # k = 1, n = 5: every scaled row has full weight
     assert min_weight(code) == 5
     # q = 2 Reed-Solomon truncated to length 5 stays MDS: d = n-k+1 = 4;
     # reference: scalar enumeration of all 16 codewords
-    code = build_rs(ctx2, 2)
+    code = oracle.full_length_rs(ctx2, 2)
     assert min_weight(code) == oracle.code_min_weight_enum(code) == 4
     basis = puncture_direct(ctx4, 2)
     code = truncate_scale(2, basis.rows()[0])
@@ -273,22 +272,27 @@ def test_min_weight_examples(ctx2, ctx4):
 
 def test_min_weight_cap(ctx5):
     with pytest.raises(CapExceeded):
-        min_weight(build_rs(ctx5, 4), cap=100)
+        min_weight(oracle.full_length_rs(ctx5, 4), cap=100)
 
 
 def test_quantum_params(ctx5):
     k = 2
     lam = small_support_witness(ctx5, k)
     code = truncate_scale(k, lam)
-    params = quantum_params(code)
+    assert is_hermitian_self_orthogonal(code)
+    params = CodeParams.of_self_orthogonal(code)
     assert params.quantum == (4, 0, 3, 5)
     nq, kq, dq, _ = params.quantum
     assert nq == kq + 2 * (dq - 1)  # quantum Singleton with equality
 
 
-def test_quantum_params_refuses_non_self_orthogonal(ctx4):
-    with pytest.raises(ValidationRefused):
-        quantum_params(build_rs(ctx4, 3))
+def test_code_params_refusals(ctx5):
+    with pytest.raises(ValidationRefused, match="Singleton bound violated"):
+        CodeParams(n=4, k=3, d=4, alphabet=25, quantum=(4, -2, 4, 5))
+    with pytest.raises(ValidationRefused, match="quantum Singleton bound violated"):
+        CodeParams(n=4, k=2, d=3, alphabet=25, quantum=(4, 0, 4, 5))
+    with pytest.raises(ValidationRefused, match="n >= 2k"):
+        CodeParams.of_self_orthogonal(GrsCode(ctx5, 3, (1, 2, 3, 4, 5), np.ones(5, dtype=np.int64)))
 
 
 def test_json_roundtrip(ctx5):
@@ -466,7 +470,7 @@ def _independent(ctx, u, v) -> bool:
 def _sum_of_two_columns(ctx):
     """k = 3, column 4 = column 1 + column 3: no two generator columns are
     proportional, but the residual columns 3 and 4 of the prefix {1} are."""
-    gen = build_rs(ctx, 3).gen[:, :5].copy()
+    gen = oracle.full_length_rs(ctx, 3).gen[:, :5].copy()
     gen[:, 4] = ctx.vadd(gen[:, 1], gen[:, 3])
     assert all(_independent(ctx, gen[:, i], gen[:, j]) for i, j in itertools.combinations(range(5), 2))
     return gen
@@ -475,7 +479,7 @@ def _sum_of_two_columns(ctx):
 def _multiple_of_the_prefix(ctx):
     """k = 3, column 3 = w * column 0: the residual of the prefix {0} is
     [0 : 0] at column 3, and only the nonzero test sees it."""
-    gen = build_rs(ctx, 3).gen[:, :4].copy()
+    gen = oracle.full_length_rs(ctx, 3).gen[:, :4].copy()
     gen[:, 3] = ctx.vmul(gen[:, 0], np.int64(2))
     return gen
 
@@ -491,8 +495,8 @@ def _multiple_of_the_prefix(ctx):
         (_multiple_of_the_prefix, False),
         # k >= 4: the prefix columns of every node are [0 : 0], equal points
         # at or before the prefix's last column, so sentinels must hide them
-        (lambda ctx: build_rs(ctx, 4).gen, True),
-        (lambda ctx: build_rs(ctx, 3).gen, True),
+        (lambda ctx: oracle.full_length_rs(ctx, 4).gen, True),
+        (lambda ctx: oracle.full_length_rs(ctx, 3).gen, True),
     ],
     ids=[
         "proportional-in-residual",
@@ -594,7 +598,7 @@ def test_check_mds_at_k2_is_one_sort_of_projective_points():
     """RS at q = 32, k = 2: C(1025, 2) = 524800 minors, too many for the
     scalar oracle, so the singular case is checked on its one bad minor."""
     ctx = make_field(2, 5)
-    code = build_rs(ctx, 2)
+    code = oracle.full_length_rs(ctx, 2)
     assert check_mds(code) is True
     assert check_mds_at_block_one(code) is True
     code.gen = code.gen.copy()
@@ -662,7 +666,7 @@ def test_mds_status_raises_on_a_singular_minor(ctx5):
 
 def test_check_mds_cap_message(ctx5):
     with pytest.raises(CapExceeded, match=re.escape("C(26,4) = 14950 minors exceed the cap 10")):
-        check_mds(build_rs(ctx5, 4), cap=10)
+        check_mds(oracle.full_length_rs(ctx5, 4), cap=10)
 
 
 GRAM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]

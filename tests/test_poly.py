@@ -11,7 +11,7 @@ from hermgrs.errors import ValidationRefused
 from hermgrs.field import Felt, FieldCtx, make_field
 from hermgrs.poly import Poly, distinct_zeros, q_power_mod
 
-from oracle import pow_by_mul
+from oracle import felt_eval, pow_by_mul
 
 
 def rand_poly(ctx, rng, max_deg):
@@ -41,16 +41,16 @@ def test_from_indices_refuses_what_is_not_one_flat_list(ctx4, bad):
 
 def test_eval_examples(ctx5):
     w = ctx5.w
-    assert Poly.zero(ctx5).eval(w).is_zero()
-    assert Poly.x(ctx5).eval(w) == w
+    assert felt_eval(Poly.zero(ctx5), w).is_zero()
+    assert felt_eval(Poly.x(ctx5), w) == w
     # q = 5: X^6 = X^(q+1) at w equals the 6-fold product, a GF(5) element
-    val = Poly.monomial(ctx5, ctx5.one, 6).eval(w)
+    val = felt_eval(Poly.monomial(ctx5, ctx5.one, 6), w)
     assert val == pow_by_mul(w, 6)
     assert val.in_subfield()
 
 
 def test_eval_all_examples(ctx4):
-    const = Poly.from_felts(ctx4, [ctx4.w])
+    const = Poly.from_indices(ctx4, [ctx4.w.i])
     assert np.all(const.eval_all() == ctx4.w.i)
     assert np.array_equal(Poly.x(ctx4).eval_all(), ctx4.points_idx())
     vals = Poly.monomial(ctx4, ctx4.one, 5).eval_all()  # X^(q+1)
@@ -63,7 +63,7 @@ def test_eval_single_matches_eval_all(ctx5):
         p = rand_poly(ctx5, rng, 12)
         vals = p.eval_all()
         for i in (1, 2, 9, 25):
-            assert p.eval(ctx5.elem(i)).i == int(vals[i - 1])
+            assert felt_eval(p, ctx5.elem(i)).i == int(vals[i - 1])
 
 
 def test_sparse_and_dense_eval_agree(ctx8):
@@ -76,7 +76,7 @@ def test_sparse_and_dense_eval_agree(ctx8):
     dense_like = Poly(ctx8, coeffs + 0)  # same values; force dense path via padding
     pts = ctx8.points_idx()
     # dense Horner reference computed by scalar evaluation
-    ref = np.array([sparse.eval(ctx8.elem(i + 1)).i for i in range(ctx8.q2)])
+    ref = np.array([felt_eval(sparse, ctx8.elem(i + 1)).i for i in range(ctx8.q2)])
     assert np.array_equal(sparse.eval_on(pts), ref)
     assert np.array_equal(dense_like.eval_on(pts), ref)
 
@@ -85,7 +85,7 @@ def test_ring_operations(ctx4):
     rng = random.Random(9)
     p = rand_poly(ctx4, rng, 6)
     assert p + Poly.zero(ctx4) == p
-    xp1 = Poly.from_felts(ctx4, [ctx4.one, ctx4.one])
+    xp1 = Poly.from_indices(ctx4, [1, 1])
     assert xp1 * xp1 == Poly.from_indices(ctx4, [1, 0, 1])  # (X+1)^2 = X^2+1 in char 2
     for _ in range(20):
         f = rand_poly(ctx4, rng, rng.randrange(1, 8))
@@ -94,17 +94,15 @@ def test_ring_operations(ctx4):
             continue
         assert (f * g).degree == f.degree + g.degree
         x = ctx4.elems()[rng.randrange(ctx4.q2)]
-        assert (f + g).eval(x) == f.eval(x) + g.eval(x)
-        assert (f * g).eval(x) == f.eval(x) * g.eval(x)
+        assert felt_eval(f + g, x) == felt_eval(f, x) + felt_eval(g, x)
+        assert felt_eval(f * g, x) == felt_eval(f, x) * felt_eval(g, x)
         s = ctx4.elems()[rng.randrange(1, ctx4.q2)]
-        assert f.scale(s).eval(x) == s * f.eval(x)
+        assert felt_eval(f.scale(s), x) == s * felt_eval(f, x)
 
 
 def test_poly_context_mismatch(ctx4, ctx5):
     with pytest.raises(ValueError):
         _ = Poly.x(ctx4) + Poly.x(ctx5)
-    with pytest.raises(ValueError):
-        Poly.x(ctx4).eval(ctx5.one)
 
 
 def test_q_power_mod_monomials(ctx4):
@@ -122,7 +120,7 @@ def test_q_power_mod_transport_example(ctx4):
     out = q_power_mod(p)
     assert out == Poly.monomial(ctx4, ctx4.w**4, 4)
     for x in ctx4.elems():
-        assert out.eval(x) == p.eval(x) ** ctx4.q
+        assert felt_eval(out, x) == felt_eval(p, x) ** ctx4.q
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (3, 1), (5, 1)])
@@ -145,7 +143,7 @@ def test_distinct_zeros_trivial(ctx4):
     count, zero_set = distinct_zeros(Poly.zero(ctx4))
     assert count == ctx4.q2 and zero_set == tuple(range(1, ctx4.q2 + 1))
     # X^(q^2-1) - 1 vanishes exactly on the nonzero elements
-    p = Poly.monomial(ctx4, ctx4.one, ctx4.q2 - 1) + Poly.from_felts(ctx4, [-ctx4.one])
+    p = Poly.monomial(ctx4, ctx4.one, ctx4.q2 - 1) + Poly.from_indices(ctx4, [(-ctx4.one).i])
     count, zero_set = distinct_zeros(p)
     assert count == ctx4.q2 - 1
     assert zero_set == tuple(range(2, ctx4.q2 + 1))
@@ -195,7 +193,7 @@ def test_dense_eval_on_matches_scalar_horner(q, data):
     assume(np.count_nonzero(poly.c) * 4 > len(poly.c))  # the dense path
     xs = [0] + data.draw(st.lists(st.integers(0, ctx.q2 - 1), max_size=12))
     got = poly.eval_on(np.array(xs, dtype=np.int64))
-    assert got.tolist() == [poly.eval(Felt(ctx, x)).i for x in xs]
+    assert got.tolist() == [felt_eval(poly, Felt(ctx, x)).i for x in xs]
 
 
 def test_dense_eval_on_spans_several_blocks_at_q64():
@@ -209,7 +207,7 @@ def test_dense_eval_on_spans_several_blocks_at_q64():
     vals = poly.eval_all()
     assert vals.shape == (ctx.q2,)
     for x in [0, 1, 2] + rng.sample(range(3, ctx.q2), 40):
-        assert int(vals[x]) == poly.eval(Felt(ctx, x)).i
+        assert int(vals[x]) == felt_eval(poly, Felt(ctx, x)).i
 
 
 @pytest.mark.parametrize("q", sorted(EVAL_FIELDS) + [49])
@@ -233,7 +231,7 @@ def test_eval_on_sparse_zero_and_constant_polynomials_match_horner(q):
         for poly in polys:
             got = poly.eval_on(xs)
             assert got.shape == xs.shape
-            assert got.tolist() == [[poly.eval(Felt(ctx, int(x))).i for x in row] for row in xs]
+            assert got.tolist() == [[felt_eval(poly, Felt(ctx, int(x))).i for x in row] for row in xs]
 
 
 # every q = p^h <= 64, for the transform
@@ -273,4 +271,4 @@ def test_transform_eval_all_matches_eval_on(q, data):
     assert np.array_equal(transform, direct)
     assert np.array_equal(poly.eval_all(), direct)
     for x in [0, 1, ctx.q2 - 1, *rng.integers(0, ctx.q2, 5)]:
-        assert int(direct[x]) == poly.eval(Felt(ctx, int(x))).i
+        assert int(direct[x]) == felt_eval(poly, Felt(ctx, int(x))).i
