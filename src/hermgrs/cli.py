@@ -54,12 +54,12 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def _resolve_field(args: argparse.Namespace) -> FieldCtx:
-    if getattr(args, "q", None) is not None:
-        if getattr(args, "p", None) is not None or getattr(args, "h", None) is not None:
+    if args.q is not None:
+        if args.p is not None or args.h is not None:
             raise ValidationRefused("give either --q or both --p and --h, not both")
         p, h = _factor_prime_power(args.q)
         return make_field(p, h)
-    if getattr(args, "p", None) is None or getattr(args, "h", None) is None:
+    if args.p is None or args.h is None:
         raise ValidationRefused("a field is required: --q Q, or --p P --h H")
     return make_field(args.p, args.h)
 
@@ -286,7 +286,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = grscode.code_from_dict(record)
     self_orth = grscode.is_hermitian_self_orthogonal(code)
     mds = grscode.mds_status(code, mds_cap=args.mds_cap, enum_cap=args.enum_cap)
-    checked = grscode.code_to_dict(code, self_orthogonal=self_orth, mds=mds)
+    params = grscode.CodeParams.of_self_orthogonal(code) if self_orth else None
+    checked = grscode.code_to_dict(code, params=params, mds=mds)
     result = {
         "q": code.ctx.q,
         "n": code.n,
@@ -354,13 +355,6 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, help="q as a prime power (alternative to --p/--h)")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    p.add_argument("--threads", type=int, default=1,
-                   help="at least 1; echoed in the config, but every enumeration runs on one thread")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one, so
@@ -373,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("field-info", help="describe the GF(q^2) arithmetic context")
     _add_field_args(p_info)
-    _add_output_args(p_info)
     p_info.set_defaults(func=cmd_field_info)
 
     p_punc = sub.add_parser("puncture", help="basis and minimum weight of the puncture code")
@@ -388,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_punc.add_argument("--distribution", action="store_true",
                         help="emit the full weight distribution of P(C)")
     p_punc.add_argument("--distribution-cap", type=int, default=linalg.DISTRIBUTION_CAP)
-    _add_output_args(p_punc)
+    p_punc.add_argument("--seed", type=int, default=0, help="seed of the --g-samples draws")
     p_punc.set_defaults(func=cmd_puncture)
 
     p_cons = sub.add_parser("construct", help="run a polynomial construction family")
@@ -399,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_field_args(fp)
         for flag, (ftype, required, helptext) in flags.items():
             fp.add_argument(f"--{flag}", type=ftype, required=required, help=helptext)
-        _add_output_args(fp)
-        fp.add_argument("--format", choices=["json"], default="json", help=argparse.SUPPRESS)
         fp.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="recheck a serialized code record")
@@ -409,18 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--enum-cap", type=int, default=grscode.ENUM_CAP)
     p_ver.add_argument("--include-generator", action="store_true",
                        help="embed the generator matrix (row-major element indices)")
-    _add_output_args(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="P(C) minimum-weight table for k = 1..q")
     _add_field_args(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--min-weight-cap", type=int, default=linalg.SCAN_CAP)
-    _add_output_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    for cmd_parser in (p_info, p_punc, p_ver):
-        cmd_parser.add_argument("--format", choices=["json"], default="json", help=argparse.SUPPRESS)
+    for leaf in (p_info, p_punc, *fam.choices.values(), p_ver, p_sweep):
+        leaf.add_argument("--output", default="-", help="output path, '-' for stdout")
+    for leaf in (p_punc, p_ver, p_sweep):
+        leaf.add_argument("--threads", type=int, default=1,
+                          help="at least 1; changes no work, as every enumeration runs on one thread")
     return parser
 
 
@@ -428,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValidationRefused(f"--threads must be at least 1, got {args.threads}")
         for name in _NONNEGATIVE_OPTIONS:
             if getattr(args, name, 0) < 0:

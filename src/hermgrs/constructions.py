@@ -53,7 +53,7 @@ class ConstructionReport:
     checks: dict
 
     def to_dict(self) -> dict:
-        base = grscode.code_to_dict(self.code, self_orthogonal=True, mds=self.checks["mds"])
+        base = grscode.code_to_dict(self.code, params=self.params, mds=self.checks["mds"])
         base.update(
             {
                 "kind": "construction",

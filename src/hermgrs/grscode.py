@@ -260,6 +260,11 @@ def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = ENUM_CAP) 
     Returns "minors" or "enumeration" when d = n-k+1 was independently
     verified, "asserted_by_construction" when both checks are out of scale.
     Raises SelfCheckFailed if a computable check contradicts MDS-ness.
+
+    At the default caps (``MDS_CAP`` = ``ENUM_CAP`` = 10^6) the enumeration
+    tier never runs: over every q <= 64, 1 <= k <= q+1 and k <= n <= q^2+1,
+    no code has both C(n, k) > 10^6 minors and q^(2k) <= 10^6 words.  It
+    runs only when mds_cap is lowered or enum_cap raised.
     """
     try:
         if check_mds(code, cap=mds_cap):
@@ -278,9 +283,9 @@ def mds_status(code: GrsCode, mds_cap: int = MDS_CAP, enum_cap: int = ENUM_CAP) 
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-def code_to_dict(code: GrsCode, *, self_orthogonal: bool, mds: str) -> dict:
-    """JSON form of a code record (schema 1), given its self-orthogonality verdict."""
-    params = CodeParams.of_self_orthogonal(code) if self_orthogonal else None
+def code_to_dict(code: GrsCode, *, params: CodeParams | None, mds: str) -> dict:
+    """JSON form of a code record (schema 1), given the parameters of a
+    self-orthogonal code, or None for a code that is not."""
     n, k, q = code.n, code.k, code.ctx.q
     verified = mds in ("minors", "enumeration")
     return {
@@ -293,8 +298,8 @@ def code_to_dict(code: GrsCode, *, self_orthogonal: bool, mds: str) -> dict:
         "support": list(code.support),
         "thetas": code.thetas.tolist(),
         "params": {"n": n, "k": k, "d": n - k + 1, "verified_d": verified},
-        "quantum": list(params.quantum) if params else None,
-        "self_orthogonal": self_orthogonal,
+        "quantum": None if params is None else list(params.quantum),
+        "self_orthogonal": params is not None,
         "mds": mds,
     }
 

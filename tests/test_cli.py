@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -46,6 +47,102 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["puncture", "--q", "4", "--k", "3", "--badflag"])
     assert exc.value.code == 2
+
+
+# a toy-size argv per command that sets every option it reads; "code.json" is
+# the record of "construct custom" below, written by the tests that read it
+TOY_ARGV = {
+    "field-info": ["--q", "3"],
+    "puncture": ["--q", "3", "--k", "2", "--method", "all", "--check-min-weight", "--min-weight-cap", "1000",
+                 "--direct-cap-q", "5", "--g-samples", "1", "--distribution", "--distribution-cap", "1000",
+                 "--seed", "5", "--threads", "2"],
+    "sweep": ["--q", "3", "--format", "json", "--min-weight-cap", "1000", "--threads", "2"],
+    "verify": ["code.json", "--mds-cap", "1", "--enum-cap", "100", "--include-generator", "--threads", "2"],
+    "construct example1": ["--q", "5", "--k", "4", "--t", "3", "--f", "1"],
+    "construct example2": ["--q", "7", "--k", "2", "--t", "2", "--r", "9,17"],
+    "construct example3": ["--q", "5", "--k", "2", "--t", "4", "--r", "9,17"],
+    "construct even-min": ["--q", "4", "--k", "2", "--r", "6"],
+    "construct odd-min": ["--q", "5", "--k", "3", "--r", "1"],
+    "construct qsq-plus-one": ["--q", "8", "--e", "8"],
+    "construct custom": ["--q", "3", "--k", "1", "--g", "1", "--c", "0"],
+}
+# options a config does not echo: where the output goes, --q (echoed as the
+# p and h it resolves to), the generator verify adds to its result, and
+# verify's --threads, kept because the benchmark's verify runs pass it
+NOT_ECHOED = {"output", "q", "verify include_generator", "verify threads"}
+
+
+def _commands(parser: argparse.ArgumentParser, path: str = "") -> dict[str, argparse.ArgumentParser]:
+    """Every parser that runs a command, by its subcommand path."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {key: leaf for name, child in subs[0].choices.items()
+            for key, leaf in _commands(child, f"{path} {name}".strip()).items()}
+
+
+def _settable(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def _write_toy_record(directory) -> None:
+    argv = ["construct", "custom", *TOY_ARGV["construct custom"], "--output", str(directory / "code.json")]
+    assert main(argv) == 0
+
+
+def test_the_parser_takes_76_settable_values():
+    commands = _commands(cli.build_parser())
+    assert sorted(commands) == sorted(TOY_ARGV)
+    assert sum(len(_settable(leaf)) for leaf in commands.values()) == 76 == 104 - len(REMOVED_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(TOY_ARGV))
+def test_every_accepted_option_is_echoed_in_the_config(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _write_toy_record(tmp_path)
+    capsys.readouterr()
+    argv = [*command.split(), *TOY_ARGV[command]]
+    args = cli.build_parser().parse_args(argv)
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    for action in _settable(_commands(cli.build_parser())[command]):
+        if {action.dest, f"{command} {action.dest}"} & NOT_ECHOED:
+            continue
+        assert action.dest in doc["config"], f"{command} accepts {action.dest} and ignores it"
+        if getattr(args, action.dest) is not None:  # --p and --h are resolved from --q
+            assert doc["config"][action.dest] == getattr(args, action.dest)
+
+
+# flags each of these commands does not read, so argparse refuses them
+REMOVED_FLAGS = (
+    [("field-info", flag) for flag in ("--seed", "--threads", "--format")]
+    + [("puncture", "--format"), ("verify", "--seed"), ("verify", "--format"), ("sweep", "--seed")]
+    + [(f"construct {family}", flag) for family in cli.FAMILIES for flag in ("--seed", "--threads", "--format")]
+)
+KEPT_FLAGS = [
+    ["puncture", "--q", "3", "--k", "2", "--g-samples", "1", "--seed", "1"],
+    ["sweep", "--q", "3", "--format", "json", "--threads", "1"],
+    ["verify", "code.json", "--threads", "1"],
+]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param([*command.split(), *TOY_ARGV[command], flag, "json" if flag == "--format" else "1"], 2,
+                 id=f"{command} {flag}")
+    for command, flag in REMOVED_FLAGS
+] + [pytest.param(argv, 0, id=" ".join(argv)) for argv in KEPT_FLAGS])
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    _write_toy_record(tmp_path)
+    capsys.readouterr()
+    if code == 0:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
 def test_puncture_q4_k3(capsys):
@@ -128,6 +225,28 @@ def test_construct_and_verify_roundtrip(tmp_path, capsys):
     assert rc == 0
     gen = vdoc["result"]["generator"]
     assert len(gen) == 4 and len(gen[0]) == 12
+
+
+def test_construct_and_verify_build_the_quantum_parameters_once(tmp_path, monkeypatch, capsys):
+    """construct builds them once for its report and its record; verify once
+    when the Gram matrix vanishes and not at all when it does not."""
+    built = []
+    build = grscode.CodeParams.of_self_orthogonal.__func__
+    monkeypatch.setattr(grscode.CodeParams, "of_self_orthogonal",
+                        classmethod(lambda cls, code: built.append(code.n) or build(cls, code)))
+    out = tmp_path / "code.json"
+    assert main(["construct", "example1", "--q", "5", "--k", "4", "--t", "3", "--f", "1",
+                 "--output", str(out)]) == 0
+    assert built == [12]
+    rc, vdoc = run_json(capsys, ["verify", str(out)])
+    assert rc == 0 and vdoc["result"]["quantum"] == [12, 4, 5, 5]
+    assert built == [12, 12]
+    doc = json.loads(out.read_text())
+    doc["result"]["thetas"][0] = doc["result"]["thetas"][0] % 24 + 1
+    out.write_text(json.dumps(doc))
+    rc, vdoc = run_json(capsys, ["verify", str(out)])
+    assert rc == 0 and vdoc["result"]["self_orthogonal"] is False and vdoc["result"]["quantum"] is None
+    assert built == [12, 12]
 
 
 def test_verify_detects_perturbed_theta(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import re
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from hermgrs import constructions, grscode, linalg
 from hermgrs.errors import CapExceeded, MalformedInput, SelfCheckFailed, ValidationRefused
-from hermgrs.field import make_field
+from hermgrs.field import MAX_Q, make_field
 from hermgrs.grscode import (
     CodeParams,
     GrsCode,
@@ -248,7 +249,7 @@ def test_support_that_is_not_one_flat_list_is_refused(ctx4, support, match):
 def test_numpy_integer_support_is_kept_as_python_ints(ctx4):
     code = GrsCode(ctx4, 1, (np.int64(1), np.int64(3)), [1, 1])
     assert code.support == (1, 3) and all(type(i) is int for i in code.support)
-    json.dumps(code_to_dict(code, self_orthogonal=False, mds="minors"))
+    json.dumps(code_to_dict(code, params=None, mds="minors"))
 
 
 def test_check_mds_cap(ctx5):
@@ -298,7 +299,7 @@ def test_code_params_refusals(ctx5):
 def test_json_roundtrip(ctx5):
     k = 2
     code = truncate_scale(k, small_support_witness(ctx5, k))
-    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    record = code_to_dict(code, params=CodeParams.of_self_orthogonal(code), mds="minors")
     back = code_from_dict(record)
     assert back.support == code.support
     assert np.array_equal(back.thetas, code.thetas)
@@ -321,7 +322,7 @@ def test_json_roundtrip(ctx5):
 )
 def test_malformed_records_rejected(ctx5, mutate):
     code = truncate_scale(2, small_support_witness(ctx5, 2))
-    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    record = code_to_dict(code, params=CodeParams.of_self_orthogonal(code), mds="minors")
     mutate(record)
     with pytest.raises(MalformedInput):
         code_from_dict(record)
@@ -373,7 +374,7 @@ def test_min_weight_matches_scalar_enumeration(code):
 )
 def test_code_records_with_non_integer_fields_rejected(ctx5, key, value):
     code = truncate_scale(2, small_support_witness(ctx5, 2))
-    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    record = code_to_dict(code, params=CodeParams.of_self_orthogonal(code), mds="minors")
     record[key] = value(record) if callable(value) else value
     with pytest.raises(MalformedInput):
         code_from_dict(record)
@@ -381,7 +382,7 @@ def test_code_records_with_non_integer_fields_rejected(ctx5, key, value):
 
 def test_code_record_without_schema_key_accepted(ctx5):
     code = truncate_scale(2, small_support_witness(ctx5, 2))
-    record = code_to_dict(code, self_orthogonal=True, mds="minors")
+    record = code_to_dict(code, params=CodeParams.of_self_orthogonal(code), mds="minors")
     del record["schema"]
     assert np.array_equal(code_from_dict(record).gen, code.gen)
 
@@ -664,6 +665,29 @@ def test_mds_status_raises_on_a_singular_minor(ctx5):
         mds_status(code)
 
 
+def _enumeration_tier_cells(mds_cap: int, enum_cap: int) -> list[tuple[int, int, int]]:
+    """Every (q, k, n) with q <= 64, 1 <= k <= q+1 and k <= n <= q^2+1 whose
+    minors exceed mds_cap while its words stay within enum_cap."""
+    def prime_power(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    fields = [q for q in range(2, MAX_Q + 1) if prime_power(q)]
+    assert len(fields) == 27
+    return [(q, k, n) for q in fields for k in range(1, q + 2) if q ** (2 * k) <= enum_cap
+            for n in range(k, q * q + 2) if math.comb(n, k) > mds_cap]
+
+
+def test_enumeration_tier_is_out_of_reach_at_the_default_caps():
+    """mds_status enumerates only past mds_cap minors and within enum_cap
+    words; at the default caps no code of any supported field is both."""
+    assert _enumeration_tier_cells(grscode.MDS_CAP, grscode.ENUM_CAP) == []
+    # a lowered minor cap reaches it, as the probe's --mds-cap 1 does at q = 3
+    assert (3, 1, 10) in _enumeration_tier_cells(1, grscode.ENUM_CAP)
+
+
 def test_check_mds_cap_message(ctx5):
     with pytest.raises(CapExceeded, match=re.escape("C(26,4) = 14950 minors exceed the cap 10")):
         check_mds(oracle.full_length_rs(ctx5, 4), cap=10)
@@ -729,8 +753,8 @@ def test_gram_adds_up_coordinate_blocks(k):
 
 @given(scaled_truncations())
 def test_code_record_json_roundtrip(code):
-    so = is_hermitian_self_orthogonal(code)
-    record = json.loads(json.dumps(code_to_dict(code, self_orthogonal=so, mds="asserted_by_construction")))
+    params = CodeParams.of_self_orthogonal(code) if is_hermitian_self_orthogonal(code) else None
+    record = json.loads(json.dumps(code_to_dict(code, params=params, mds="asserted_by_construction")))
     back = code_from_dict(record)
     assert back.support == code.support
     assert np.array_equal(back.thetas, code.thetas)
