@@ -241,10 +241,12 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
 def min_weight(code: GrsCode, cap: int = ENUM_CAP) -> int:
     """Minimum Hamming weight by full enumeration of the row space.
 
-    ``linalg.span_min_weight`` runs over the q^2 multiples of each
-    generator row; ``FieldCtx.vadd`` builds the two half spans, and a
-    word's weight is the number of columns where one half is not the
-    negative of the other.
+    ``linalg.span_min_weight`` takes the q^2 multiples of each generator
+    row, the scalars in ``points_idx`` order (index 0 is zero, the others
+    the q^2 - 1 nonzero scalars), and compares one word per orbit of
+    q^2 - 1 nonzero multiples; ``FieldCtx.vadd`` builds the two half
+    spans, and a word's weight is the number of columns where one half is
+    not the negative of the other.
     """
     ctx, k = code.ctx, code.k
     total = ctx.q2**k

@@ -11,6 +11,9 @@ No path does per-element Python arithmetic.
 ``_span_blocks`` is the one full row-space enumerator: given the scalar
 multiples of each row, an addition and a negation, it meets in the middle
 over any alphabet and yields the weights of the words block by block.
+A word and its nonzero scalar multiples weigh the same, so both
+enumerators compare one word per scalar orbit (of the Q - 1 nonzero
+multiples, over an alphabet of Q scalars) and count the others.
 Two results read it: ``span_weights`` adds each block into the weight
 histogram, which only the weight distribution uses, and
 ``span_min_weight`` keeps each block's first lightest nonzero word, for
@@ -28,11 +31,14 @@ every level, level 1 included, looks at those columns only.  Subsets
 whose rows have at least ``best`` columns touched by exactly one row
 (their j pivots among them) are skipped: such columns cannot cancel, so
 no combination from the subset can beat ``best``.  Inside a subset the
-coefficients are split in two halves A (the first j // 2 rows) and B.
-Every combination of every t-subset of rows, on the non-pivot columns, is
-one table per half size t, built the first time a level reads it (the
-negated table once more for the A halves); a group of subsets reads each
-half with one ``take`` at the lexicographic ranks of its subsets' halves.
+coefficients are split in two halves A (the first j // 2 rows) and B,
+and only the coefficient vectors whose first coordinate is label 1 are
+compared, one per orbit.  Every combination of every t-subset of rows,
+on the non-pivot columns, is one table per half size t, built the first
+time a level reads it (the negated table once more for the A halves); a
+chunk of subsets reads each half with one ``take`` at the lexicographic
+ranks of its subsets' halves, from the prefix of the coefficient axis
+that label 1 opens in the half holding the first coordinate.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
@@ -176,7 +182,7 @@ class ScanResult:
     admitted: bool  # False when the projected work exceeded the cap
     weight: int | None
     witness: np.ndarray | None
-    scanned: int  # codewords actually materialized
+    scanned: int  # words covered: (q-1) per word compared, one compared per scalar orbit
 
 
 def _coeff_block(q: int, j: int) -> np.ndarray:
@@ -227,29 +233,55 @@ def _count_differences(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce((x != y).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(x)))
 
 
+def _orbit_span(add, multiples: np.ndarray) -> np.ndarray:
+    """One word per scalar orbit of the span of the given rows, in the order of ``_span``.
+
+    These are the zero word and the words whose last nonzero coefficient
+    is scalar 1 (``multiples[:, 1]``): the index ranges [Q^r, 2 Q^r) of
+    ``_span``, for each row r, Q = ``multiples.shape[1]``.  Range r is the
+    span of rows 0..r-1 plus scalar 1 times row r.
+    """
+    zero = np.zeros((1, multiples.shape[2]), dtype=multiples.dtype)
+    ranges = [add(mult[1][None, :], _span(add, multiples[:r])) for r, mult in enumerate(multiples)]
+    return np.concatenate([zero] + ranges)
+
+
 def _span_blocks(add, neg, multiples: np.ndarray):
-    """The weights of every word of a row space, one block at a time.
+    """The weights of one word per scalar orbit of a row space, one block at a time.
 
     ``multiples[r, c]`` is the c-th scalar multiple of row r, for every
-    scalar of the alphabet (c = 0 the zero multiple), ``add`` adds two
-    broadcast arrays of entries and ``neg`` negates one.  The words are the
-    sums a + b of a word of the span A of the first m//2 rows and one of
-    the span B of the others, visited B-major in one pass, one block of
-    about ``_BLOCK`` words at a time.  A word's weight is the number of
-    columns where b != -a, so no word is added up here.  Only the columns
-    where both halves have a nonzero row are compared: on the others a + b
-    is a or b, so a's weight on the columns B never touches and b's on the
-    columns A never touches are counted once per half word.  This holds
-    for any rows; on an RREF basis it drops at least the pivot columns.
+    scalar of the alphabet: c = 0 the zero multiple, c >= 1 the Q - 1
+    nonzero scalars, each once (Q = ``multiples.shape[1]``).  ``add`` adds
+    two broadcast arrays of entries and ``neg`` negates one.  The words are
+    the sums a + b of a word of the span A of the first m//2 rows and one
+    of the span B of the others, visited B-major in one pass, one block of
+    about ``_BLOCK`` words at a time.
+
+    A word and its Q - 2 other nonzero multiples weigh the same, so half B
+    keeps only its zero word and the words whose last nonzero coefficient
+    is scalar 1 (``_orbit_span``).  Scaling a pair (a, b) with b nonzero by
+    the Q - 1 nonzero scalars gives exactly one pair whose b is kept, and
+    that b comes first among them in ``_span``'s order; the pairs with
+    b = 0 are all kept.  So the visited words are 1 + (Q^m' - 1)/(Q - 1)
+    per word of A, m' = m - m//2, and the first lightest nonzero word of
+    the whole span, in B-major order, is visited.  This holds for any rows,
+    dependent ones included, as the orbits are of coefficient vectors.
+
+    A word's weight is the number of columns where b != -a, so no word is
+    added up here.  Only the columns where both halves have a nonzero row
+    are compared: on the others a + b is a or b, so a's weight on the
+    columns B never touches and b's on the columns A never touches are
+    counted once per half word.  On an RREF basis this drops at least the
+    pivot columns.
 
     Returns (blocks, word): ``blocks`` yields, in visiting order, the index
     of a block's first word and the block's weights, a fresh flat array in
-    the narrowest unsigned type that holds the column count; ``word(i)``
-    is the i-th word visited.
+    the narrowest unsigned type that holds the column count; the first
+    |A| words are those of A, b = 0.  ``word(i)`` is the i-th word visited.
     """
     m, _, n = multiples.shape
     A = _span(add, multiples[: m // 2])
-    B = _span(add, multiples[m // 2 :])
+    B = _orbit_span(add, multiples[m // 2 :])
     block = max(1, _BLOCK // len(A))
     in_a, in_b = A.any(axis=0), B.any(axis=0)
     shared = in_a & in_b
@@ -280,13 +312,18 @@ def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | Non
 
     Returns (counts indexed by weight with the zero word at index 0, the
     minimum nonzero weight, the first word of that weight in the visiting
-    order); the last two are None when no word is nonzero.
+    order); the last two are None when no word is nonzero.  The words
+    visited are the |A| words a + 0 and one pair per scalar orbit of the
+    pairs with b nonzero, so with Q scalars the counts are
+    (Q - 1) hist(visited) - (Q - 2) hist(A words): exact for any rows.
     """
-    n = multiples.shape[2]
+    m, Q, n = multiples.shape
     blocks, word = _span_blocks(add, neg, multiples)
     counts = np.zeros(n + 1, dtype=np.int64)
     best_w, at = n + 1, 0
     for lo, wts in blocks:
+        if not lo:  # the first block opens with the Q^(m//2) words of A
+            counts_a = np.bincount(wts[: Q ** (m // 2)], minlength=n + 1)
         counts += np.bincount(wts, minlength=n + 1)
         # counts[1:best_w] was zero before this block, so a word lighter
         # than best_w is one of this block's
@@ -294,6 +331,7 @@ def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | Non
         if lighter.size:
             best_w = int(lighter[0]) + 1
             at = lo + int(np.argmax(wts == best_w))
+    counts = (Q - 1) * counts - (Q - 2) * counts_a
     if best_w > n:
         return counts, None, None
     return counts, best_w, word(at)
@@ -302,7 +340,9 @@ def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | Non
 def span_min_weight(add, neg, multiples: np.ndarray) -> tuple[int | None, np.ndarray | None]:
     """Minimum nonzero weight of a row space and the first word of that
     weight in the visiting order of ``_span_blocks``; (None, None) when no
-    word is nonzero.
+    word is nonzero.  That word is the first lightest nonzero word of the
+    whole span in B-major order: of each orbit of pairs (a, b) with b
+    nonzero, the one ``_span_blocks`` visits comes first.
 
     Each block gives its first lightest word by one ``argmin``.  A zero
     word can sit anywhere when the rows are dependent, so the weights are
@@ -371,10 +411,20 @@ def min_weight_scan(
     needed levels; past ``cap`` the search refuses without scanning so the
     caller can fall back to a constructive answer.
 
-    A level is scanned in groups of subsets of about ``_BLOCK`` words each,
-    and the subsets that can still beat the best weight are recounted once
-    per 8 groups.  ``scanned`` counts the words of every group scanned, so
-    this fixed cadence is part of the result.
+    A word and its q - 2 other nonzero multiples weigh the same, so a
+    level compares only the coefficient vectors whose first coordinate is
+    label 1: the first (q-1)^(t-1) combinations of the table half that
+    holds that coordinate.  Inside a subset the first coordinate is the
+    slowest, so of each orbit this vector comes first, and the first
+    lightest word, the witness, is one of them.  ``scanned`` counts the
+    words covered, q - 1 per word compared.
+
+    The subsets that can still beat the best weight are recounted once per
+    wave of 8 groups, a group being max(1, ``_BLOCK`` // (q-1)^j) subsets,
+    the words of all their coefficient vectors.  Which subsets are scanned,
+    and so ``scanned``, depends only on this fixed cadence, so it is part
+    of the result.  Inside a wave the subsets are compared in chunks of
+    about ``_BLOCK`` compared words.
 
     Raises ValueError, unless it refuses, when the basis is not the
     identity on its pivot columns (the first nonzero column of each row):
@@ -432,7 +482,10 @@ def min_weight_scan(
 
     @functools.cache
     def neg_table(t: int) -> np.ndarray:
-        return fq.neg[table(t)]
+        """``table(t)`` negated, for the A halves: for t >= 1 only the
+        coefficient vectors whose first coordinate is label 1, the first
+        (q-1)^(t-1)."""
+        return fq.neg[table(t)[:, :, : qm1 ** max(t - 1, 0)]]
 
     def rank(subs: np.ndarray) -> np.ndarray:
         """Lexicographic ranks among the t-subsets of range(m) of sorted (S, t) rows:
@@ -456,29 +509,36 @@ def min_weight_scan(
         j1 = j // 2
         ca, cb = qm1**j1, qm1 ** (j - j1)
         group = max(1, _BLOCK // (ca * cb))
+        # one coefficient vector per scalar orbit, the one whose first
+        # coordinate is label 1: a prefix of the half holding that coordinate
+        if j1:
+            ca //= qm1
+        else:
+            cb //= qm1
+        chunk = max(1, _BLOCK // (ca * cb))
         # order ranks subsets by lonely, so those that can still beat best_w
         # are a prefix of it
         ranked = lonely[order]
         rank_a, rank_b = rank(subsets[:, :j1]), rank(subsets[:, j1:])
-        for g, lo in enumerate(range(0, len(order), group)):
-            if g % wave == 0:
-                end = int(np.searchsorted(ranked, best_w))
+        for lo in range(0, len(order), wave * group):
+            end = min(lo + wave * group, int(np.searchsorted(ranked, best_w)))
             if lo >= end:
                 break
-            chosen = order[lo : min(lo + group, end)]
-            # a table is built by the first group that reads it
-            neg_a = neg_table(j1).take(rank_a[chosen], axis=1)  # (n - m, S, ca)
-            part_b = table(j - j1).take(rank_b[chosen], axis=1)  # (n - m, S, cb)
-            # a + b is zero exactly where b == -a
-            wts = _count_differences(neg_a[:, :, :, None], part_b[:, :, None, :])
-            scanned += wts.size
-            flat = int(wts.argmin())
-            w = j + int(wts.reshape(-1)[flat])
-            if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
-                s, a, b = np.unravel_index(flat, wts.shape)
-                rows = subsets[chosen[s]]
-                coeffs = np.concatenate([_coeff_block(q, j1)[a], _coeff_block(q, j - j1)[b]])
-                best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
+            for at in range(lo, end, chunk):
+                chosen = order[at : min(at + chunk, end)]
+                # a table is built by the first chunk that reads it
+                neg_a = neg_table(j1).take(rank_a[chosen], axis=1)  # (n - m, S, ca)
+                part_b = table(j - j1)[:, :, :cb].take(rank_b[chosen], axis=1)  # (n - m, S, cb)
+                # a + b is zero exactly where b == -a
+                wts = _count_differences(neg_a[:, :, :, None], part_b[:, :, None, :])
+                scanned += qm1 * wts.size
+                flat = int(wts.argmin())
+                w = j + int(wts.reshape(-1)[flat])
+                if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
+                    s, a, b = np.unravel_index(flat, wts.shape)
+                    rows = subsets[chosen[s]]
+                    coeffs = np.concatenate([_coeff_block(q, j1)[a], _coeff_block(q, j - j1)[b]])
+                    best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
     return ScanResult(True, best_w, best_vec, scanned)
 
 

@@ -126,7 +126,11 @@ def nonsingular_by_elimination(ctx: FieldCtx, rows: list[list[Felt]]) -> bool:
 
 
 def code_min_weight_enum(code) -> int:
-    """Minimum weight by scalar enumeration of all nonzero messages."""
+    """Minimum nonzero weight by scalar enumeration of all nonzero messages.
+
+    A message whose word is zero (the rows are dependent) is skipped; with
+    every word zero the result is n + 1.
+    """
     ctx = code.ctx
     k, n = code.k, code.n
     gen = [[ctx.felt(int(code.gen[r][c])) for c in range(n)] for r in range(k)]
@@ -142,7 +146,8 @@ def code_min_weight_enum(code) -> int:
             if msg[r]:
                 word = [word[c] + msg[r] * gen[r][c] for c in range(n)]
         weight = sum(1 for x in word if x)
-        best = min(best, weight)
+        if weight:
+            best = min(best, weight)
     return best
 
 
@@ -276,3 +281,25 @@ def felt_span_weights(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> tupl
         counts[sum(1 for x in word if x)] += 1
     lightest = next((w for w in range(1, ncols + 1) if counts[w]), None)
     return counts, lightest
+
+
+def felt_first_lightest_word(ctx: FieldCtx, rows: list[list[Felt]], scalars, ncols: int) -> list[Felt] | None:
+    """The first nonzero word of least weight among the combinations
+    sum_r scalars[c_r] * rows[r], or None when every one is zero.
+
+    The combinations are taken in increasing order of sum_r c_r Q^r with
+    Q = len(scalars): row 0's coefficient fastest, the last row's slowest.
+    That is the B-major order of a meet-in-the-middle enumeration whose
+    first half is the first rows, however the rows are split.
+    """
+    first, best = None, ncols + 1
+    for i in range(len(scalars) ** len(rows)):
+        word = [ctx.zero] * ncols
+        for row in rows:
+            i, c = divmod(i, len(scalars))
+            if c:
+                word = [x + scalars[c] * y for x, y in zip(word, row)]
+        weight = sum(1 for x in word if x)
+        if 0 < weight < best:
+            first, best = word, weight
+    return first

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hermgrs import constructions, grscode, linalg
@@ -353,6 +353,40 @@ def small_codes(draw):
 @given(small_codes())
 def test_min_weight_matches_scalar_enumeration(code):
     assert min_weight(code) == oracle.code_min_weight_enum(code)
+
+
+@st.composite
+def dependent_generators(draw):
+    """Generators over GF(q^2), q <= 4, with at most 9^3 codewords, one or
+    more rows of which are overwritten by a multiple of a row (a zero row
+    at entry 0), so the rows are mostly dependent; at least one entry is
+    nonzero."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    k = draw(st.integers(1, 3 if ctx.q2 <= 9 else 2))
+    n = draw(st.integers(1, 8))
+    entry = st.integers(0, ctx.q2 - 1)
+    gen = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)),
+                   dtype=np.int64).reshape(k, n)
+    for _ in range(draw(st.integers(1, k))):
+        at, source = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        gen[at] = ctx.vmul(draw(entry), gen[source])
+    assume(gen.any())
+    return SimpleNamespace(ctx=ctx, k=k, n=n, gen=gen)
+
+
+@given(dependent_generators())
+def test_min_weight_of_dependent_rows_matches_scalar_enumeration(code):
+    """The enumeration compares one word per orbit of q^2 - 1 nonzero
+    multiples; its weight and its witness, the first lightest word in
+    B-major order, are those of the scalar enumeration of every message."""
+    ctx = code.ctx
+    assert min_weight(code) == oracle.code_min_weight_enum(code)
+    multiples = ctx.vmul(ctx.points_idx()[None, :, None], code.gen[:, None, :])
+    _, witness = linalg.span_min_weight(ctx.vadd, ctx.vneg, multiples)
+    rows = [[ctx.felt(int(x)) for x in row] for row in code.gen]
+    scalars = [ctx.felt(int(i)) for i in ctx.points_idx()]
+    ref = oracle.felt_first_lightest_word(ctx, rows, scalars, code.n)
+    assert witness.tolist() == [x.i for x in ref]
 
 
 @pytest.mark.parametrize(

@@ -12,11 +12,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hermgrs import linalg
-from hermgrs.field import make_field
+from hermgrs.field import Felt, make_field
 from hermgrs.poly import Poly
 from hermgrs.puncture import g_form_vector, u_space_basis
 
 from oracle import (
+    felt_first_lightest_word,
     felt_in_row_space,
     felt_kernel,
     felt_matvec_is_zero,
@@ -233,8 +234,52 @@ def test_span_weights_matches_scalar_enumeration(case):
     assert np.array_equal(scan.witness, _label_span_weights(ctx, R)[2])  # the same word as on labels
 
 
+@st.composite
+def dependent_rows(draw):
+    """(ctx, labels): m GF(q) rows, q^m <= ENUM_MAX_WORDS, one or more of
+    them overwritten by a multiple of a row (a zero row at scalar 0, a
+    copy at 1), so the rows are mostly dependent and zero words sit in the
+    middle of the visiting order, not only at its start."""
+    q = draw(st.sampled_from(ENUM_QS))
+    ctx = make_field(*FIELDS[q])
+    m = draw(st.integers(1, max(j for j in range(1, 10) if q**j <= ENUM_MAX_WORDS)))
+    n = draw(st.integers(1, 9))
+    label = st.integers(0, q - 1)
+    rows = np.array(draw(st.lists(st.lists(label, min_size=n, max_size=n), min_size=m, max_size=m)),
+                    dtype=np.uint8).reshape(m, n)
+    for _ in range(draw(st.integers(1, m))):
+        at, source = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[at] = ctx.fq.mul[draw(label), rows[source]]
+    return ctx, rows
+
+
+@given(dependent_rows(), st.sampled_from([1, 7, linalg._BLOCK]))
+def test_orbit_enumeration_of_dependent_rows_matches_scalar_enumeration(case, block):
+    """Each enumerator compares one word per scalar orbit: the histogram is
+    scaled back up to every combination, and the witness is the first
+    lightest word of the whole span in B-major order, also when the rows
+    are dependent and however the words are blocked."""
+    ctx, rows = case
+    n = rows.shape[1]
+    felt_rows = labels_to_felts(ctx, rows)
+    ref_counts, ref_weight = felt_span_weights(ctx, felt_rows, n)
+    scalars = [Felt(ctx, ctx.fq.idx_of_compact[c]) for c in range(ctx.q)]  # label order
+    ref_witness = felt_first_lightest_word(ctx, felt_rows, scalars, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK", block)
+        counts, weight, witness = _label_span_weights(ctx, rows)
+        got_weight, got_witness = linalg.span_min_weight(*linalg._label_span(ctx.fq, rows))
+        distribution = linalg.weight_distribution(ctx.fq, rows)
+    assert counts.tolist() == distribution.tolist() == ref_counts
+    assert weight == got_weight == ref_weight
+    if ref_witness is None:
+        assert witness is None and got_witness is None
+    else:
+        assert witness.tolist() == got_witness.tolist() == felts_to_labels(ctx, [ref_witness])[0]
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
-def test_enumeration_is_independent_of_threads_and_block_size(monkeypatch, block):
+def test_enumeration_is_independent_of_block_size(monkeypatch, block):
     """The witness is the first lightest word in B-major order however the work is split into blocks."""
     ctx = make_field(3, 1)
     rows = np.random.default_rng(3).integers(0, 3, size=(7, 10)).astype(np.uint8)
