@@ -304,7 +304,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claims["quantum"] = record["quantum"] == result["quantum"]
     result["matches_file"] = claims
     if args.include_generator:
-        result["generator"] = grscode.generator_rows(code)
+        result["generator"] = code.gen.tolist()
     config = {"code_file": args.code_file, "mds_cap": args.mds_cap, "enum_cap": args.enum_cap}
     _emit_json(args, "verify", config, result)
     return 0

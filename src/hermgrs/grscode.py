@@ -15,6 +15,7 @@ minors below it by one sort of projective points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,8 +74,6 @@ class GrsCode:
     r = k-1).
     """
 
-    __slots__ = ("ctx", "k", "support", "thetas", "gen")
-
     def __init__(self, ctx: FieldCtx, k: int, support: tuple[int, ...], thetas: np.ndarray):
         q2 = ctx.q2
         if not 1 <= k <= ctx.q + 1:
@@ -95,9 +94,10 @@ class GrsCode:
         self.k = k
         self.support = support
         self.thetas = thetas
-        self.gen = self._generator()
 
-    def _generator(self) -> np.ndarray:
+    @functools.cached_property
+    def gen(self) -> np.ndarray:
+        """The k x n generator, built when a check first reads it."""
         ctx, k = self.ctx, self.k
         has_coeff = self.has_coeff_coord
         n_eval = len(self.support) - (1 if has_coeff else 0)
@@ -360,8 +360,3 @@ def code_from_dict(obj: dict) -> GrsCode:
     except ValidationRefused as exc:
         raise MalformedInput(str(exc)) from exc
     return code
-
-
-def generator_rows(code: GrsCode) -> list[list[int]]:
-    """Generator matrix as row-major serialized element indices."""
-    return code.gen.tolist()

@@ -158,21 +158,15 @@ def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return code_sum(fq.p, fq.h, products, axis=1)
 
 
-def reduce_against(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
-    """Remainder of v after elimination by the RREF rows R.
+def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:
+    """Whether v lies in the row space of the RREF rows R with these pivot columns.
 
-    R is the identity on its pivot columns, so eliminating row i never
-    changes v on the other pivots, and the remainder is v + R^T (-c) with
-    c = v on the pivots (rows with c_i = 0 left out).
+    R is the identity on its pivot columns, so the one combination of its
+    rows that can equal v is sum_i v[pivots[i]] R_i: v is in the row space
+    exactly when the product R^T v[pivots] is v.
     """
     v = np.asarray(v, dtype=np.uint8)
-    coeffs = v[list(pivots)]
-    used = np.flatnonzero(coeffs)
-    return matvec(fq, np.vstack([v, R[used]]).T, np.concatenate([[1], fq.neg[coeffs[used]]]))
-
-
-def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:
-    return not reduce_against(fq, R, pivots, v).any()
+    return np.array_equal(matvec(fq, R.T, v[list(pivots)]), v)
 
 
 @dataclass
@@ -211,11 +205,6 @@ def _combinations(m: int, j: int) -> np.ndarray:
     return out
 
 
-def _code_multiples(fq: SubfieldTables, rows: np.ndarray) -> np.ndarray:
-    """(n, m, q) labels: [i, r, c] is entry i of the label-c multiple of row r."""
-    return fq.mul[rows.T]  # one gather of q-entry table rows
-
-
 def _span(add, multiples: np.ndarray) -> np.ndarray:
     """All words of the span of the given rows, coefficient-major (last row slowest)."""
     out = np.zeros((1, multiples.shape[2]), dtype=multiples.dtype)
@@ -239,10 +228,13 @@ def _orbit_span(add, multiples: np.ndarray) -> np.ndarray:
     These are the zero word and the words whose last nonzero coefficient
     is scalar 1 (``multiples[:, 1]``): the index ranges [Q^r, 2 Q^r) of
     ``_span``, for each row r, Q = ``multiples.shape[1]``.  Range r is the
-    span of rows 0..r-1 plus scalar 1 times row r.
+    span of rows 0..r-1, which is the first Q^r words of the span of all
+    rows but the last, plus scalar 1 times row r.
     """
     zero = np.zeros((1, multiples.shape[2]), dtype=multiples.dtype)
-    ranges = [add(mult[1][None, :], _span(add, multiples[:r])) for r, mult in enumerate(multiples)]
+    Q = multiples.shape[1]
+    head = _span(add, multiples[:-1])
+    ranges = [add(mult[1][None, :], head[: Q**r]) for r, mult in enumerate(multiples)]
     return np.concatenate([zero] + ranges)
 
 
@@ -307,34 +299,22 @@ def _span_blocks(add, neg, multiples: np.ndarray):
     return blocks(), word
 
 
-def span_weights(add, neg, multiples: np.ndarray) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+def span_weights(add, neg, multiples: np.ndarray) -> np.ndarray:
     """Weight histogram of a row space, by the enumeration of ``_span_blocks``.
 
-    Returns (counts indexed by weight with the zero word at index 0, the
-    minimum nonzero weight, the first word of that weight in the visiting
-    order); the last two are None when no word is nonzero.  The words
-    visited are the |A| words a + 0 and one pair per scalar orbit of the
-    pairs with b nonzero, so with Q scalars the counts are
+    Returns the counts indexed by weight, the zero word at index 0.  The
+    words visited are the |A| words a + 0 and one pair per scalar orbit of
+    the pairs with b nonzero, so with Q scalars the counts are
     (Q - 1) hist(visited) - (Q - 2) hist(A words): exact for any rows.
     """
     m, Q, n = multiples.shape
-    blocks, word = _span_blocks(add, neg, multiples)
+    blocks, _ = _span_blocks(add, neg, multiples)
     counts = np.zeros(n + 1, dtype=np.int64)
-    best_w, at = n + 1, 0
     for lo, wts in blocks:
         if not lo:  # the first block opens with the Q^(m//2) words of A
             counts_a = np.bincount(wts[: Q ** (m // 2)], minlength=n + 1)
         counts += np.bincount(wts, minlength=n + 1)
-        # counts[1:best_w] was zero before this block, so a word lighter
-        # than best_w is one of this block's
-        lighter = np.flatnonzero(counts[1:best_w])
-        if lighter.size:
-            best_w = int(lighter[0]) + 1
-            at = lo + int(np.argmax(wts == best_w))
-    counts = (Q - 1) * counts - (Q - 2) * counts_a
-    if best_w > n:
-        return counts, None, None
-    return counts, best_w, word(at)
+    return (Q - 1) * counts - (Q - 2) * counts_a
 
 
 def span_min_weight(add, neg, multiples: np.ndarray) -> tuple[int | None, np.ndarray | None]:
@@ -372,7 +352,7 @@ def _label_span(fq: SubfieldTables, rows: np.ndarray):
         add_into(out, b)
         return out
 
-    multiples = _code_multiples(fq, rows).transpose(1, 2, 0)  # (m, q, n)
+    multiples = fq.mul[rows.T].transpose(1, 2, 0)  # (m, q, n): [r, c] is label c times row r
     return add, fq.neg.take, multiples
 
 
@@ -459,7 +439,7 @@ def min_weight_scan(
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     touched = nonzero[:, free]
-    mult = _code_multiples(fq, basis[:, free]).reshape(-1, m * q)  # column r * q + c: label c times row r
+    mult = fq.mul[basis[:, free].T].reshape(-1, m * q)  # column r * q + c: label c times row r
     # binom[a, b] = C(a, b) up to the larger half of the deepest level, for
     # the lexicographic ranks of subsets, column by column:
     # C(a, b) = C(a, b - 1) (a - b + 1) / b
@@ -552,4 +532,4 @@ def weight_distribution(fq: SubfieldTables, basis: np.ndarray, cap: int = DISTRI
     total = fq.q**m
     if total > cap:
         raise CapExceeded(f"row space has q^{m} = {total} words, above the cap {cap}")
-    return span_weights(*_label_span(fq, basis))[0]
+    return span_weights(*_label_span(fq, basis))

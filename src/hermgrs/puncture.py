@@ -119,7 +119,7 @@ class PunctureBasis:
         return [PunctureVector(self.ctx, r) for r in self.matrix]
 
     def row_space_equals(self, other: PunctureBasis) -> bool:
-        return self.matrix.shape == other.matrix.shape and np.array_equal(self.matrix, other.matrix)
+        return np.array_equal(self.matrix, other.matrix)
 
     def __repr__(self) -> str:
         return f"PunctureBasis(q={self.ctx.q}, k={self.k}, method={self.method}, dim={self.dim})"

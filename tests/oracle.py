@@ -283,6 +283,27 @@ def felt_span_weights(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> tupl
     return counts, lightest
 
 
+def first_lightest_word(add, multiples: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """(least nonzero weight, first word of that weight) among all the words
+    sum_r multiples[r, c_r], or (None, None) when every one is zero.
+
+    ``multiples[r, c]`` is the c-th scalar multiple of row r, and ``add``
+    adds two broadcast arrays of entries, with 0 the zero entry.  Every
+    word is built, in increasing order of sum_r c_r Q^r with
+    Q = multiples.shape[1]: row 0's coefficient fastest, the order of
+    ``felt_first_lightest_word``, without halves, orbits or blocks.
+    """
+    n = multiples.shape[2]
+    words = np.zeros((1, n), dtype=multiples.dtype)
+    for mult in multiples:  # each row's coefficient slower than the ones before
+        words = add(words[None, :, :], mult[:, None, :]).reshape(-1, n)
+    weights = np.count_nonzero(words, axis=1)
+    if not weights.any():
+        return None, None
+    lightest = int(weights[weights > 0].min())
+    return lightest, words[int(np.argmax(weights == lightest))]
+
+
 def felt_first_lightest_word(ctx: FieldCtx, rows: list[list[Felt]], scalars, ncols: int) -> list[Felt] | None:
     """The first nonzero word of least weight among the combinations
     sum_r scalars[c_r] * rows[r], or None when every one is zero.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hermgrs import constructions
+from hermgrs import constructions, grscode
 from hermgrs.constructions import (
     build_custom,
     build_even_q_min,
@@ -230,6 +230,16 @@ def test_qsq_plus_one_q8(ctx8):
     assert len(scalars) == 6
     for e in scalars:
         assert build_qsq_plus_one(ctx8, e).zero_count == 0
+
+
+def test_qsq_plus_one_builds_no_generator(ctx8):
+    """C(65, 7) minors and 64^7 words are past both MDS caps, so neither
+    tier reads the generator and the code never builds it."""
+    code = build_qsq_plus_one(ctx8).code
+    assert "gen" not in vars(code)
+    assert grscode.mds_status(code) == "asserted_by_construction"
+    assert "gen" not in vars(code)
+    assert code.gen.shape == (7, 65) and "gen" in vars(code)
 
 
 def test_qsq_plus_one_refusals(ctx4, ctx8):

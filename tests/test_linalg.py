@@ -24,6 +24,7 @@ from oracle import (
     felt_rref,
     felt_span_weights,
     felts_to_labels,
+    first_lightest_word,
     labels_to_felts,
 )
 
@@ -141,6 +142,49 @@ def test_in_row_space_matches_rank_test(case, data):
     assert linalg.in_row_space(ctx.fq, R, pivots, inside)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_in_row_space_rejects_a_vector_off_the_pivots(q):
+    """A combination of the rows is inside; the same vector changed on one
+    non-pivot column matches the combination its pivot entries name on
+    every pivot, and is outside."""
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    R, pivots = linalg.rref(fq, rng.integers(0, q, size=(3, 7)).astype(np.uint8))
+    word = linalg.matvec(fq, R.T, rng.integers(0, q, size=len(R)).astype(np.uint8))
+    assert linalg.in_row_space(fq, R, pivots, word)
+    for col in sorted(set(range(R.shape[1])) - set(pivots)):
+        for x in range(1, q):
+            off = word.copy()
+            off[col] = fq.add[off[col], x]
+            assert not linalg.in_row_space(fq, R, pivots, off), (col, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_in_row_space_of_no_rows_is_the_zero_vector(q):
+    fq = make_field(*FIELDS[q]).fq
+    R, pivots = linalg.rref(fq, np.zeros((2, 4), dtype=np.uint8))
+    assert R.shape == (0, 4) and pivots == ()
+    assert linalg.in_row_space(fq, R, pivots, np.zeros(4, dtype=np.uint8))
+    for col, x in itertools.product(range(4), range(1, q)):
+        v = np.zeros(4, dtype=np.uint8)
+        v[col] = x
+        assert not linalg.in_row_space(fq, R, pivots, v)
+
+
+def test_in_row_space_matches_rank_test_at_q9():
+    """At q = 9 each product in ``matvec`` is summed in two base-3 digits."""
+    ctx = make_field(3, 2)
+    rng = np.random.default_rng(9)
+    for rows, cols in [(1, 5), (2, 6), (3, 8), (4, 9)]:
+        mat = rng.integers(0, 9, size=(rows, cols)).astype(np.uint8)
+        R, pivots = linalg.rref(ctx.fq, mat)
+        ref_rows = labels_to_felts(ctx, R)
+        inside = linalg.matvec(ctx.fq, R.T, rng.integers(0, 9, size=len(R)).astype(np.uint8))
+        for v in [inside] + list(rng.integers(0, 9, size=(20, cols)).astype(np.uint8)):
+            expect = felt_in_row_space(ctx, ref_rows, labels_to_felts(ctx, [v])[0], cols)
+            assert linalg.in_row_space(ctx.fq, R, pivots, v) == expect
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_u_space_basis_is_rref_of_generator_vectors(q):
     """The one-shot evaluation equals row reducing P(C) in the paper's form: the
@@ -191,15 +235,27 @@ ENUM_QS = (2, 3, 4, 5, 7, 8, 9)
 ENUM_MAX_WORDS = 729
 
 
+def _label_multiples(fq, rows):
+    """(m, q, n): [r, c] is label c times row r, by the label product table."""
+    return fq.mul[np.arange(fq.q)[None, :, None], rows[:, None, :]]
+
+
 def _label_span_weights(ctx, rows):
     """``span_weights`` of GF(q) label rows added through the label tables.
 
-    The package adds GF(q) words as additive codes; its witnesses must be
-    the words this reference order finds.
+    The package adds GF(q) words as additive codes; its histogram must be
+    the one this reference arithmetic gives.
     """
     fq = ctx.fq
-    multiples = fq.mul[np.arange(fq.q)[None, :, None], rows[:, None, :]]
-    return linalg.span_weights(lambda a, b: fq.add[a, b], lambda a: fq.neg[a], multiples)
+    return linalg.span_weights(lambda a, b: fq.add[a, b], lambda a: fq.neg[a], _label_multiples(fq, rows))
+
+
+def _label_lightest(ctx, rows):
+    """The oracle's (weight, first lightest word) of GF(q) label rows,
+    every word added up through the label tables, row 0's coefficient
+    fastest; ``span_min_weight`` and the scan must find this word."""
+    fq = ctx.fq
+    return first_lightest_word(lambda a, b: fq.add[a, b], _label_multiples(fq, rows))
 
 
 @st.composite
@@ -219,19 +275,20 @@ def independent_rows(draw):
 def test_span_weights_matches_scalar_enumeration(case):
     ctx, rows = case
     n = rows.shape[1]
-    counts, weight, witness = _label_span_weights(ctx, rows)
     ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
-    assert counts.tolist() == ref_counts
+    assert _label_span_weights(ctx, rows).tolist() == ref_counts
+    # the package's GF(q) callers, which enumerate in additive codes
+    assert linalg.weight_distribution(ctx.fq, rows).tolist() == ref_counts
+    weight, witness = linalg.span_min_weight(*linalg._label_span(ctx.fq, rows))
     assert weight == ref_weight
     assert witness.dtype == np.uint8 and np.count_nonzero(witness) == weight
     assert felt_in_row_space(ctx, labels_to_felts(ctx, rows), labels_to_felts(ctx, [witness])[0], n)
-    # the package's GF(q) callers, which enumerate in additive codes
-    assert linalg.weight_distribution(ctx.fq, rows).tolist() == ref_counts
+    assert np.array_equal(witness, _label_lightest(ctx, rows)[1])
     R = linalg.rref(ctx.fq, rows)[0]
     scan = linalg.min_weight_scan(ctx.fq, R)
     assert scan.scanned == ctx.q ** len(R) - 1  # the full-enumeration branch
     assert scan.weight == weight
-    assert np.array_equal(scan.witness, _label_span_weights(ctx, R)[2])  # the same word as on labels
+    assert np.array_equal(scan.witness, _label_lightest(ctx, R)[1])  # the same word as on labels
 
 
 @st.composite
@@ -267,15 +324,15 @@ def test_orbit_enumeration_of_dependent_rows_matches_scalar_enumeration(case, bl
     ref_witness = felt_first_lightest_word(ctx, felt_rows, scalars, n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_BLOCK", block)
-        counts, weight, witness = _label_span_weights(ctx, rows)
+        counts = _label_span_weights(ctx, rows)
         got_weight, got_witness = linalg.span_min_weight(*linalg._label_span(ctx.fq, rows))
         distribution = linalg.weight_distribution(ctx.fq, rows)
     assert counts.tolist() == distribution.tolist() == ref_counts
-    assert weight == got_weight == ref_weight
+    assert got_weight == ref_weight
     if ref_witness is None:
-        assert witness is None and got_witness is None
+        assert got_witness is None
     else:
-        assert witness.tolist() == got_witness.tolist() == felts_to_labels(ctx, [ref_witness])[0]
+        assert got_witness.tolist() == felts_to_labels(ctx, [ref_witness])[0]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
@@ -284,14 +341,15 @@ def test_enumeration_is_independent_of_block_size(monkeypatch, block):
     ctx = make_field(3, 1)
     rows = np.random.default_rng(3).integers(0, 3, size=(7, 10)).astype(np.uint8)
     R, _ = linalg.rref(ctx.fq, rows)
-    ref_counts, ref_weight, ref_witness = _label_span_weights(ctx, rows)
+    ref_counts = _label_span_weights(ctx, rows)
+    ref_weight, ref_witness = _label_lightest(ctx, rows)
     ref_scan = linalg.min_weight_scan(ctx.fq, R)
     assert ref_scan.scanned == 3 ** len(R) - 1  # the full-enumeration branch
     monkeypatch.setattr(linalg, "_BLOCK", block)
-    counts, weight, witness = _label_span_weights(ctx, rows)
-    assert np.array_equal(counts, ref_counts) and weight == ref_weight
-    assert np.array_equal(witness, ref_witness)
+    assert np.array_equal(_label_span_weights(ctx, rows), ref_counts)
     assert np.array_equal(linalg.weight_distribution(ctx.fq, rows), ref_counts)
+    weight, witness = linalg.span_min_weight(*linalg._label_span(ctx.fq, rows))
+    assert weight == ref_weight and np.array_equal(witness, ref_witness)
     scan = linalg.min_weight_scan(ctx.fq, R)
     assert (scan.weight, scan.scanned) == (ref_scan.weight, ref_scan.scanned)
     assert np.array_equal(scan.witness, ref_scan.witness)
@@ -299,18 +357,22 @@ def test_enumeration_is_independent_of_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 7, 64, linalg._BLOCK])
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_span_min_weight_takes_the_histograms_first_lightest_word(monkeypatch, q, block):
-    """``span_min_weight`` against the histogram path of ``span_weights``:
-    the same weight and the same witness, however the words are blocked.
+def test_span_min_weight_takes_the_oracles_first_lightest_word(monkeypatch, q, block):
+    """``span_min_weight`` against ``oracle.first_lightest_word``, which adds
+    up every word with row 0's coefficient fastest: the same weight and the
+    same witness, however the words are blocked, and a histogram from
+    ``span_weights`` that is empty below that weight.
 
     A zero row in each half and a row in both halves put zero words at
     every few indices, past index 0 and past the first block; rows that are
     all zero, or nonzero in one row only, have only zero words or a few
     nonzero ones.  GF(q) label rows are checked with the label arithmetic,
     and at q <= 3 the same rows read as GF(q^2) indices with the field's
-    tables, as ``grscode.min_weight`` enumerates them.
+    tables, as ``grscode.min_weight`` enumerates them; the oracle adds
+    labels by the ``add`` table and GF(q^2) indices by ``FieldCtx.vadd``.
     """
     ctx = make_field(*FIELDS[q])
+    fq = ctx.fq
     monkeypatch.setattr(linalg, "_BLOCK", block)
     r = np.random.default_rng(q).integers(0, q, size=(3, 9)).astype(np.uint8)
     zero = np.zeros(9, dtype=np.uint8)
@@ -318,11 +380,13 @@ def test_span_min_weight_takes_the_histograms_first_lightest_word(monkeypatch, q
     lone = np.zeros_like(rows)
     lone[3] = rows[0]
     for case in (rows, lone, np.zeros_like(rows)):
-        alphabets = [linalg._label_span(ctx.fq, case)]
+        alphabets = [(linalg._label_span(fq, case), lambda a, b: fq.add[a, b])]
         if q <= 3:  # (q^2)^6 words
-            alphabets.append((ctx.vadd, ctx.vneg, ctx.vmul(ctx.points_idx()[None, :, None], case[:, None, :])))
-        for add, neg, multiples in alphabets:
-            counts, weight, witness = linalg.span_weights(add, neg, multiples)
+            multiples = ctx.vmul(ctx.points_idx()[None, :, None], case[:, None, :])
+            alphabets.append(((ctx.vadd, ctx.vneg, multiples), ctx.vadd))
+        for (add, neg, multiples), oracle_add in alphabets:
+            counts = linalg.span_weights(add, neg, multiples)
+            weight, witness = first_lightest_word(oracle_add, multiples)
             got_weight, got_witness = linalg.span_min_weight(add, neg, multiples)
             assert got_weight == weight
             if weight is None:
@@ -330,6 +394,27 @@ def test_span_min_weight_takes_the_histograms_first_lightest_word(monkeypatch, q
             else:
                 assert counts[weight] and not counts[1:weight].any()
                 assert np.array_equal(got_witness, witness) and got_witness.dtype == witness.dtype
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_orbit_span_is_the_scalar_one_ranges_of_the_span(q):
+    """``_orbit_span`` of m rows is the zero word and the words [Q^r, 2 Q^r)
+    of the span of all m rows, r = 0..m-1, in that order: dependent rows,
+    GF(q) labels, and at q <= 3 the same rows read as GF(q^2) indices."""
+    ctx = make_field(*FIELDS[q])
+    rng = np.random.default_rng(q)
+    r = rng.integers(0, q, size=(3, 6)).astype(np.uint8)
+    rows = np.array([r[0], r[1], np.zeros(6, dtype=np.uint8), ctx.fq.mul[q - 1, r[0]], r[2]])
+    alphabets = [linalg._label_span(ctx.fq, rows)]
+    if q <= 3:
+        alphabets.append((ctx.vadd, ctx.vneg, ctx.vmul(ctx.points_idx()[None, :, None], rows[:, None, :])))
+    for add, _, multiples in alphabets:
+        for m in range(len(rows) + 1):
+            Q = multiples.shape[1]
+            span = linalg._span(add, multiples[:m])
+            expect = np.concatenate([span[:1]] + [span[Q**i : 2 * Q**i] for i in range(m)])
+            got = linalg._orbit_span(add, multiples[:m])
+            assert np.array_equal(got, expect) and got.dtype == expect.dtype, m
 
 
 # block size -> ``scanned`` of the level scan below, and the sha256 of its
@@ -365,9 +450,9 @@ def test_level_scan_keeps_its_report_for_every_block_size(monkeypatch, block):
 
 def test_span_weights_of_no_rows_is_the_zero_word():
     ctx = make_field(2, 2)
-    counts, weight, witness = _label_span_weights(ctx, np.zeros((0, 5), dtype=np.uint8))
-    assert counts.tolist() == [1, 0, 0, 0, 0, 0]
-    assert weight is None and witness is None
+    rows = np.zeros((0, 5), dtype=np.uint8)
+    assert _label_span_weights(ctx, rows).tolist() == [1, 0, 0, 0, 0, 0]
+    assert linalg.span_min_weight(*linalg._label_span(ctx.fq, rows)) == (None, None)
 
 
 @st.composite
@@ -606,11 +691,12 @@ def test_span_weights_at_the_edge_widths_of_the_shared_columns(q, shared):
     else:
         rows = rng.integers(1, q, size=(m, 7)).astype(np.uint8)
     n = rows.shape[1]
-    counts, weight, witness = linalg.span_weights(*linalg._label_span(ctx.fq, rows))
+    counts = linalg.span_weights(*linalg._label_span(ctx.fq, rows))
+    weight, witness = linalg.span_min_weight(*linalg._label_span(ctx.fq, rows))
     ref_counts, ref_weight = felt_span_weights(ctx, labels_to_felts(ctx, rows), n)
     assert counts.tolist() == ref_counts and weight == ref_weight
     assert np.count_nonzero(witness) == weight
-    assert np.array_equal(witness, _label_span_weights(ctx, rows)[2])
+    assert np.array_equal(witness, _label_lightest(ctx, rows)[1])
     assert felt_in_row_space(ctx, labels_to_felts(ctx, rows), labels_to_felts(ctx, [witness])[0], n)
 
 
