@@ -10,7 +10,9 @@ sweep        per-k summary table of P(C) minimum weights for one field
 
 Output is UTF-8 JSON (schema 1) or CSV; diagnostics go to stderr only.
 JSON is the indent=2 form of the ``json`` module, written by ``_dumps``
-through the C encoder, so the output bytes are those ``json`` writes.
+through the C encoder, and integer arrays (a P(C) basis, a generator) from
+a table of tokens, so the output bytes are those ``json`` writes.  The text
+goes out as a list of pieces, one per row of an array, never joined.
 Exit codes: 0 success, 2 validation refusal (a math-level precondition),
 3 enumeration cap exceeded, 4 malformed input file.
 """
@@ -24,8 +26,11 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import constructions, grscode, linalg, puncture
 from .errors import CapExceeded, MalformedInput, ValidationRefused
@@ -53,15 +58,23 @@ def _resolve_field(args: argparse.Namespace) -> FieldCtx:
     return make_field(primes[0], round(math.log(q, primes[0])))
 
 
+def integer(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits with an optional leading
+    minus, and nothing else: no sign '+', no '_', no spaces, no other digits.
+    As an argparse ``type=`` its name reads "invalid integer value" in a refusal."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
-    text = text.strip()
     if not text:
         return []
     items = text.split(",")
-    if not all(item.strip() for item in items):
+    if "" in items:
         raise ValidationRefused(f"empty item in the integer list {text!r}")
     try:
-        return [int(item) for item in items]
+        return [integer(item) for item in items]
     except ValueError as exc:
         raise ValidationRefused(f"expected a comma-separated integer list, got {text!r}") from exc
 
@@ -76,28 +89,68 @@ def _envelope(command: str, config: dict, result: dict | list) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, payload: str) -> None:
+def _emit(args: argparse.Namespace, pieces: list[str]) -> None:
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(pieces)
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
 
 
-def _dumps(obj, level: int = 0) -> str:
-    """The JSON text of obj indented by two spaces, written by the C encoder.
+@functools.cache
+def _tokens(level: int, bound: int) -> np.ndarray:
+    """',\\n' and the padding of ``level`` before each i < bound, as an object array."""
+    lead = ",\n" + "  " * level
+    return np.array([lead + str(i) for i in range(bound)], dtype=object)
 
-    The result is byte for byte what ``json`` writes with ``indent=2``, but
-    any ``indent`` sends ``json`` to its pure-Python encoder.  Here a
-    container whose items are all scalars has its body written by one C
-    encoder call whose item separator carries the newline and padding;
-    other containers recurse.  Unsupported types raise ``TypeError``.
+
+def _int_row(tokens: np.ndarray, row: np.ndarray, level: int) -> str:
+    """The JSON text of a 1-D array at ``level``: one ``join`` of its tokens."""
+    if not len(row):
+        return "[]"
+    return f"[{''.join(tokens[row].tolist())[1:]}\n{'  ' * level}]"
+
+
+def _int_array(a: np.ndarray, level: int) -> list[str]:
+    """``_dumps`` of a 1-D or 2-D array of integers in 0..MAX_Q**2, one piece per row."""
+    if a.dtype.kind not in "iu" or a.ndim not in (1, 2):
+        raise TypeError(f"a {a.ndim}-D array of {a.dtype} is not written")
+    low, top = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    if low < 0 or top > MAX_Q**2:
+        raise TypeError(f"array entries must lie in 0..{MAX_Q**2}, got {low}..{top}")
+    # a table per power-of-two bound, so the tables stay few and none passes MAX_Q**2
+    bound = min(1 << top.bit_length(), MAX_Q**2 + 1)
+    if a.ndim == 1:
+        return [_int_row(_tokens(level + 1, bound), a, level)]
+    if not len(a):
+        return ["[]"]
+    tokens, pad = _tokens(level + 2, bound), "  " * (level + 1)
+    pieces = [f"{',' if i else '['}\n{pad}{_int_row(tokens, row, level + 1)}" for i, row in enumerate(a)]
+    pieces.append(f"\n{pad[2:]}]")
+    return pieces
+
+
+def _dumps(obj, level: int = 0) -> str | list[str]:
+    """The JSON text of obj indented by two spaces: one string, or a list of
+    pieces to be written in order if obj holds a numpy array.
+
+    The text is byte for byte what ``json`` writes with ``indent=2`` (of
+    ``a.tolist()`` for an array ``a``), but any ``indent`` sends ``json`` to
+    its pure-Python encoder.  Here a container whose items are all scalars
+    has its body written by one C encoder call whose item separator carries
+    the newline and padding; other containers recurse.  An array of
+    integers in 0..MAX_Q**2 is written from a cached table of tokens
+    (separator, padding and digits), one ``join`` and one piece per row, so
+    a large basis is never copied into one string.  Other arrays and
+    unsupported types raise ``TypeError``.
     """
     if isinstance(obj, dict):
         items, open_, close = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
         items, open_, close = obj, "[", "]"
+    elif isinstance(obj, np.ndarray):
+        return _int_array(obj, level)
     else:
         return json.dumps(obj)
     if not obj:
@@ -105,18 +158,24 @@ def _dumps(obj, level: int = 0) -> str:
     pad = "  " * (level + 1)
     sep = ",\n" + pad
     if {str, int, float, bool, type(None)}.issuperset(map(type, items)):
-        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
-    elif open_ == "{":
-        # json.dumps({key: 0}) is '{<key as json writes it>: 0}'
-        body = sep.join(json.dumps({key: 0})[1:-4] + ": " + _dumps(value, level + 1)
-                        for key, value in obj.items())
-    else:
-        body = sep.join(_dumps(item, level + 1) for item in obj)
-    return f"{open_}\n{pad}{body}\n{pad[2:]}{close}"
+        return f"{open_}\n{pad}{json.dumps(obj, separators=(sep, ': '))[1:-1]}\n{pad[2:]}{close}"
+    parts = [_dumps(item, level + 1) for item in items]
+    # json.dumps({key: 0}) is '{<key as json writes it>: 0}'
+    heads = [json.dumps({key: 0})[1:-4] + ": " for key in obj] if open_ == "{" else [""] * len(parts)
+    if list not in map(type, parts):
+        return f"{open_}\n{pad}{sep.join(map(str.__add__, heads, parts))}\n{pad[2:]}{close}"
+    pieces = []
+    for head, part in zip(heads, parts):
+        pieces += [sep, head]
+        pieces += [part] if isinstance(part, str) else part
+    pieces[0] = f"{open_}\n{pad}"
+    pieces.append(f"\n{pad[2:]}{close}")
+    return pieces
 
 
 def _emit_json(args: argparse.Namespace, command: str, config: dict, result: dict | list) -> None:
-    _emit(args, _dumps(_envelope(command, config, result)) + "\n")
+    text = _dumps(_envelope(command, config, result))
+    _emit(args, [text + "\n"] if isinstance(text, str) else [*text, "\n"])
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +220,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         "method": args.method,
         "dim": primary.dim,
         "expected_dim": puncture.dim_formula(ctx.q, k),
-        "basis": ctx.fq.idx_of_compact[primary.matrix].tolist(),
+        "basis": ctx.fq.idx_of_compact[primary.matrix],
     }
     if len(bases) == 2:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])
@@ -212,41 +271,41 @@ def _parse_felts(ctx: FieldCtx, text: str | None):
 FAMILIES = {
     "example1": (
         lambda ctx, a: constructions.build_example1(ctx, a.k, a.t, _parse_poly(ctx, a.f)),
-        {"k": (int, True, "code dimension"),
-         "t": (int, True, "divisor of q+1"),
+        {"k": (integer, True, "code dimension"),
+         "t": (integer, True, "divisor of q+1"),
          "f": (str, True, "coefficients of f over GF(q), low degree first, as element indices")},
     ),
     "example2": (
         lambda ctx, a: constructions.build_example2(ctx, a.k, a.t, _parse_felts(ctx, a.r)),
-        {"k": (int, True, "code dimension"),
-         "t": (int, True, "divisor of q+1"),
+        {"k": (integer, True, "code dimension"),
+         "t": (integer, True, "divisor of q+1"),
          "r": (str, True, "elements r of GF(q)* as element indices")},
     ),
     "example3": (
         lambda ctx, a: constructions.build_example3(ctx, a.k, a.t, _parse_felts(ctx, a.r)),
-        {"k": (int, True, "code dimension"),
-         "t": (int, True, "t; t-|R| must divide q+1"),
+        {"k": (integer, True, "code dimension"),
+         "t": (integer, True, "t; t-|R| must divide q+1"),
          "r": (str, True, "inversion-closed (q+1)-st roots of unity as element indices")},
     ),
     "even-min": (
         lambda ctx, a: constructions.build_even_q_min(ctx, a.k, _parse_felts(ctx, a.r)),
-        {"k": (int, True, "code dimension, q/2 <= k <= q-1"),
+        {"k": (integer, True, "code dimension, q/2 <= k <= q-1"),
          "r": (str, False, "trace-one elements (defaults to the first q-k-1)")},
     ),
     "odd-min": (
         lambda ctx, a: constructions.build_odd_q_min(ctx, a.k, _parse_felts(ctx, a.r)),
-        {"k": (int, True, "code dimension, (q+1)/2 <= k <= q-1"),
+        {"k": (integer, True, "code dimension, (q+1)/2 <= k <= q-1"),
          "r": (str, False, "nonzero squares (defaults to the first q-k-1)")},
     ),
     "qsq-plus-one": (
         lambda ctx, a: constructions.build_qsq_plus_one(ctx, None if a.e is None else ctx.felt(a.e)),
-        {"e": (int, False, "element index of e (defaults to the canonical choice)")},
+        {"e": (integer, False, "element index of e (defaults to the canonical choice)")},
     ),
     "custom": (
         lambda ctx, a: constructions.build_custom(ctx, a.k, _parse_poly(ctx, a.g), ctx.felt(a.c)),
-        {"k": (int, True, "code dimension"),
+        {"k": (integer, True, "code dimension"),
          "g": (str, True, "coefficients of g, low degree first, as element indices"),
-         "c": (int, True, "element index of c in GF(q)")},
+         "c": (integer, True, "element index of c in GF(q)")},
     ),
 }
 
@@ -294,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claims["quantum"] = record["quantum"] == result["quantum"]
     result["matches_file"] = claims
     if args.include_generator:
-        result["generator"] = code.gen.tolist()
+        result["generator"] = code.gen
     config = {"code_file": args.code_file, "mds_cap": args.mds_cap, "enum_cap": args.enum_cap}
     _emit_json(args, "verify", config, result)
     return 0
@@ -332,7 +391,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)  # None is written as an empty field
-    _emit(args, buf.getvalue())
+    _emit(args, [buf.getvalue()])
     return 0
 
 
@@ -340,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 def _add_field_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, required=True, help="q as a prime power")
+    p.add_argument("--q", type=integer, required=True, help="q as a prime power")
 
 
 @functools.cache
@@ -360,17 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_punc = sub.add_parser("puncture", allow_abbrev=False, help="basis and minimum weight of the puncture code")
     _add_field_args(p_punc)
-    p_punc.add_argument("--k", type=int, required=True, help="dimension of the Reed-Solomon code")
+    p_punc.add_argument("--k", type=integer, required=True, help="dimension of the Reed-Solomon code")
     p_punc.add_argument("--method", choices=["direct", "u-space", "all"], default="all")
     p_punc.add_argument("--check-min-weight", action="store_true")
-    p_punc.add_argument("--min-weight-cap", type=int, default=linalg.SCAN_CAP)
-    p_punc.add_argument("--direct-cap-q", type=int, default=puncture.DIRECT_MAX_Q)
-    p_punc.add_argument("--g-samples", type=int, default=0,
+    p_punc.add_argument("--min-weight-cap", type=integer, default=linalg.SCAN_CAP)
+    p_punc.add_argument("--direct-cap-q", type=integer, default=puncture.DIRECT_MAX_Q)
+    p_punc.add_argument("--g-samples", type=integer, default=0,
                         help="membership-check this many random (g, c) pairs")
     p_punc.add_argument("--distribution", action="store_true",
                         help="emit the full weight distribution of P(C)")
-    p_punc.add_argument("--distribution-cap", type=int, default=linalg.DISTRIBUTION_CAP)
-    p_punc.add_argument("--seed", type=int, default=0, help="seed of the --g-samples draws")
+    p_punc.add_argument("--distribution-cap", type=integer, default=linalg.DISTRIBUTION_CAP)
+    p_punc.add_argument("--seed", type=integer, default=0, help="seed of the --g-samples draws")
     p_punc.set_defaults(func=cmd_puncture)
 
     p_cons = sub.add_parser("construct", allow_abbrev=False, help="run a polynomial construction family")
@@ -385,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", allow_abbrev=False, help="recheck a serialized code record")
     p_ver.add_argument("code_file", help="JSON file produced by construct (or a bare code record)")
-    p_ver.add_argument("--mds-cap", type=int, default=grscode.MDS_CAP)
-    p_ver.add_argument("--enum-cap", type=int, default=grscode.ENUM_CAP)
+    p_ver.add_argument("--mds-cap", type=integer, default=grscode.MDS_CAP)
+    p_ver.add_argument("--enum-cap", type=integer, default=grscode.ENUM_CAP)
     p_ver.add_argument("--include-generator", action="store_true",
                        help="embed the generator matrix (row-major element indices)")
     p_ver.set_defaults(func=cmd_verify)
@@ -394,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="P(C) minimum-weight table for k = 1..q")
     _add_field_args(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--min-weight-cap", type=int, default=linalg.SCAN_CAP)
+    p_sweep.add_argument("--min-weight-cap", type=integer, default=linalg.SCAN_CAP)
     p_sweep.set_defaults(func=cmd_sweep)
 
     for leaf in (p_info, p_punc, *fam.choices.values(), p_ver, p_sweep):
         leaf.add_argument("--output", default="-", help="output path, '-' for stdout")
     for leaf in (p_punc, p_ver, p_sweep):
-        leaf.add_argument("--threads", type=int, default=1,
+        leaf.add_argument("--threads", type=integer, default=1,
                           help="at least 1; changes no work, as every enumeration runs on one thread")
     return parser
 

@@ -85,16 +85,6 @@ class PunctureVector:
         """Entries as field enumeration indices (the JSON form)."""
         return self.ctx.fq.idx_of_compact[self.v].tolist()
 
-    def is_zero(self) -> bool:
-        return not self.v.any()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PunctureVector)
-            and other.ctx is self.ctx
-            and np.array_equal(other.v, self.v)
-        )
-
     def __repr__(self) -> str:
         return f"PunctureVector(q={self.ctx.q}, weight={self.weight()})"
 
@@ -114,9 +104,6 @@ class PunctureBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def rows(self) -> list[PunctureVector]:
-        return [PunctureVector(self.ctx, r) for r in self.matrix]
 
     def row_space_equals(self, other: PunctureBasis) -> bool:
         return np.array_equal(self.matrix, other.matrix)

@@ -14,6 +14,7 @@ import numpy as np
 
 from hermgrs.field import Felt, FieldCtx
 from hermgrs.grscode import GrsCode
+from hermgrs.puncture import PunctureBasis, PunctureVector
 
 
 def pow_by_mul(x: Felt, n: int) -> Felt:
@@ -324,3 +325,17 @@ def felt_first_lightest_word(ctx: FieldCtx, rows: list[list[Felt]], scalars, nco
         if 0 < weight < best:
             first, best = word, weight
     return first
+
+
+def basis_rows(basis: PunctureBasis) -> list[PunctureVector]:
+    """The rows of a P(C) basis, each as a vector."""
+    return [PunctureVector(basis.ctx, row) for row in basis.matrix]
+
+
+def vector_is_zero(v: PunctureVector) -> bool:
+    return v.weight() == 0
+
+
+def same_vector(a: PunctureVector, b: PunctureVector) -> bool:
+    """Equal entries over the same field context."""
+    return a.ctx is b.ctx and a.serialized() == b.serialized()

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hermgrs import cli, grscode, puncture
 from hermgrs.cli import main
+from hermgrs.field import MAX_Q
 
 
 def run_json(capsys, argv):
@@ -179,6 +181,68 @@ def test_an_integer_list_is_comma_separated_only(capsys):
     assert main([item.replace(",", " ") for item in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected a comma-separated integer list, got '9 17'" in captured.err
+
+
+# spellings int() reads as a number and the CLI does not: a sign '+', an
+# underscore, surrounding spaces and the Arabic-Indic digits
+def _respellings(value: str) -> list[str]:
+    return [f"+{value}", f"{value}_0", f" {value}", f"{value} ",
+            value.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+
+
+def _integer_options():
+    for command, argv in sorted(TOY_ARGV.items()):
+        for action in _settable(_commands(cli.build_parser())[command]):
+            if action.type is cli.integer:
+                yield command, action.option_strings[0]
+
+
+def test_every_integer_option_reads_digits_only():
+    options = list(_integer_options())
+    assert {flag for _, flag in options} == {
+        "--q", "--k", "--t", "--e", "--c", "--min-weight-cap", "--distribution-cap", "--direct-cap-q",
+        "--mds-cap", "--enum-cap", "--seed", "--threads", "--g-samples"}
+    # every option whose value is a number: the 56 settable values less the
+    # field-free flags, the lists, --output, --method, --format and the switches
+    assert len(options) == 33
+
+
+@pytest.mark.parametrize("command,flag", list(_integer_options()))
+def test_an_integer_option_refuses_other_spellings(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    _write_toy_record(tmp_path)
+    argv = [*command.split(), *TOY_ARGV[command]]
+    at = argv.index(flag) + 1
+    for spelling in _respellings(argv[at]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:at], spelling, *argv[at + 1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value: {spelling!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("construct example1", "--f"), ("construct example2", "--r"), ("construct custom", "--g")])
+def test_an_integer_list_refuses_other_spellings(capsys, command, flag):
+    argv = [*command.split(), *TOY_ARGV[command]]
+    at = argv.index(flag) + 1
+    for spelling in _respellings(argv[at].split(",")[0]):
+        capsys.readouterr()
+        assert main([*argv[:at], spelling, *argv[at + 1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a comma-separated integer list, got {spelling!r}" in captured.err
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("8", 8), ("007", 7), ("-3", -3), ("12345678901234567890", 12345678901234567890)])
+def test_integer_reads_ascii_digits_with_an_optional_minus(text, value):
+    assert cli.integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+8", "1_6", "٨", " 8", "8 ", "8\n", "0x10", "1e3", "8.0", "--8"])
+def test_integer_refuses_every_other_spelling(text):
+    with pytest.raises(ValueError):
+        cli.integer(text)
 
 
 def test_the_readme_command_lines_parse():
@@ -982,6 +1046,98 @@ def test_dumps_raises_type_error_where_json_does(value):
 
 def _reindented(text: str) -> str:
     return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _text(value) -> str:
+    """What ``_dumps`` writes, its pieces joined."""
+    text = cli._dumps(value)
+    return text if isinstance(text, str) else "".join(text)
+
+
+def _as_lists(value) -> str:
+    return json.dumps(value, indent=2, default=np.ndarray.tolist)
+
+
+# 1-D and 2-D arrays of field indices, empty axes included
+int_arrays = st.sampled_from([np.uint8, np.int64]).flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    elements=st.integers(0, np.iinfo(dtype).max if dtype is np.uint8 else MAX_Q**2)))
+
+
+@given(int_arrays, st.integers(0, 6))
+def test_dumps_writes_an_integer_array_as_json_writes_its_list(a, depth):
+    value, expected = a, a.tolist()
+    for _ in range(depth):
+        value, expected = [value], [expected]
+    assert _text(value) == json.dumps(expected, indent=2)
+
+
+@given(st.recursive(int_arrays | json_values, lambda children: st.lists(children, max_size=4)
+                    | st.dictionaries(st.text(max_size=4), children, max_size=4), max_leaves=12))
+def test_dumps_writes_arrays_inside_dicts_and_lists_as_json_writes_their_lists(value):
+    assert _text(value) == _as_lists(value)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (0, 0), (1, 1)])
+def test_dumps_writes_empty_and_single_entry_arrays(shape):
+    a = np.full(shape, MAX_Q**2, dtype=np.int64)
+    for value in (a, {"a": a}, [a, [a]]):
+        assert _text(value) == _as_lists(value)
+
+
+def test_an_array_is_written_one_piece_per_row_and_a_container_without_one_as_one_string():
+    assert isinstance(cli._dumps({"a": [1, {"b": [2, 3]}]}), str)
+    basis = np.arange(12).reshape(3, 4)
+    assert len(cli._dumps(basis)) == len(basis) + 1  # and the closing bracket
+    assert len(cli._dumps({"a": 1, "basis": basis})) > len(basis)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([1.0]), np.array([[0.5, 1.0]]), np.array([True, False]), np.array([1, 2], dtype=object),
+    np.array([0, -1]), np.array([[3], [-2]], dtype=np.int8), np.array([MAX_Q**2 + 1]),
+    np.array([[0, 2**40]], dtype=np.uint64), np.array(5), np.zeros((1, 1, 1), dtype=np.int64),
+], ids=repr)
+def test_dumps_refuses_other_arrays_before_building_a_table(a):
+    cli._tokens.cache_clear()
+    for value in (a, [a], {"a": a}):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+    assert cli._tokens.cache_info().currsize == 0
+
+
+def test_a_token_table_covers_the_largest_entry_and_never_passes_max_q_squared(monkeypatch):
+    bounds = []
+    tokens = cli._tokens
+    monkeypatch.setattr(cli, "_tokens", lambda level, bound: bounds.append(bound) or tokens(level, bound))
+    for top in (0, 1, 2, 255, 256, MAX_Q**2 - 1, MAX_Q**2):
+        assert _text(np.array([[0, top]])) == json.dumps([[0, top]], indent=2)
+    assert bounds == [1, 2, 4, 256, 512, MAX_Q**2, MAX_Q**2 + 1]
+
+
+@pytest.mark.parametrize("command", [
+    "puncture --q 8 --k 3 --method direct --direct-cap-q 8",
+    "puncture --q 4 --k 5 --method all",  # an empty basis
+    "puncture --q 9 --k 2 --method u-space --check-min-weight",
+])
+def test_puncture_basis_is_the_indent_2_form_on_stdout_and_in_a_file(tmp_path, capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert out == _reindented(out)
+    path = tmp_path / "punc.json"
+    assert main([*command.split(), "--output", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert text == _reindented(text)
+    assert strip_timestamp(text) == strip_timestamp(out)
+
+
+def test_verify_generator_is_the_indent_2_form(tmp_path, capsys):
+    record = tmp_path / "code27.json"
+    assert main(["construct", "odd-min", "--q", "27", "--k", "14", "--output", str(record)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(record), "--include-generator"]) == 0
+    out = capsys.readouterr().out
+    assert out == _reindented(out)
+    assert np.array(json.loads(out)["result"]["generator"]).shape == (14, 28)
 
 
 @pytest.mark.parametrize("command", [

@@ -32,7 +32,7 @@ from hermgrs.puncture import (
     weight_distribution,
 )
 
-from oracle import function_zero_positions, pow_by_mul
+from oracle import basis_rows, function_zero_positions, pow_by_mul, same_vector, vector_is_zero
 
 
 def rand_g(ctx, rng, k):
@@ -68,7 +68,7 @@ def test_direct_solver_cap(ctx4):
 
 def test_g_form_vector_trivial(ctx4):
     v = g_form_vector(ctx4, 2, Poly.zero(ctx4), ctx4.zero)
-    assert v.is_zero()
+    assert vector_is_zero(v)
 
 
 def test_g_form_vector_c_only(ctx4):
@@ -122,7 +122,7 @@ def test_g_form_weight_identity(small_grid):
 def test_puncture_vector_serialization_roundtrip(ctx4):
     v = small_support_witness(ctx4, 2)
     back = PunctureVector.from_serialized(ctx4, v.serialized())
-    assert back == v
+    assert same_vector(back, v)
     assert all(
         ctx4.felt(i).in_subfield() for i in v.serialized()
     )
@@ -151,7 +151,7 @@ def test_membership_basics(ctx4):
     basis = puncture_direct(ctx4, 2)
     zero = PunctureVector(ctx4, np.zeros(ctx4.q2 + 1, dtype=np.uint8))
     assert membership(basis, zero)
-    for row in basis.rows():
+    for row in basis_rows(basis):
         assert membership(basis, row)
     # a weight-1 vector cannot lie in P(C): its minimum weight is 2k >= 2
     v = np.zeros(ctx4.q2 + 1, dtype=np.uint8)
@@ -256,7 +256,7 @@ def test_constructive_witness_is_the_family_vector(q):
     ctx = make_field(*WITNESS_FIELDS[q])
     build = constructions.build_even_q_min if q % 2 == 0 else constructions.build_odd_q_min
     for k in range(q // 2 + 1, q):
-        assert constructive_witness(ctx, k) == build(ctx, k).vector
+        assert same_vector(constructive_witness(ctx, k), build(ctx, k).vector)
 
 
 def test_constructive_witness_multiplies_no_polynomial_and_solves_no_system(monkeypatch):
@@ -435,7 +435,7 @@ def test_puncture_vector_serialized_roundtrip(field, data):
     ctx = make_field(*field)
     labels = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=ctx.q2 + 1, max_size=ctx.q2 + 1))
     v = PunctureVector(ctx, np.array(labels))
-    assert PunctureVector.from_serialized(ctx, v.serialized()) == v
+    assert same_vector(PunctureVector.from_serialized(ctx, v.serialized()), v)
 
 
 # q -> (p, h), every q <= 16 and three larger fields
