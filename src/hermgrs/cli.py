@@ -220,7 +220,9 @@ def cmd_puncture(args: argparse.Namespace) -> int:
         "method": args.method,
         "dim": primary.dim,
         "expected_dim": puncture.dim_formula(ctx.q, k),
-        "basis": ctx.fq.idx_of_compact[primary.matrix],
+        # indices below q^2 <= 4096: a uint16 copy of the table keeps the
+        # written array at 2 bytes an entry
+        "basis": ctx.fq.idx_of_compact.astype(np.uint16)[primary.matrix],
     }
     if len(bases) == 2:
         result["methods_agree"] = bases["direct"].row_space_equals(bases["u_space"])

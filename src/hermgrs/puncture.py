@@ -8,13 +8,14 @@ truncations of length r.  ``power_sums`` evaluates the S_(r,s) of a given
 lambda as the spectrum of lambda over GF(q^2)* (``FieldCtx.spectrum``) at
 the exponents rq+s; those of N(theta) are the Gram matrix.
 
-Three computations are provided and cross-validated elsewhere.  The first
-two share one row builder: P(C) is the kernel of the ``_component_rows`` of
-one exponent-pair set and the span of those of another.  The third reads no
-component table.
+Three computations are provided and cross-validated elsewhere; they share
+the field arithmetic and nothing more.  The kernel of H eliminates the
+rows of the power-sum exponents rq+s, the u-space is read off the g-space's
+own exponents with no elimination, and a g-form is evaluated pointwise.
 
 * ``puncture_direct``  - the kernel of H over GF(q);
-* ``u_space_basis``    - the RREF of the g-space's g-forms (the u-space);
+* ``u_space_basis``    - the RREF of the g-space's g-forms (the u-space),
+                         as the remainders of a Vandermonde system;
 * ``g_form_vector``    - the member of P(C) of a low-degree g and c in GF(q):
                          x -> g(x) + g(x)^q + c x^((q-k)(q+1)), then c.
 
@@ -23,9 +24,8 @@ also certify it by exhaustive search at desk scale.  The dimension is
 proven too (``dim_formula``), so ``min_weight_pc`` decides whether the
 search fits its cap before any basis exists, and builds a basis only for a
 search it will run.  The RREF of a subspace is unique, so the first two
-computations give the same bytes; ``primal_basis`` takes the cheaper one:
-the kernel of H eliminates about k^2 pivots, the u-space evaluations about
-dim = q^2+1-k^2.
+computations give the same bytes; ``primal_basis`` takes the kernel of H
+when k^2 <= dim = q^2+1-k^2 and the u-space otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx
+from .field import Felt, FieldCtx, code_sum
 from .poly import Poly
 
 DIRECT_MAX_Q = 11
@@ -115,7 +115,7 @@ class PunctureBasis:
 def _labels(ctx: FieldCtx, vals: np.ndarray) -> np.ndarray:
     """GF(q) labels of GF(q^2) values that the structured form puts in GF(q)."""
     comp = ctx.fq.compact_of_idx[vals]
-    if int(comp.min()) < 0:
+    if int(comp.min(initial=0)) < 0:
         raise SelfCheckFailed("evaluation left GF(q); the structured form is violated")
     return comp.astype(np.uint8)
 
@@ -133,27 +133,24 @@ def _pairs(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, s, r * q + s
 
 
-def _component_rows(ctx: FieldCtx, r: np.ndarray, s: np.ndarray, cols) -> np.ndarray:
-    """GF(q) rows on the 1-based ``cols``: the 1-components of a^(rq+s) over the
-    pairs r <= s, then the xi-components of the pairs with r < s (zero at
-    r = s).  Coordinate q^2+1 is 1 in the last pair's 1-component, else 0."""
-    cols = np.asarray(cols, dtype=np.int64)
-    coeff = cols == ctx.q2 + 1
-    c0, c1 = ctx.split_components(ctx.vpow(np.where(coeff, 0, cols - 1), (r * ctx.q + s)[:, None]))
-    rows = np.concatenate([c0, c1[r < s]])
-    rows[:, coeff] = 0
-    rows[r.size - 1, coeff] = 1
-    return rows
-
-
 def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:
     """The (k^2, len(cols)) GF(q) parity-check matrix H of P(C) on 1-based coordinates.
 
     Its rows (``_pairs``) are the {1, xi}-components of the conditions
-    S_(r,s)(lambda) = sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_(q^2+1) = 0.
-    On all q^2+1 coordinates H has rank k^2.
+    S_(r,s)(lambda) = sum_i lambda_i a_i^(rq+s) + [r=s=k-1] lambda_(q^2+1) = 0:
+    the 1-components of a^(rq+s) over the pairs r <= s, then the
+    xi-components of the pairs with r < s (zero at r = s).  Coordinate q^2+1
+    is 1 in the last pair's 1-component, else 0.  On all q^2+1 coordinates
+    H has rank k^2.
     """
-    return _component_rows(ctx, *_pairs(ctx.q, k)[:2], cols)
+    r, s, exps = _pairs(ctx.q, k)
+    cols = np.asarray(cols, dtype=np.int64)
+    coeff = cols == ctx.q2 + 1
+    c0, c1 = ctx.split_components(ctx.vpow(np.where(coeff, 0, cols - 1), exps[:, None]))
+    H = np.concatenate([c0, c1[r < s]])
+    H[:, coeff] = 0
+    H[r.size - 1, coeff] = 1
+    return H
 
 
 def power_sums(ctx: FieldCtx, k: int, cols, lam) -> np.ndarray:
@@ -191,30 +188,94 @@ def puncture_direct(ctx: FieldCtx, k: int, max_q: int = DIRECT_MAX_Q) -> Punctur
     return PunctureBasis(ctx, k, "direct", kernel, pivots)
 
 
-def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
-    """P(C) as the RREF of the g-forms (``g_form_vector``) of the g-space.
+def _g_space_exponents(q: int, k: int) -> np.ndarray:
+    """The exponents e of the characters x^e whose GF(q)-span holds the g-forms, k <= q.
 
-    Its rows are the ``_component_rows`` of the pairs i <= j < q, i < q-k,
-    then (q-k, q-k).  For i < j the g-forms Tr(c a^(iq+j)) of c X^(iq+j),
-    c in {1, xi}, are the components of a^(iq+j) times the nonsingular trace
-    form [[Tr 1, Tr xi], [Tr xi, Tr xi^2]].  A diagonal a^(i(q+1)) lies in
-    GF(q): the g-form of gamma X^(i(q+1)), Tr(gamma) = 1; the last row is that
-    of g = 0, c = 1.  Every other g-form of degree <= (q-k)q-1 is in the span.
+    For the pairs i <= j < q, i < q-k: iq+j and jq+i, then
+    e* = (q-k)(q+1), the exponent of the c-term.  These are the flat indices
+    aq+b of the q x q grid with min(a, b) < q-k, and e*.  The set is closed
+    under e -> eq mod q^2-1, the Frobenius of a character.
+    """
+    grid = np.arange(q)
+    return np.append(np.flatnonzero(np.minimum.outer(grid, grid) < q - k), (q - k) * (q + 1))
+
+
+def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
+    """P(C) as the RREF of the g-forms (``g_form_vector``), read off their exponents.
+
+    The g-forms are the GF(q) words in the span of the characters x^e,
+    e in E (``_g_space_exponents``): x^e at the q^2 points, and 1 at the
+    coefficient coordinate for x^e* alone.  On the units w^s, s < N = q^2-1,
+    the K nonzero exponents of E, taken mod N (they must be distinct), span
+    a code whose dual is the multiples of m(y) = prod (y - w^e) below
+    degree N, as a word c is dual to x^e iff c(w^e) = 0.  That is a
+    Vandermonde system, and its RREF is the systematic form of a cyclic
+    code: pivots at the point 0 and the units s < K, and unit row t holds at
+    each of the d = N-K = k^2-1 free units s >= K the coefficient of y^t in
+    y^s mod m, by y^(s+1) = y y^s from y^K mod m = y^K - m.
+
+    The coefficients of m are read back from its values on the d residues j
+    outside E, each a sum of logs log(w^j - w^e), by one inverse transform,
+    m_i = -sum_j m(w^j) w^(-ij), as 1/N = -1 in GF(p).  The coefficient
+    coordinate of a unit row u is the coefficient of x^e* in u, likewise
+    -sum_s u_s w^(-e* s); the point-0 row is the all-ones g-form of x^0
+    minus the unit rows.  m and the powers w^(-e* s) pass through
+    ``_labels``, so an exponent set not closed under e -> eq, whose m
+    leaves GF(q), raises ``SelfCheckFailed``, as does a repeated residue.
+    The work is O(dK) table reads and d-1 remainder steps of length K;
+    nothing is eliminated.
     """
     _check_k(ctx, k)
-    q, q2 = ctx.q, ctx.q2
+    q, q2, n, fq = ctx.q, ctx.q2, ctx.n_units, ctx.fq
     if k > q:
         return PunctureBasis(ctx, k, "u_space", np.empty((0, q2 + 1), dtype=np.uint8), ())
-    r, s = np.triu_indices(q)
-    keep = r < q - k
-    rows = _component_rows(ctx, np.append(r[keep], q - k), np.append(s[keep], q - k), np.arange(1, q2 + 2))
-    return PunctureBasis(ctx, k, "u_space", *linalg.rref(ctx.fq, rows))
+    exps = _g_space_exponents(q, k)
+    units = exps[exps != 0] % n
+    roots = np.zeros(n, dtype=bool)
+    roots[units] = True
+    if np.count_nonzero(roots) != units.size:
+        raise SelfCheckFailed("two g-space exponents have the same residue mod q^2-1")
+    K, off = units.size, np.flatnonzero(~roots)
+    d = off.size
+
+    # log m(w^j) = sum_e e + log(w^(j-e) - 1), in blocks of about 2^16 terms
+    zech = ctx.vadd(1 + np.arange(n), ctx.vneg(np.int64(1))) - 1  # log(w^i - 1), 0 < i < N
+    logs = np.full(d, units.sum())
+    step = max(1, (1 << 16) // max(1, K))
+    for lo in range(0, d, step):
+        logs[lo : lo + step] += zech[(off[lo : lo + step, None] - units) % n].sum(axis=1)
+    m_low = _labels(ctx, ctx.vneg(ctx.spectrum(off, 1 + logs % n, -np.arange(K) % n)))  # m_0 .. m_(K-1)
+
+    rem = np.zeros((d, K + 1), dtype=np.uint8)  # row s-K: 0, then y^s mod m, for the free units s
+    if K:  # else m = 1 and every remainder is empty
+        mult = fq.mul[:, fq.neg[m_low]]  # mult[a] = -a (m_0, ..., m_(K-1))
+        rem[:1, 1:] = mult[1]
+        for prev, row in zip(rem, rem[1:]):  # y^(s+1) = y * y^s - lead(y^s) m
+            row[1:] = fq.add[prev[:-1], mult[prev[-1]]]
+    rem = rem[:, 1:]
+
+    top = (q - k) * (q + 1)
+    twiddle = _labels(ctx, 1 + -top * np.arange(n) % n)  # w^(-e* s), in GF(q) as q+1 divides e*
+    coef = fq.neg[fq.add[twiddle[:K], linalg.matvec(fq, rem.T, twiddle[K:])]]
+
+    basis = np.zeros((K + 1, q2 + 1), dtype=np.uint8)
+    basis[0, 0] = 1
+    basis[0, K + 1 : n + 1] = fq.add[1, fq.neg[code_sum(fq.p, fq.h, rem, axis=1)]]
+    basis[0, n + 1] = fq.add[int(top == 0), fq.neg[code_sum(fq.p, fq.h, coef)]]  # x^0 is the c-term at k = q
+    np.fill_diagonal(basis[1:, 1:], 1)
+    basis[1:, K + 1 : n + 1] = rem.T
+    basis[1:, n + 1] = coef
+    return PunctureBasis(ctx, k, "u_space", basis, tuple(range(K + 1)))
 
 
 def primal_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
-    """The RREF of P(C) by the route with fewer pivots to eliminate: the kernel
-    of H (k^2 pivots) when k^2 <= dim, the u-space evaluations (dim pivots)
-    otherwise.  Both give the same bytes."""
+    """The RREF of P(C): the kernel of H (k^2 pivots) when k^2 <= dim, the
+    u-space otherwise.  Both give the same bytes.
+
+    The rule is that of the fewer pivots to eliminate from when the u-space
+    was row-reduced (dim pivots); the u-space now eliminates nothing and is
+    the cheaper route on most cells, but the rule is kept, so that every
+    cell keeps its route."""
     if k * k <= dim_formula(ctx.q, k):
         return puncture_direct(ctx, k, max_q=ctx.q)
     return u_space_basis(ctx, k)

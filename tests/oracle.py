@@ -3,7 +3,10 @@
 Everything here deliberately avoids the vectorized machinery under test:
 powers go through repeated multiplication, sums through scalar loops, and
 the lowest-level reference field works on raw coefficient tuples reduced by
-the context's modulus.
+the context's modulus.  One exception: ``u_space_by_elimination`` is the
+u-space route the package had before it read the RREF off the exponents,
+the g-form rows reduced by ``linalg.rref``, which shares no step with the
+remainders it checks.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from hermgrs import linalg
 from hermgrs.field import Felt, FieldCtx
 from hermgrs.grscode import GrsCode
 from hermgrs.puncture import PunctureBasis, PunctureVector
@@ -325,6 +329,27 @@ def felt_first_lightest_word(ctx: FieldCtx, rows: list[list[Felt]], scalars, nco
         if 0 < weight < best:
             first, best = word, weight
     return first
+
+
+def u_space_by_elimination(ctx: FieldCtx, k: int) -> PunctureBasis:
+    """The u-space RREF by the route that eliminates: the g-form rows, row-reduced.
+
+    The rows are the 1-components of a^(iq+j) over the pairs i <= j < q,
+    i < q-k, then (q-k, q-k), and the xi-components of the pairs with i < j,
+    on the q^2 points; the coefficient coordinate is 1 in the last pair's
+    row alone.  ``linalg.rref`` reduces them, dim = q^2+1-k^2 pivots.
+    """
+    q, q2 = ctx.q, ctx.q2
+    if k > q:
+        return PunctureBasis(ctx, k, "u_space", np.empty((0, q2 + 1), dtype=np.uint8), ())
+    i, j = np.triu_indices(q)
+    keep = i < q - k
+    i, j = np.append(i[keep], q - k), np.append(j[keep], q - k)
+    c0, c1 = ctx.split_components(ctx.vpow(ctx.points_idx(), (i * q + j)[:, None]))
+    rows = np.concatenate([c0, c1[i < j]])
+    coeff = np.zeros((len(rows), 1), dtype=np.uint8)
+    coeff[i.size - 1] = 1
+    return PunctureBasis(ctx, k, "u_space", *linalg.rref(ctx.fq, np.hstack([rows, coeff])))
 
 
 def basis_rows(basis: PunctureBasis) -> list[PunctureVector]:

@@ -32,7 +32,14 @@ from hermgrs.puncture import (
     weight_distribution,
 )
 
-from oracle import basis_rows, function_zero_positions, pow_by_mul, same_vector, vector_is_zero
+from oracle import (
+    basis_rows,
+    function_zero_positions,
+    pow_by_mul,
+    same_vector,
+    u_space_by_elimination,
+    vector_is_zero,
+)
 
 
 def rand_g(ctx, rng, k):
@@ -527,8 +534,8 @@ def test_parity_check_has_full_rank_and_the_u_space_kernel(q):
 
 @pytest.mark.parametrize("q,k", U_SPACE_CELLS)
 def test_both_routes_give_the_same_rref(q, k):
-    """The kernel of H and the row-reduced u-space evaluations are the same
-    bytes, matrix and pivots, and ``primal_basis`` returns them too."""
+    """The kernel of H and the u-space remainders are the same bytes, matrix
+    and pivots, and ``primal_basis`` returns them too."""
     ctx = make_field(*PUNCTURE_FIELDS[q])
     direct, uspace = puncture_direct(ctx, k, max_q=q), cached_u_space(q, k)
     assert np.array_equal(direct.matrix, uspace.matrix) and direct.pivots == uspace.pivots
@@ -547,10 +554,66 @@ def test_u_space_bytes_are_pinned():
 
 
 @pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
+def test_u_space_matches_the_elimination_route(q):
+    """The remainders give the bytes and pivots of the g-form rows row-reduced,
+    at every 1 <= k <= q+1."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    for k in range(1, q + 2):
+        new, old = cached_u_space(q, k), u_space_by_elimination(ctx, k)
+        assert new.matrix.dtype == old.matrix.dtype == np.uint8
+        assert np.array_equal(new.matrix, old.matrix) and new.pivots == old.pivots
+
+
+def test_u_space_basis_eliminates_nothing(monkeypatch):
+    """A spy on both GF(q) eliminations sees no call, k = 1 and k = q included."""
+    calls = []
+    for name in ("rref", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name: calls.append(_name))
+    for q, k in [(2, 1), (3, 2), (4, 3), (5, 4), (7, 6), (8, 8), (9, 2), (16, 4), (25, 2), (27, 20)]:
+        assert u_space_basis(make_field(*PUNCTURE_FIELDS[q]), k).dim == dim_formula(q, k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_u_space_refuses_an_exponent_set_not_closed_under_frobenius(q, monkeypatch):
+    """Dropping jq+i but keeping iq+j (i = 0, j = 1) leaves an m with a
+    coefficient outside GF(q)."""
+    exponents = puncture._g_space_exponents
+    monkeypatch.setattr(puncture, "_g_space_exponents", lambda q, k: exponents(q, k)[exponents(q, k) != q])
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    for k in range(1, q):
+        with pytest.raises(SelfCheckFailed):
+            u_space_basis(ctx, k)
+
+
+@pytest.mark.parametrize("repeat", [lambda e, n: e[-1], lambda e, n: e[1] + n])
+def test_u_space_refuses_a_repeated_residue(repeat, monkeypatch):
+    """An exponent listed twice, or once more shifted by q^2-1, repeats a residue."""
+    exponents = puncture._g_space_exponents
+    monkeypatch.setattr(puncture, "_g_space_exponents",
+                        lambda q, k: np.append(exponents(q, k), repeat(exponents(q, k), q * q - 1)))
+    for q in (3, 4, 5):
+        ctx = make_field(*PUNCTURE_FIELDS[q])
+        for k in range(1, q):
+            with pytest.raises(SelfCheckFailed):
+                u_space_basis(ctx, k)
+
+
+@pytest.mark.parametrize("p,h,k", [(7, 2, 2), (2, 6, 2), (2, 6, 3)])
+def test_u_space_equals_the_kernel_of_h_at_large_q(p, h, k):
+    """The two independent routes agree byte for byte where the elimination
+    of the u-space rows took seconds: (49, 2), (64, 2) and (64, 3)."""
+    ctx = make_field(p, h)
+    uspace, direct = u_space_basis(ctx, k), puncture_direct(ctx, k, max_q=ctx.q)
+    assert uspace.dim == dim_formula(ctx.q, k)
+    assert np.array_equal(uspace.matrix, direct.matrix) and uspace.pivots == direct.pivots
+
+
+@pytest.mark.parametrize("q", sorted(MIN_WEIGHT_CELLS))
 def test_admitted_cells_build_one_basis_by_the_cheaper_route(q, basis_builds):
     """An admitted min_weight_pc cell builds one basis, the kernel of H when
     k^2 <= dim and the u-space otherwise; a refused cell builds none.  So no
-    admitted cell with k^2 <= dim row-reduces the u-space."""
+    admitted cell with k^2 <= dim builds the u-space."""
     ctx = make_field(*PUNCTURE_FIELDS[q])
     for k in range(1, q + 1):
         basis_builds.clear()
