@@ -25,7 +25,6 @@ import functools
 import io
 import json
 import math
-import random
 import re
 import sys
 from datetime import datetime, timezone
@@ -247,14 +246,7 @@ def cmd_puncture(args: argparse.Namespace) -> int:
             result["g_form_samples"] = {"count": 0, "all_members": True,
                                         "note": "P(C) is trivial for k > q"}
         else:
-            rng = random.Random(args.seed)
-            bound = (ctx.q - k) * ctx.q - 1
-            ok = True
-            for _ in range(args.g_samples):
-                coeffs = [rng.randrange(ctx.q2) for _ in range(bound + 1)] if bound >= 0 else []
-                g = Poly.from_indices(ctx, coeffs)
-                c = ctx.subfield_elems()[rng.randrange(ctx.q)]
-                ok = ok and puncture.membership(primary, puncture.g_form_vector(ctx, k, g, c))
+            ok = puncture.sample_g_forms(primary, args.g_samples, args.seed)
             result["g_form_samples"] = {"count": args.g_samples, "all_members": ok}
     _emit_json(args, "puncture", config, result)
     return 0

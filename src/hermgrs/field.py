@@ -371,60 +371,77 @@ class FieldCtx:
     def spectrum(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
         """out[i] = sum_t v_t w^(j_t e_i) in the shape of e, for distinct j_t >= 0.
 
-        The one rule for such a sum: len(j) x len(e) terms directly, or the
-        2q(q^2-1) terms of the transform plus 2^12 for its 30 to 50 extra
-        numpy calls, whichever counts fewer.
+        v is one row of len(j) values, or a (B, len(j)) batch of rows, whose
+        sums come back stacked in the shape (B,) + e.shape.  The one rule for
+        such a sum counts the terms of the whole batch: B len(j) len(e)
+        directly, or the B 2q(q^2-1) of the transforms plus 2^12 for their 30
+        to 50 extra numpy calls, whichever counts fewer.
         """
         j = np.asarray(j, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
         e = np.asarray(e, dtype=np.int64)
-        if j.size * e.size > 2 * self.q * self.n_units + (1 << 12):
+        rows = v.shape[0] if v.ndim > 1 else 1
+        if rows * j.size * e.size > rows * 2 * self.q * self.n_units + (1 << 12):
             return self._spectrum_dft(j, v, e)
         return self._spectrum_direct(j, v, e)
 
     def _spectrum_direct(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
         """``spectrum`` term by term, in blocks of about 2^14 terms along j, one
         field sum per block; larger blocks were no faster below q = 64 and
-        raised the peak resident set."""
+        raised the peak resident set.  One row drops its zero v_t; a batch
+        masks them, row by row."""
         v = np.asarray(v, dtype=np.int64)
-        j, logs = j[v != 0], v[v != 0] - 1  # v_t = w^(logs_t)
+        if v.ndim == 1:
+            j, logs, zero = j[v != 0], v[v != 0] - 1, None  # v_t = w^(logs_t)
+        else:
+            logs, zero = v - 1, v == 0
+            if not zero.any():
+                zero = None
         flat = e.ravel()
-        out = np.zeros_like(flat)
-        step = max(1, (1 << 14) // max(1, flat.size))
+        out = np.zeros(v.shape[:-1] + flat.shape, dtype=np.int64)
+        step = max(1, (1 << 14) // max(1, out.size))
         for lo in range(0, j.size, step):
-            terms = np.multiply.outer(j[lo : lo + step], flat)  # v_t w^(j_t e) = w^(logs_t + j_t e)
-            terms += logs[lo : lo + step, None]
+            # v_t w^(j_t e) = w^(logs_t + j_t e)
+            terms = np.multiply.outer(j[lo : lo + step], flat) + logs[..., lo : lo + step, None]
             terms %= self.n_units
             terms += 1
-            out = self.vadd(out, self.vsum(terms, axis=0))
-        return out.reshape(e.shape)
+            if zero is not None:
+                terms *= ~zero[:, lo : lo + step, None]
+            part = self.vsum(terms, axis=-2)
+            out = self.vadd(out, part) if lo else part
+        return out.reshape(v.shape[:-1] + e.shape)
 
     def _spectrum_dft(self, j: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
         """``spectrum`` by the transform: v folds mod q^2-1, since w^(q^2-1) = 1,
         and the transform is read at e mod q^2-1."""
         n = self.n_units
-        dense = np.zeros(-(-(int(j.max(initial=0)) + 1) // n) * n, dtype=np.int64)
-        dense[j] = v
-        return self.dft(self.vsum(dense.reshape(-1, n), axis=0))[e % n]
+        v = np.asarray(v, dtype=np.int64)
+        dense = np.zeros(v.shape[:-1] + (-(-(int(j.max(initial=0)) + 1) // n) * n,), dtype=np.int64)
+        dense[..., j] = v
+        return self.dft(self.vsum(dense.reshape(v.shape[:-1] + (-1, n)), axis=-2))[..., e % n]
 
     def dft(self, v: np.ndarray) -> np.ndarray:
-        """out[e] = sum_j v_j w^(je) for every e < q^2-1, from the q^2-1 values v_j.
+        """out[e] = sum_j v_j w^(je) for every e < q^2-1, from the q^2-1 values v_j,
+        along the last axis of v; a leading batch axis is kept.
 
         A Cooley-Tukey split of q^2-1 = (q-1)(q+1) with j = j2 + (q+1) j1 and
         e = e1 + (q-1) e2: a length-(q-1) transform with root w^(q+1) over
         j1, a twiddle by w^(e1 j2), and a length-(q+1) transform with root
         w^(q-1) over j2.  Each step is one ``vmul``, a table read per term,
-        and one ``vsum``, about 2q(q^2-1) terms in all; the roots are built
+        and one ``vsum``, about 2q(q^2-1) terms a row; the roots are built
         per call.
         """
         n1, n2, n = self.q - 1, self.q + 1, self.n_units
-        v = np.asarray(v, dtype=np.int64).reshape(n1, n2)  # v[j1, j2] = v_(j2 + (q+1) j1)
+        v = np.asarray(v, dtype=np.int64)
+        batch = v.shape[:-1]
+        v = v.reshape(batch + (n1, n2))  # v[..., j1, j2] = v_(j2 + (q+1) j1)
         e1, j2 = np.arange(n1), np.arange(n2)
         root1 = 1 + n2 * np.multiply.outer(e1, e1) % n  # w^((q+1) j1 e1)
-        spec = self.vsum(self.vmul(v.T[:, :, None], root1), axis=1)  # [j2, e1]
+        spec = self.vsum(self.vmul(np.swapaxes(v, -1, -2)[..., None], root1), axis=-2)  # [..., j2, e1]
         spec = self.vmul(spec, 1 + np.multiply.outer(j2, e1) % n)
         root2 = 1 + n1 * np.multiply.outer(j2, j2) % n  # w^((q-1) j2 e2)
-        out = self.vsum(self.vmul(spec[:, :, None], root2[:, None, :]), axis=0)  # [e1, e2]
-        return out.T.ravel()
+        out = self.vsum(self.vmul(spec[..., None], root2[:, None, :]), axis=-3)  # [..., e1, e2]
+        return np.swapaxes(out, -1, -2).reshape(batch + (n,))
 
     def split_components(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write each element as c0 + c1*xi with c0, c1 in GF(q) (compact labels)."""

@@ -151,22 +151,48 @@ def kernel_basis(fq: SubfieldTables, mat: np.ndarray) -> tuple[np.ndarray, tuple
 
 
 def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The product M v over GF(q): each product one take from the flattened
+    """The product M v over GF(q), for one v or a (B, cols) stack of them, whose
+    products come back as (B, rows): each product one take from the flattened
     ``mul`` table, at v_j * q + M_ij, and the products of a row added up by
     one ``code_sum``."""
-    products = fq.mul.ravel().take(M + v.astype(np.uint16) * np.uint16(fq.q))
-    return code_sum(fq.p, fq.h, products, axis=1)
+    products = fq.mul.ravel().take(M + v[..., None, :].astype(np.uint16) * np.uint16(fq.q))
+    return code_sum(fq.p, fq.h, products, axis=-1)
 
 
-def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:
+# products per block of ``in_row_space``: about 1 MB of uint8 labels
+_MEMBER_BLOCK = 1 << 20
+
+
+def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray):
     """Whether v lies in the row space of the RREF rows R with these pivot columns.
 
-    R is the identity on its pivot columns, so the one combination of its
-    rows that can equal v is sum_i v[pivots[i]] R_i: v is in the row space
-    exactly when the product R^T v[pivots] is v.
+    v is one vector, answered by a bool, or a (B, n) stack of them,
+    answered by a bool array of shape (B,).  R must be the identity on its
+    pivot columns, as an RREF is; that is checked first, and any other R is
+    refused with a ValueError, so the shortcut below is as strong as the
+    full product.  The one combination of R's rows that can equal v is then
+    sum_i v[pivots[i]] R_i, which equals v on the pivot columns by
+    construction: v is in the row space exactly when R^T v[pivots] is v on
+    the other columns, the n - dim free ones (k^2 for P(C)).  Only those
+    are formed, in blocks of vectors of about 2^20 products.
     """
-    v = np.asarray(v, dtype=np.uint8)
-    return np.array_equal(matvec(fq, R.T, v[list(pivots)]), v)
+    piv = np.asarray(pivots, dtype=np.intp)
+    free = np.ones(R.shape[1], dtype=bool)
+    free[piv] = False
+    R_free = R[:, free]
+    # distinct pivots, one a row, whose columns hold only the diagonal's ones
+    if (R.shape[0] != piv.size or R_free.shape[1] != R.shape[1] - piv.size
+            or np.count_nonzero(R) - np.count_nonzero(R_free) != piv.size
+            or np.count_nonzero(R[np.arange(piv.size), piv] == 1) != piv.size):
+        raise ValueError("R is not the identity on its pivot columns")
+    vs = np.asarray(v, dtype=np.uint8)
+    stack = vs if vs.ndim == 2 else vs[None]
+    out = np.empty(len(stack), dtype=bool)
+    step = max(1, _MEMBER_BLOCK // max(1, R_free.size))
+    for lo in range(0, len(stack), step):
+        block = stack[lo : lo + step]
+        out[lo : lo + step] = (matvec(fq, R_free.T, block[:, piv]) == block[:, free]).all(axis=1)
+    return out if vs.ndim == 2 else bool(out[0])
 
 
 @dataclass

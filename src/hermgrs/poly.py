@@ -6,7 +6,8 @@ Zero counting is exhaustive evaluation over the whole field, never
 root-finding: q^2 <= 4096 keeps that trivially cheap and unconditionally
 correct.  Evaluation at w^e is sum_m c_m w^(me) over the nonzero
 coefficients, one ``FieldCtx.spectrum`` for all points at once, which
-decides whether the terms are summed directly or through the transform.
+decides whether the terms are summed directly or through the transform;
+``eval_rows`` evaluates a batch of coefficient vectors by one spectrum.
 """
 
 from __future__ import annotations
@@ -139,19 +140,33 @@ class Poly:
     # evaluation
     # ------------------------------------------------------------------
     def eval_on(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an index array of points, in its shape.
-
-        At w^e the value is the spectrum (``FieldCtx.spectrum``) of the
-        nonzero coefficients at e, and at 0 it is c_0.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        exps = np.flatnonzero(self.c)
-        vals = self.ctx.spectrum(exps, self.c[exps], xs - 1)
-        return np.where(xs == 0, self.coeff(0).i, vals)
+        """Vectorized evaluation on an index array of points, in its shape
+        (``eval_rows`` of the one coefficient vector)."""
+        return eval_rows(self.ctx, self.c, xs)
 
     def eval_all(self) -> np.ndarray:
         """Evaluation at the whole enumeration a_1..a_(q^2), as an index array."""
         return self.eval_on(self.ctx.points_idx())
+
+
+def eval_rows(ctx: FieldCtx, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Polynomials evaluated on an index array of points, one coefficient
+    vector (low degree first, as enumeration indices) or a (B, L) batch of
+    them: the values in the shape coeffs.shape[:-1] + xs.shape.
+
+    At w^e the value is the spectrum (``FieldCtx.spectrum``) of the
+    nonzero coefficients of one vector, or of the whole batch at once, and
+    at 0 it is the constant coefficient.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    if coeffs.ndim == 1:
+        exps = np.flatnonzero(coeffs)
+        vals = ctx.spectrum(exps, coeffs[exps], xs - 1)
+    else:
+        vals = ctx.spectrum(np.arange(coeffs.shape[-1]), coeffs, xs - 1)
+    const = coeffs[..., 0] if coeffs.shape[-1] else np.zeros(coeffs.shape[:-1], dtype=np.int64)
+    return np.where(xs == 0, np.reshape(const, const.shape + (1,) * xs.ndim), vals)
 
 
 def q_power_mod(poly: Poly) -> Poly:

@@ -17,7 +17,11 @@ own exponents with no elimination, and a g-form is evaluated pointwise.
 * ``u_space_basis``    - the RREF of the g-space's g-forms (the u-space),
                          as the remainders of a Vandermonde system;
 * ``g_form_vector``    - the member of P(C) of a low-degree g and c in GF(q):
-                         x -> g(x) + g(x)^q + c x^((q-k)(q+1)), then c.
+                         x -> g(x) + g(x)^q + c x^((q-k)(q+1)), then c;
+* ``sample_g_forms``   - the same for random (g, c), drawn from one seeded
+                         byte stream and checked a block at a time: one
+                         evaluation of the block's g, one g-form formula,
+                         one membership product on the k^2 free columns.
 
 The minimum weight of P(C) follows a proven closed formula; this module can
 also certify it by exhaustive search at desk scale.  The dimension is
@@ -30,14 +34,15 @@ when k^2 <= dim = q^2+1-k^2 and the u-space otherwise.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, SelfCheckFailed, ValidationRefused
-from .field import Felt, FieldCtx, code_sum
-from .poly import Poly
+from .field import MAX_Q, Felt, FieldCtx, code_sum
+from .poly import Poly, eval_rows
 
 DIRECT_MAX_Q = 11
 
@@ -197,7 +202,13 @@ def _g_space_exponents(q: int, k: int) -> np.ndarray:
     under e -> eq mod q^2-1, the Frobenius of a character.
     """
     grid = np.arange(q)
-    return np.append(np.flatnonzero(np.minimum.outer(grid, grid) < q - k), (q - k) * (q + 1))
+    return np.append(np.flatnonzero(np.minimum.outer(grid, grid) < q - k), _c_exponent(q, k))
+
+
+def _c_exponent(q: int, k: int) -> int:
+    """e* = (q-k)(q+1), the exponent of the c-term of a g-form; q+1 divides it,
+    so x^e* lies in GF(q) at every x."""
+    return (q - k) * (q + 1)
 
 
 def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
@@ -254,7 +265,7 @@ def u_space_basis(ctx: FieldCtx, k: int) -> PunctureBasis:
             row[1:] = fq.add[prev[:-1], mult[prev[-1]]]
     rem = rem[:, 1:]
 
-    top = (q - k) * (q + 1)
+    top = _c_exponent(q, k)
     twiddle = _labels(ctx, 1 + -top * np.arange(n) % n)  # w^(-e* s), in GF(q) as q+1 divides e*
     coef = fq.neg[fq.add[twiddle[:K], linalg.matvec(fq, rem.T, twiddle[K:])]]
 
@@ -294,7 +305,7 @@ def g_form_vector(ctx: FieldCtx, k: int, g: Poly, c: Felt) -> PunctureVector:
     """Member of P(C) from a polynomial of degree <= (q-k)q-1 and c in GF(q).
 
     Coordinate i carries g(a_i) + g(a_i)^q + c a_i^((q-k)(q+1)); the final
-    coordinate carries c.
+    coordinate carries c.  It is the one-row case of ``_g_forms``.
     """
     q = ctx.q
     _check_k(ctx, k)
@@ -307,12 +318,84 @@ def g_form_vector(ctx: FieldCtx, k: int, g: Poly, c: Felt) -> PunctureVector:
         raise ValidationRefused(f"deg g = {g.degree} exceeds the bound (q-k)q-1 = {bound}")
     if not c.in_subfield():
         raise ValidationRefused("c must lie in GF(q)")
-    evals = g.eval_all()
-    vals = ctx.vadd(evals, ctx.vfrob(evals))
-    if c:
-        top = ctx.vpow(ctx.points_idx(), (q - k) * (q + 1))
-        vals = ctx.vadd(vals, ctx.vmul(np.int64(c.i), top))
-    return PunctureVector(ctx, _labels(ctx, np.append(vals, c.i)))
+    return PunctureVector(ctx, _g_forms(ctx, k, g.eval_all()[None, :], np.array([c.i], dtype=np.int64))[0])
+
+
+def _g_forms(ctx: FieldCtx, k: int, g_vals: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The g-forms of a batch, as a (B, q^2+1) array of GF(q) labels.
+
+    Row b is the g-form of the g whose values at the q^2 points are
+    g_vals[b] and of the c with the index cs[b]: g(a_i) + g(a_i)^q +
+    c a_i^((q-k)(q+1)) at coordinate i, then c.  Every entry passes through
+    ``_labels``, so a value outside GF(q) raises ``SelfCheckFailed``.
+    """
+    vals = ctx.vadd(g_vals, ctx.vfrob(g_vals))
+    top = ctx.vpow(ctx.points_idx(), _c_exponent(ctx.q, k))
+    vals = ctx.vadd(vals, ctx.vmul(cs[:, None], top))
+    return _labels(ctx, np.concatenate([vals, cs[:, None]], axis=1))
+
+
+def _uniform(rng: random.Random, m: int, size: int) -> np.ndarray:
+    """``size`` draws uniform on [0, m), for m <= 2^16, from the byte stream of
+    ``rng``: 16-bit little-endian words, each word at or above 2^16 // m * m
+    rejected and the others taken mod m, so every value is equally likely."""
+    limit = (1 << 16) // m * m
+    out = np.empty(size, dtype=np.int64)
+    got = 0
+    while got < size:
+        words = np.frombuffer(rng.randbytes(2 * (size - got)), dtype="<u2")
+        words = words[words < limit]
+        out[got : got + words.size] = words % m
+        got += words.size
+    return out
+
+
+# terms of one q = 64 transform, 2q(q^2-1): the budget of a block of samples
+_SAMPLE_BLOCK = 2 * MAX_Q * (MAX_Q * MAX_Q - 1)
+
+
+def _g_form_draws(ctx: FieldCtx, k: int, count: int, seed: int):
+    """The random (g, c) of ``sample_g_forms``, block by block: for each block of
+    B samples, the (B, (q-k)q) coefficient indices of g and the B indices of c.
+
+    Every coefficient of g up to degree (q-k)q-1 is a draw uniform on
+    [0, q^2), an element index, and one more such draw per sample, taken
+    mod q, is the GF(q) label of c, uniform as q divides q^2.  A block
+    takes all its draws at once from the one byte stream of
+    ``random.Random(seed)`` (``_uniform``).
+    B 2q(q^2-1), the terms of B transforms, is at most the 2q(q^2-1) of
+    one q = 64 transform, so no block, and no temporary made from one,
+    grows with ``count``.
+    """
+    q = ctx.q
+    rng = random.Random(seed)
+    terms = (q - k) * q
+    block = max(1, _SAMPLE_BLOCK // (2 * q * ctx.n_units))
+    for lo in range(0, count, block):
+        rows = min(block, count - lo)
+        draws = _uniform(rng, ctx.q2, rows * (terms + 1)).reshape(rows, terms + 1)
+        yield draws[:, :terms], ctx.fq.idx_of_compact[draws[:, terms] % q]
+
+
+def sample_g_forms(basis: PunctureBasis, count: int, seed: int) -> bool:
+    """Whether ``count`` random g-forms all lie in the row space of ``basis``, an
+    RREF of P(C) at k <= q.
+
+    The (g, c) are those of ``_g_form_draws``.  Each block of them is one
+    batched check: its g are evaluated at the q^2 points by one
+    ``poly.eval_rows``, its g-forms are one ``_g_forms``, each entry
+    checked to lie in GF(q), and its membership is one
+    ``linalg.in_row_space``, a product on the k^2 free columns of the
+    basis.  The check stops at the first block with a non-member.
+    """
+    ctx, k = basis.ctx, basis.k
+    if k > ctx.q:
+        raise ValidationRefused(f"the g-form requires k <= q; got k={k}")
+    for coeffs, cs in _g_form_draws(ctx, k, count, seed):
+        words = _g_forms(ctx, k, eval_rows(ctx, coeffs, ctx.points_idx()), cs)
+        if not linalg.in_row_space(ctx.fq, basis.matrix, basis.pivots, words).all():
+            return False
+    return True
 
 
 def membership(basis: PunctureBasis, v: PunctureVector) -> bool:

@@ -516,3 +516,58 @@ def test_code_sum_and_vsum_match_a_fold_of_add_i(p, h):
             assert label_sum.dtype == np.uint8
             expect = _fold_add(ctx, fq.idx_of_compact[labels], axis)
             assert np.array_equal(fq.idx_of_compact[label_sum], expect)
+
+
+# the fields of the batched check: q in {2, 3, 4, 5, 7, 8, 9, 16}
+BATCH_PH = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("p,h", BATCH_PH, ids=[f"q{p**h}" for p, h in BATCH_PH])
+def test_spectrum_and_dft_with_a_batch_axis_equal_their_rows(p, h):
+    """A (B, len(j)) batch through each route of ``FieldCtx.spectrum``, and a
+    (B, q^2-1) batch through ``FieldCtx.dft``, against the same call row by
+    row.  The rows have scattered zeros, one is all zero and one column is
+    zero in every row; some j pass q^2-1 and fold, and e is 2-D with
+    negative entries."""
+    ctx = make_field(p, h)
+    rng = np.random.default_rng(ctx.q)
+    j = rng.choice(2 * ctx.q2, size=min(12, 2 * ctx.q2), replace=False)
+    v = rng.integers(0, ctx.q2, (5, j.size))
+    v[1] = 0
+    v[:, 3] = 0
+    v[2, ::2] = 0
+    e = rng.integers(-1, 2 * ctx.q2, (3, 4))
+    routes = (FieldCtx._spectrum_direct, FieldCtx._spectrum_dft, FieldCtx.spectrum)
+    results = []
+    for route in routes:
+        got = route(ctx, j, v, e)
+        assert got.shape == (5, 3, 4)
+        assert np.array_equal(got, np.stack([route(ctx, j, row, e) for row in v]))
+        results.append(got)
+    assert all(np.array_equal(results[0], other) for other in results[1:])
+    values = rng.integers(0, ctx.q2, (4, ctx.n_units))
+    assert np.array_equal(ctx.dft(values), np.stack([ctx.dft(row) for row in values]))
+
+
+def test_spectrum_route_counts_the_terms_of_the_whole_batch(monkeypatch):
+    """At q = 16, 40 x 255 terms a row lie between the 2q(q^2-1) = 8160 of one
+    transform and 8160 + 2^12: one row is summed directly, and four rows,
+    whose 40800 terms pass 4 * 8160 + 2^12, by the transform.  The probe's
+    one 3-coefficient g at q = 3 stays direct."""
+    routes = []
+    for name in ("_spectrum_direct", "_spectrum_dft"):
+
+        def counted(self, j, v, e, _name=name, _route=getattr(FieldCtx, name)):
+            routes.append(_name)
+            return _route(self, j, v, e)
+
+        monkeypatch.setattr(FieldCtx, name, counted)
+    ctx = make_field(2, 4)
+    rng = np.random.default_rng(16)
+    j, units = np.arange(40), np.arange(ctx.n_units)
+    ctx.spectrum(j, rng.integers(1, ctx.q2, (1, 40)), units)
+    ctx.spectrum(j, rng.integers(1, ctx.q2, 40), units)
+    ctx.spectrum(j, rng.integers(1, ctx.q2, (4, 40)), units)
+    ctx3 = make_field(3, 1)
+    ctx3.spectrum(np.arange(3), rng.integers(1, 9, (1, 3)), np.arange(-1, 8))
+    assert routes == ["_spectrum_direct", "_spectrum_direct", "_spectrum_dft", "_spectrum_direct"]

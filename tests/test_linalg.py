@@ -185,6 +185,60 @@ def test_in_row_space_matches_rank_test_at_q9():
             assert linalg.in_row_space(ctx.fq, R, pivots, v) == expect
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
+def test_in_row_space_of_a_stack_answers_each_row(q, monkeypatch):
+    """A (B, n) stack of row combinations, each also changed on one free
+    column, answered row by row as the one-vector call answers it; blocks
+    of a few products split the stack, and an empty stack is answered
+    by an empty array."""
+    monkeypatch.setattr(linalg, "_MEMBER_BLOCK", 20)
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    R, pivots = linalg.rref(fq, rng.integers(0, q, size=(4, 9)).astype(np.uint8))
+    inside = linalg.matvec(fq, R.T, rng.integers(0, q, size=(6, len(R))).astype(np.uint8))
+    rows, cols = np.arange(6), rng.choice([c for c in range(R.shape[1]) if c not in pivots], 6)
+    outside = inside.copy()
+    outside[rows, cols] = fq.add[outside[rows, cols], 1]
+    stack = np.concatenate([inside, outside])
+    got = linalg.in_row_space(fq, R, pivots, stack)
+    assert got.dtype == bool and got.tolist() == [True] * 6 + [False] * 6
+    assert got.tolist() == [linalg.in_row_space(fq, R, pivots, v) for v in stack]
+    assert linalg.in_row_space(fq, R, pivots, stack[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_in_row_space_refuses_a_basis_not_the_identity_on_its_pivots(q):
+    """The shortcut reads only the free columns, so it first checks that R is
+    the identity on the pivots: an entry above a pivot, a pivot entry other
+    than 1 (q > 2), a repeated pivot and a missing pivot are each refused."""
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    R, pivots = linalg.rref(fq, rng.integers(0, q, size=(3, 7)).astype(np.uint8))
+    assert len(pivots) == 3
+    v = linalg.matvec(fq, R.T, np.ones(3, dtype=np.uint8))
+    assert linalg.in_row_space(fq, R, pivots, v)
+    bad = [(R.copy(), pivots), (R, (pivots[0], pivots[0], pivots[2])), (R, pivots[:2])]
+    bad[0][0][0, pivots[1]] = 1
+    if q > 2:
+        two = R.copy()
+        two[1, pivots[1]] = 2
+        bad.append((two, pivots))
+    for matrix, cols in bad:
+        with pytest.raises(ValueError, match="identity on its pivot columns"):
+            linalg.in_row_space(fq, matrix, cols, v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_matvec_of_a_stack_is_the_product_of_each_row(q):
+    fq = make_field(*FIELDS[q]).fq
+    rng = np.random.default_rng(q)
+    M = rng.integers(0, q, size=(5, 7)).astype(np.uint8)
+    vs = rng.integers(0, q, size=(4, 7)).astype(np.uint8)
+    got = linalg.matvec(fq, M, vs)
+    assert got.shape == (4, 5)
+    assert np.array_equal(got, np.stack([linalg.matvec(fq, M, v) for v in vs]))
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_u_space_basis_is_rref_of_generator_vectors(q):
     """The one-shot evaluation equals row reducing P(C) in the paper's form: the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hermgrs.errors import ValidationRefused
 from hermgrs.field import Felt, FieldCtx, make_field
-from hermgrs.poly import Poly, distinct_zeros, q_power_mod
+from hermgrs.poly import Poly, distinct_zeros, eval_rows, q_power_mod
 
 from oracle import felt_eval, pow_by_mul
 
@@ -232,6 +232,24 @@ def test_eval_on_sparse_zero_and_constant_polynomials_match_horner(q):
             got = poly.eval_on(xs)
             assert got.shape == xs.shape
             assert got.tolist() == [[felt_eval(poly, Felt(ctx, int(x))).i for x in row] for row in xs]
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16])
+def test_eval_rows_of_a_batch_is_eval_on_of_each_row(q):
+    """Dense rows, a row with zeros, the zero row and a column zero in every
+    row, on a 2-D point array holding 0, and a batch of empty vectors."""
+    ctx = make_field(*EVAL_FIELDS[q])
+    rng = np.random.default_rng(q)
+    coeffs = rng.integers(0, ctx.q2, (4, 3 * q))
+    coeffs[1, ::3] = 0
+    coeffs[2] = 0
+    coeffs[:, 5] = 0
+    xs = rng.integers(0, ctx.q2, (2, 5))
+    xs[0, 0] = 0
+    got = eval_rows(ctx, coeffs, xs)
+    assert got.shape == (4, 2, 5)
+    assert np.array_equal(got, np.stack([Poly(ctx, row).eval_on(xs) for row in coeffs]))
+    assert np.array_equal(eval_rows(ctx, np.zeros((3, 0), dtype=np.int64), xs), np.zeros((3, 2, 5)))
 
 
 # every q = p^h <= 64, for the transform

@@ -4,7 +4,11 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from hermgrs import constructions, linalg, puncture
 from hermgrs.errors import CapExceeded, SelfCheckFailed, ValidationRefused
 from hermgrs.field import Felt, FieldCtx, make_field
-from hermgrs.poly import Poly, distinct_zeros, q_power_mod
+from hermgrs.poly import Poly, distinct_zeros, eval_rows, q_power_mod
 from hermgrs.puncture import (
     PunctureVector,
     constructive_witness,
@@ -751,3 +755,126 @@ def test_power_sums_route_by_counted_cost(monkeypatch):
     for size in (bound, bound + 1):
         make_field(2, 5).spectrum(np.arange(size), np.ones(size, dtype=np.int64), [1])
     assert [c[0] for c in calls] == ["_spectrum_direct", "_spectrum_dft"]
+
+
+# the cells of the batched g-form check: k < q on every kind of field, and
+# k = q, where g is empty and the g-form is c at every coordinate
+G_SAMPLE_CELLS = [(3, 2), (4, 3), (5, 1), (7, 6), (8, 5), (9, 2), (11, 3), (16, 4), (4, 4), (5, 5)]
+
+
+@pytest.mark.parametrize("q,k", G_SAMPLE_CELLS)
+def test_the_batch_is_the_per_sample_path_draw_by_draw(q, k, monkeypatch):
+    """Each drawn (g, c) of ``sample_g_forms``, as ``g_form_vector`` and
+    ``membership`` take it one at a time, against its row of the batch:
+    the same word and the same answer.  A small block budget splits the
+    draws into several blocks."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    monkeypatch.setattr(puncture, "_SAMPLE_BLOCK", 5 * 2 * q * ctx.n_units)
+    basis = primal_basis(ctx, k)
+    blocks = list(puncture._g_form_draws(ctx, k, 12, seed=q))
+    assert [len(cs) for _, cs in blocks] == [5, 5, 2]
+    for coeffs, cs in blocks:
+        assert coeffs.shape == (len(cs), (q - k) * q)
+        words = puncture._g_forms(ctx, k, eval_rows(ctx, coeffs, ctx.points_idx()), cs)
+        members = linalg.in_row_space(ctx.fq, basis.matrix, basis.pivots, words)
+        for g, c, word, member in zip(coeffs, cs, words, members):
+            vector = g_form_vector(ctx, k, Poly.from_indices(ctx, g), ctx.felt(int(c)))
+            assert np.array_equal(vector.v, word)
+            assert member and membership(basis, vector) is True
+    assert puncture.sample_g_forms(basis, 12, seed=q)
+
+
+@pytest.mark.parametrize("q,k", [(4, 2), (9, 2), (11, 3)])
+def test_a_changed_non_pivot_entry_fails_the_samples(q, k):
+    """One free entry of the basis changed: the batch's product on the free
+    columns sees it, as a sample whose coefficient on that row is nonzero
+    leaves the row space."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    basis = primal_basis(ctx, k)
+    assert puncture.sample_g_forms(basis, 16, seed=0)
+    free = next(c for c in range(basis.matrix.shape[1]) if c not in basis.pivots)
+    changed = basis.matrix.copy()
+    changed[0, free] = ctx.fq.add[changed[0, free], 1]
+    mutant = puncture.PunctureBasis(ctx, k, basis.method, changed, basis.pivots)
+    assert not puncture.sample_g_forms(mutant, 16, seed=0)
+
+
+def test_a_basis_not_the_identity_on_its_pivots_is_refused():
+    ctx = make_field(2, 2)
+    basis = u_space_basis(ctx, 2)
+    changed = basis.matrix.copy()
+    changed[1, basis.pivots[0]] = 1
+    mutant = puncture.PunctureBasis(ctx, 2, basis.method, changed, basis.pivots)
+    with pytest.raises(ValueError, match="identity on its pivot columns"):
+        puncture.sample_g_forms(mutant, 4, seed=0)
+    with pytest.raises(ValueError, match="identity on its pivot columns"):
+        membership(mutant, g_form_vector(ctx, 2, Poly.zero(ctx), ctx.one))
+
+
+@pytest.mark.parametrize("q,k", [(4, 2), (5, 3), (9, 2)])
+def test_a_batch_row_outside_gf_q_raises(q, k, monkeypatch):
+    """With the c-term's exponent (q-k)(q+1) moved by one, x^e is no longer in
+    GF(q), and a row with c != 0 fails ``_labels``; the basis is built first,
+    from the true exponents."""
+    ctx = make_field(*PUNCTURE_FIELDS[q])
+    basis = u_space_basis(ctx, k)
+    assert any(cs.any() for _, cs in puncture._g_form_draws(ctx, k, 8, seed=1))
+    monkeypatch.setattr(puncture, "_c_exponent", lambda q, k: (q - k) * (q + 1) + 1)
+    with pytest.raises(SelfCheckFailed, match="left GF"):
+        puncture.sample_g_forms(basis, 8, seed=1)
+
+
+def _uniform_by_words(seed: int, m: int, size: int) -> list[int]:
+    """``_uniform`` in Python integers: the same byte requests, each 2-byte
+    little-endian word below 2^16 // m * m kept, mod m."""
+    rng, limit, out = random.Random(seed), (1 << 16) // m * m, []
+    while len(out) < size:
+        data = rng.randbytes(2 * (size - len(out)))
+        words = [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
+        out += [w % m for w in words if w < limit]
+    return out
+
+
+@pytest.mark.parametrize("m", [16, 4096, 9, 25, 3**10])
+def test_the_draw_is_seeded_uniform_and_below_m(m):
+    """q^2 a power of 2 (no word rejected) and not; 3^10 = 59049 rejects a
+    tenth of the words, so the stream is read again.  The same seed gives
+    the same draws, no value reaches m, and every value of a long draw of a
+    small m occurs."""
+    size = 40 * min(m, 4096)
+    draws = puncture._uniform(random.Random(7), m, size)
+    assert draws.dtype == np.int64 and draws.shape == (size,)
+    assert np.array_equal(draws, puncture._uniform(random.Random(7), m, size))
+    assert not np.array_equal(draws, puncture._uniform(random.Random(8), m, size))
+    assert 0 <= draws.min() and draws.max() < m
+    assert draws.tolist() == _uniform_by_words(7, m, size)
+    if m <= 4096:
+        assert np.unique(draws).size == m
+
+
+def test_g_form_draws_are_blocks_of_at_most_one_q64_transform():
+    """At q = 64 a block is one sample; at q = 16, 2q(q^2-1) = 8160 terms a
+    sample, 64 of them fill the budget of one q = 64 transform.  The c
+    drawn are GF(q) indices."""
+    ctx64 = make_field(2, 6)
+    assert [len(cs) for _, cs in puncture._g_form_draws(ctx64, 62, 3, seed=0)] == [1, 1, 1]
+    ctx16 = make_field(2, 4)
+    blocks = list(puncture._g_form_draws(ctx16, 4, 150, seed=0))
+    assert [len(cs) for _, cs in blocks] == [64, 64, 22]
+    assert all((ctx16.fq.compact_of_idx[cs] >= 0).all() for _, cs in blocks)
+
+
+def test_g_samples_import_neither_numpy_random_nor_numpy_ma():
+    """numpy.random and numpy.ma each add to the resident set of a process;
+    the sampled check draws from the standard library and needs neither."""
+    code = (
+        "import os, sys\n"
+        "from hermgrs import cli\n"
+        "for argv in (['--q', '11', '--k', '3', '--method', 'all'], ['--q', '16', '--k', '4', '--method', 'u-space']):\n"
+        "    assert cli.main(['puncture', *argv, '--g-samples', '9', '--output', os.devnull]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
