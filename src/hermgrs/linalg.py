@@ -33,12 +33,21 @@ whose rows have at least ``best`` columns touched by exactly one row
 no combination from the subset can beat ``best``.  Inside a subset the
 coefficients are split in two halves A (the first j // 2 rows) and B,
 and only the coefficient vectors whose first coordinate is label 1 are
-compared, one per orbit.  Every combination of every t-subset of rows,
-on the non-pivot columns, is one table per half size t, built the first
-time a level reads it (the negated table once more for the A halves); a
-chunk of subsets reads each half with one ``take`` at the lexicographic
-ranks of its subsets' halves, from the prefix of the coefficient axis
-that label 1 opens in the half holding the first coordinate.
+compared, one per orbit.  Each level is built from the one before, one
+step per level (``_next_level``): the j-subsets extend the (j-1)-subsets
+in lexicographic order and are held by their ranks, each with its last
+row and the ranks of the subset less its last row (its prefix) and less
+its first row on the level before.  A subset's count of rows on each
+non-pivot column, from which its lonely columns are read, is its
+prefix's count plus its last row.  Every combination of every t-subset
+of rows, on the non-pivot columns, is one table per half size t, built
+the first time a level reads it: the table of t - 1 taken at the
+prefixes, plus the q - 1 multiples of the last row (``_extend_table``;
+the negated table once more for the A halves).  A chunk of subsets reads
+each half with one ``take`` at the ranks of its subsets' halves, half A
+j - j1 prefix steps and half B j1 first-row drops down, from the prefix
+of the coefficient axis that label 1 opens in the half holding the first
+coordinate.
 
 Both enumerators weigh a word a + b without forming it: a + b is zero
 exactly where b == -a, so its weight is the number of columns where b
@@ -52,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,14 +173,15 @@ def matvec(fq: SubfieldTables, M: np.ndarray, v: np.ndarray) -> np.ndarray:
 _MEMBER_BLOCK = 1 << 20
 
 
-def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray):
-    """Whether v lies in the row space of the RREF rows R with these pivot columns.
+def row_space_test(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...]):
+    """The membership test of the row space of the RREF rows R with these
+    pivot columns: a function that answers a (B, n) stack of vectors with a
+    bool array of shape (B,).
 
-    v is one vector, answered by a bool, or a (B, n) stack of them,
-    answered by a bool array of shape (B,).  R must be the identity on its
-    pivot columns, as an RREF is; that is checked first, and any other R is
-    refused with a ValueError, so the shortcut below is as strong as the
-    full product.  The one combination of R's rows that can equal v is then
+    R must be the identity on its pivot columns, as an RREF is; that is
+    checked here, once for every stack the test answers, and any other R
+    is refused with a ValueError, so the shortcut below is as strong as the
+    full product.  The one combination of R's rows that can equal v is
     sum_i v[pivots[i]] R_i, which equals v on the pivot columns by
     construction: v is in the row space exactly when R^T v[pivots] is v on
     the other columns, the n - dim free ones (k^2 for P(C)).  Only those
@@ -185,13 +196,29 @@ def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: 
             or np.count_nonzero(R) - np.count_nonzero(R_free) != piv.size
             or np.count_nonzero(R[np.arange(piv.size), piv] == 1) != piv.size):
         raise ValueError("R is not the identity on its pivot columns")
-    vs = np.asarray(v, dtype=np.uint8)
-    stack = vs if vs.ndim == 2 else vs[None]
-    out = np.empty(len(stack), dtype=bool)
+    R_free_t = R_free.T
     step = max(1, _MEMBER_BLOCK // max(1, R_free.size))
-    for lo in range(0, len(stack), step):
-        block = stack[lo : lo + step]
-        out[lo : lo + step] = (matvec(fq, R_free.T, block[:, piv]) == block[:, free]).all(axis=1)
+
+    def test(stack: np.ndarray) -> np.ndarray:
+        out = np.empty(len(stack), dtype=bool)
+        for lo in range(0, len(stack), step):
+            block = stack[lo : lo + step]
+            out[lo : lo + step] = (matvec(fq, R_free_t, block[:, piv]) == block[:, free]).all(axis=1)
+        return out
+
+    return test
+
+
+def in_row_space(fq: SubfieldTables, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray):
+    """Whether v lies in the row space of the RREF rows R with these pivot
+    columns, by ``row_space_test`` (a ValueError for an R that is not the
+    identity on its pivot columns).
+
+    v is one vector, answered by a bool, or a (B, n) stack of them,
+    answered by a bool array of shape (B,).
+    """
+    vs = np.asarray(v, dtype=np.uint8)
+    out = row_space_test(fq, R, pivots)(vs if vs.ndim == 2 else vs[None])
     return out if vs.ndim == 2 else bool(out[0])
 
 
@@ -216,18 +243,52 @@ def _coeff_block(q: int, j: int) -> np.ndarray:
     return out
 
 
-def _combinations(m: int, j: int) -> np.ndarray:
-    """The j-subsets of range(m) as rows, in lexicographic order (j >= 1).
+class _Level(NamedTuple):
+    """Level t of the scan: the t-subsets of the rows of an m-row basis, in
+    lexicographic order, held by their ranks; level 0 is the one empty
+    subset."""
 
-    Each round extends every prefix by each larger element, in order; a
-    prefix ending at m - 1 has no extension and drops out.
+    last: np.ndarray  # (S,) each subset's last row; -1 on level 0
+    parent: np.ndarray | None  # (S,) rank on level t - 1 of the subset less its last row
+    drop: np.ndarray | None  # (S,) rank on level t - 1 of the subset less its first row
+    base: np.ndarray | None  # (S of level t - 1,) its subset p extended by row x has rank base[p] + x
+
+
+_LEVEL_0 = _Level(np.full(1, -1, dtype=np.int64), None, None, None)
+
+
+def _next_level(level: _Level, m: int) -> _Level:
+    """Level t + 1 from level t.
+
+    Every t-subset p is extended by each larger row x, in order (a subset
+    ending at row m - 1 has no extension), so the extensions of p are a
+    run and p + x has rank base[p] + x.  Less its first row, p + x is
+    p less its first row, extended by x.
     """
-    out = np.arange(m, dtype=np.int64)[:, None]
-    for _ in range(j - 1):
-        last = out[:, -1]
-        reps = m - 1 - last
-        offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        out = np.column_stack([np.repeat(out, reps, axis=0), np.repeat(last + 1, reps) + offsets])
+    reps = m - 1 - level.last
+    parent = np.repeat(np.arange(len(reps)), reps)
+    base = np.cumsum(reps) - reps - level.last - 1
+    last = np.arange(len(parent)) - np.repeat(base, reps)
+    if level.drop is None:  # each 1-subset less its row is the empty subset
+        drop = np.zeros(len(last), dtype=np.int64)
+    else:
+        drop = level.base.take(level.drop.take(parent)) + last
+    return _Level(last, parent, drop, base)
+
+
+def _extend_table(add, table: np.ndarray, parent: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The combinations of the t-subsets from those of their (t-1)-prefixes.
+
+    ``table`` is (N, S', C'): every combination of every (t-1)-subset, and
+    ``last`` is (N, S, q - 1): the nonzero multiples of each t-subset's
+    last row, in label order.  Each t-subset's combinations are its
+    prefix's (row ``parent`` of ``table``) plus each multiple of its last
+    row, the last coefficient fastest, so the result is (N, S, C' (q - 1)).
+    Both operands are laid out in full first: an add that broadcasts
+    over an axis of q - 1 entries is several times slower.
+    """
+    out = table.take(parent, axis=1).repeat(last.shape[2], axis=2)
+    add(out, np.tile(last, (1, 1, table.shape[2])))
     return out
 
 
@@ -425,12 +486,22 @@ def min_weight_scan(
     lightest word, the witness, is one of them.  ``scanned`` counts the
     words covered, q - 1 per word compared.
 
+    Level j is derived from level j - 1 (``_next_level``): its subsets in
+    lexicographic order, each with the ranks of the subset less its last
+    row and less its first row, which lead to the ranks of its halves;
+    each subset's count of rows on every non-pivot column, the prefix's
+    count plus the last row, whose ones are the lonely columns; and, once
+    a level reads it, the half table of j rows, that of j - 1 rows at the
+    prefixes plus the q - 1 multiples of the last row.  Every level is
+    kept for the rest of the call, the counts of the last level only.
+
     The subsets that can still beat the best weight are recounted once per
-    wave of 8 groups, a group being max(1, ``_BLOCK`` // (q-1)^j) subsets,
-    the words of all their coefficient vectors.  Which subsets are scanned,
-    and so ``scanned``, depends only on this fixed cadence, so it is part
-    of the result.  Inside a wave the subsets are compared in chunks of
-    about ``_BLOCK`` compared words.
+    wave of 8 groups, from the best weight as the wave starts, a group
+    being max(1, ``_BLOCK`` // (q-1)^j) subsets, the words of all their
+    coefficient vectors.  Which subsets are scanned, and so ``scanned``,
+    depends only on this fixed cadence, so it is part of the result.
+    Inside a wave the subsets are compared in chunks of about ``_BLOCK``
+    compared words.
 
     Raises ValueError, unless it refuses, when the basis is not the
     identity on its pivot columns (the first nonzero column of each row):
@@ -464,14 +535,9 @@ def min_weight_scan(
     # a word of level j weighs j on the pivots, so only the other columns are compared
     free = np.ones(n, dtype=bool)
     free[pivots] = False
-    touched = nonzero[:, free]
-    mult = fq.mul[basis[:, free].T].reshape(-1, m * q)  # column r * q + c: label c times row r
-    # binom[a, b] = C(a, b) up to the larger half of the deepest level, for
-    # the lexicographic ranks of subsets, column by column:
-    # C(a, b) = C(a, b - 1) (a - b + 1) / b
-    binom = np.ones((m + 1, depth - depth // 2 + 1), dtype=np.int64)
-    for b in range(1, binom.shape[1]):
-        binom[:, b] = binom[:, b - 1] * np.maximum(np.arange(m + 1) - b + 1, 0) // b
+    touched = nonzero.T[free].view(np.uint8)  # (n - m, m)
+    mult = fq.mul[basis[:, free].T]  # (n - m, m, q): [:, r, c] is label c times row r
+    levels = [_LEVEL_0]
 
     @functools.cache
     def table(t: int) -> np.ndarray:
@@ -480,11 +546,8 @@ def min_weight_scan(
         ``_coeff_block``; t = 0 is the zero word."""
         if not t:
             return np.zeros((len(mult), 1, 1), dtype=np.uint8)
-        at = _combinations(m, t)[:, None, :] * q + _coeff_block(q, t)[None, :, :]  # (S, C, t)
-        part = mult.take(at[:, :, 0], axis=1)
-        for i in range(1, t):
-            add(part, mult.take(at[:, :, i], axis=1))
-        return part
+        level = levels[t]
+        return _extend_table(add, table(t - 1), level.parent, mult.take(level.last, axis=1)[:, :, 1:])
 
     @functools.cache
     def neg_table(t: int) -> np.ndarray:
@@ -493,22 +556,24 @@ def min_weight_scan(
         (q-1)^(t-1)."""
         return fq.neg[table(t)[:, :, : qm1 ** max(t - 1, 0)]]
 
-    def rank(subs: np.ndarray) -> np.ndarray:
-        """Lexicographic ranks among the t-subsets of range(m) of sorted (S, t) rows:
-        C(m, t) - 1 - sum_i C(m - 1 - subs[:, i], t - i)."""
-        t = subs.shape[1]
-        return binom[m, t] - 1 - binom[m - 1 - subs, np.arange(t, 0, -1)].sum(axis=1)
-
     wave = 8  # groups per recount of the subsets still worth scanning
     scanned = 0
+    # per subset of the level before, how many of its rows touch each
+    # non-pivot column: at most the level
+    counts = np.zeros((n - m, 1), dtype=np.min_scalar_type(depth))
     for j in range(1, depth + 1):
         if j >= best_w:
             break
-        subsets = _combinations(m, j)
+        level = _next_level(levels[-1], m)
+        levels.append(level)
+        counts = counts.take(level.parent, axis=1)
+        counts += touched.take(level.last, axis=1)
         # columns touched by exactly one subset row cannot cancel, so they
         # lower-bound every weight the subset can produce: its j pivots and
-        # the lonely non-pivot columns
-        lonely = j + (touched[subsets].sum(axis=1) == 1).sum(axis=1)
+        # the lonely non-pivot columns; held in the narrowest type that holds
+        # n + 1, which the stable argsort ranks fastest
+        lonely = np.add.reduce(counts == 1, axis=0, dtype=np.min_scalar_type(n + 1))
+        lonely += j
         order = np.argsort(lonely, kind="stable")
         # meet in the middle inside the subset: halve the coefficient space,
         # the first j1 rows of the subset in half A and the others in half B
@@ -525,9 +590,17 @@ def min_weight_scan(
         # order ranks subsets by lonely, so those that can still beat best_w
         # are a prefix of it
         ranked = lonely[order]
-        rank_a, rank_b = rank(subsets[:, :j1]), rank(subsets[:, j1:])
+        # half A, the subset less its last j - j1 rows, and half B, the
+        # subset less its first j1 rows, by their ranks j - j1 and j1 levels down
+        rank_a = rank_b = np.arange(len(level.last))
+        for down in levels[j:j1:-1]:
+            rank_a = down.parent.take(rank_a)
+        for down in levels[j : j - j1 : -1]:
+            rank_b = down.drop.take(rank_b)
+        # the subsets that can still beat best_w, as of the last word that lowered it
+        worth = int(np.searchsorted(ranked, best_w))
         for lo in range(0, len(order), wave * group):
-            end = min(lo + wave * group, int(np.searchsorted(ranked, best_w)))
+            end = min(lo + wave * group, worth)
             if lo >= end:
                 break
             for at in range(lo, end, chunk):
@@ -542,9 +615,14 @@ def min_weight_scan(
                 w = j + int(wts.reshape(-1)[flat])
                 if w < best_w:  # the full-width word sum_t coeffs[t] * basis[rows[t]]
                     s, a, b = np.unravel_index(flat, wts.shape)
-                    rows = subsets[chosen[s]]
+                    rows, r = [], chosen[s]
+                    for down in levels[j:0:-1]:
+                        rows.append(down.last[r])
+                        r = down.parent[r]
+                    rows.reverse()
                     coeffs = np.concatenate([_coeff_block(q, j1)[a], _coeff_block(q, j - j1)[b]])
                     best_w, best_vec = w, code_sum(fq.p, fq.h, fq.mul[coeffs[:, None], basis[rows]])
+                    worth = int(np.searchsorted(ranked, best_w))
     return ScanResult(True, best_w, best_vec, scanned)
 
 

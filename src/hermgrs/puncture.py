@@ -384,16 +384,18 @@ def sample_g_forms(basis: PunctureBasis, count: int, seed: int) -> bool:
     The (g, c) are those of ``_g_form_draws``.  Each block of them is one
     batched check: its g are evaluated at the q^2 points by one
     ``poly.eval_rows``, its g-forms are one ``_g_forms``, each entry
-    checked to lie in GF(q), and its membership is one
-    ``linalg.in_row_space``, a product on the k^2 free columns of the
-    basis.  The check stops at the first block with a non-member.
+    checked to lie in GF(q), and its membership is one call of a
+    ``linalg.row_space_test``, a product on the k^2 free columns of the
+    basis, which checks the basis once for all blocks.  The check stops at
+    the first block with a non-member.
     """
     ctx, k = basis.ctx, basis.k
     if k > ctx.q:
         raise ValidationRefused(f"the g-form requires k <= q; got k={k}")
+    members = linalg.row_space_test(ctx.fq, basis.matrix, basis.pivots)
     for coeffs, cs in _g_form_draws(ctx, k, count, seed):
         words = _g_forms(ctx, k, eval_rows(ctx, coeffs, ctx.points_idx()), cs)
-        if not linalg.in_row_space(ctx.fq, basis.matrix, basis.pivots, words).all():
+        if not members(words).all():
             return False
     return True
 

@@ -288,6 +288,27 @@ def felt_span_weights(ctx: FieldCtx, rows: list[list[Felt]], ncols: int) -> tupl
     return counts, lightest
 
 
+def direct_table(fq, mult: np.ndarray, t: int) -> np.ndarray:
+    """(N, C(m, t), (q-1)^t): every combination of every t-subset of rows,
+    subsets in lexicographic order and coefficient vectors last coordinate
+    fastest, each built on its own by t takes and t - 1 additions through
+    the label ``add`` table; t = 0 is the zero word.
+
+    ``mult`` is (N, m, q): [:, r, c] is label c times row r on N columns.
+    """
+    n, m, q = mult.shape
+    if not t:
+        return np.zeros((n, 1, 1), dtype=np.uint8)
+    subsets = np.array(list(itertools.combinations(range(m), t)), dtype=np.int64).reshape(-1, t)
+    coeffs = np.array(list(itertools.product(range(1, q), repeat=t)), dtype=np.int64).reshape(-1, t)
+    at = subsets[:, None, :] * q + coeffs[None, :, :]  # (S, C, t)
+    flat = mult.reshape(n, m * q)
+    part = flat.take(at[:, :, 0], axis=1)
+    for i in range(1, t):
+        part = fq.add[part, flat.take(at[:, :, i], axis=1)]
+    return part
+
+
 def first_lightest_word(add, multiples: np.ndarray) -> tuple[int | None, np.ndarray | None]:
     """(least nonzero weight, first word of that weight) among all the words
     sum_r multiples[r, c_r], or (None, None) when every one is zero.

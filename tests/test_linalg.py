@@ -17,6 +17,7 @@ from hermgrs.poly import Poly
 from hermgrs.puncture import g_form_vector, u_space_basis
 
 from oracle import (
+    direct_table,
     felt_first_lightest_word,
     felt_in_row_space,
     felt_kernel,
@@ -787,11 +788,52 @@ def test_coeff_block_counts_with_the_last_coordinate_fastest():
 
 
 def test_combinations_are_the_lexicographic_subsets():
-    """The level scan's subsets, in the order that fixes its witness and ``scanned``."""
-    for m in range(1, 12):
-        for j in range(1, m + 1):
-            ref = np.array(list(itertools.combinations(range(m), j)), dtype=np.int64)
-            assert np.array_equal(linalg._combinations(m, j), ref), (m, j)
+    """The level scan's subsets, in the order that fixes its witness and
+    ``scanned``, each level built from the one before, with the ranks of
+    every subset less its last row and less its first row on the level
+    before; a level past m has no subsets."""
+    for m in range(0, 12):
+        level, subsets = linalg._LEVEL_0, [()]
+        for j in range(1, m + 2):
+            prefixes, level = subsets, linalg._next_level(level, m)
+            subsets = list(itertools.combinations(range(m), j))
+            assert level.last.tolist() == [s[-1] for s in subsets], (m, j)
+            assert [prefixes[i] for i in level.parent] == [s[:-1] for s in subsets], (m, j)
+            assert [prefixes[i] for i in level.drop] == [s[1:] for s in subsets], (m, j)
+            for arr in (level.last, level.parent, level.drop):
+                assert arr.dtype == np.int64 and arr.shape == (len(subsets),)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("m,cols", [(5, 4), (3, 1), (4, 0)], ids=["5x4", "3x1", "no-columns"])
+def test_extended_tables_equal_the_direct_construction(q, m, cols):
+    """Each half table of the level scan, the prefixes' table taken at the
+    parents plus the multiples of the last row, against every combination
+    built on its own; up to a level with no subsets, and with no columns."""
+    fq = make_field(*FIELDS[q]).fq
+    rows = np.random.default_rng(q * 100 + m).integers(0, q, size=(m, cols), dtype=np.uint8)
+    mult = fq.mul[rows.T]  # (cols, m, q)
+    add = linalg._code_adder(fq)
+    table, level = direct_table(fq, mult, 0), linalg._LEVEL_0
+    for t in range(1, m + 2):
+        level = linalg._next_level(level, m)
+        table = linalg._extend_table(add, table, level.parent, mult[:, level.last, 1:])
+        assert table.shape == (cols, math.comb(m, t), (q - 1) ** t), (q, t)
+        assert np.array_equal(table, direct_table(fq, mult, t)), (q, t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_level_scan_without_non_pivot_columns(q):
+    """An identity basis has no column off its pivots: every table of the
+    level branch is empty, and the lightest word is a row."""
+    fq = make_field(*FIELDS[q]).fq
+    for m in (2, 3):
+        basis = np.eye(m, dtype=np.uint8)
+        scan = linalg.min_weight_scan(fq, basis, cap=q**m - 1)
+        assert scan.admitted and scan.weight == 1 and scan.scanned == m * (q - 1)
+        assert np.array_equal(scan.witness, basis[0])
+        hinted = linalg.min_weight_scan(fq, basis, cap=q**m - 1, upper=(m, np.ones(m, dtype=np.uint8)))
+        assert hinted.weight == 1 and np.array_equal(hinted.witness, basis[0])
 
 
 @pytest.mark.parametrize("p,h", [(5, 2), (3, 3), (7, 2)], ids=["q25", "q27", "q49"])

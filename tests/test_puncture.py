@@ -784,6 +784,25 @@ def test_the_batch_is_the_per_sample_path_draw_by_draw(q, k, monkeypatch):
     assert puncture.sample_g_forms(basis, 12, seed=q)
 
 
+def test_the_basis_is_checked_once_for_all_blocks(monkeypatch):
+    """``sample_g_forms`` builds one membership test, whose check of the
+    basis is its only pass over all dim x n entries, and answers every
+    block with it."""
+    ctx = make_field(*PUNCTURE_FIELDS[11])
+    monkeypatch.setattr(puncture, "_SAMPLE_BLOCK", 2 * 2 * 11 * ctx.n_units)
+    basis = primal_basis(ctx, 3)
+    built, answered, row_space_test = [], [], linalg.row_space_test
+
+    def counted(*args):
+        built.append(args)
+        test = row_space_test(*args)
+        return lambda stack: answered.append(len(stack)) or test(stack)
+
+    monkeypatch.setattr(linalg, "row_space_test", counted)
+    assert puncture.sample_g_forms(basis, 7, seed=0)
+    assert len(built) == 1 and answered == [2, 2, 2, 1]
+
+
 @pytest.mark.parametrize("q,k", [(4, 2), (9, 2), (11, 3)])
 def test_a_changed_non_pivot_entry_fails_the_samples(q, k):
     """One free entry of the basis changed: the batch's product on the free
@@ -864,17 +883,37 @@ def test_g_form_draws_are_blocks_of_at_most_one_q64_transform():
     assert all((ctx16.fq.compact_of_idx[cs] >= 0).all() for _, cs in blocks)
 
 
-def test_g_samples_import_neither_numpy_random_nor_numpy_ma():
-    """numpy.random and numpy.ma each add to the resident set of a process;
-    the sampled check draws from the standard library and needs neither."""
+def _numpy_random_and_ma_after(*argvs) -> str:
+    """The sorted list of the numpy.random and numpy.ma modules a fresh
+    process has imported after running each ``puncture`` argv, its output
+    discarded, as printed."""
     code = (
         "import os, sys\n"
         "from hermgrs import cli\n"
-        "for argv in (['--q', '11', '--k', '3', '--method', 'all'], ['--q', '16', '--k', '4', '--method', 'u-space']):\n"
-        "    assert cli.main(['puncture', *argv, '--g-samples', '9', '--output', os.devnull]) == 0\n"
+        f"for argv in {[list(a) for a in argvs]!r}:\n"
+        "    assert cli.main(['puncture', *argv, '--output', os.devnull]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_g_samples_import_neither_numpy_random_nor_numpy_ma():
+    """numpy.random and numpy.ma each add to the resident set of a process;
+    the sampled check draws from the standard library and needs neither."""
+    assert _numpy_random_and_ma_after(
+        ["--q", "11", "--k", "3", "--method", "all", "--g-samples", "9"],
+        ["--q", "16", "--k", "4", "--method", "u-space", "--g-samples", "9"],
+    ) == "[]"
+
+
+def test_certification_imports_neither_numpy_random_nor_numpy_ma():
+    """The level scan, the full-span search and the weight histogram need
+    neither (``np.setdiff1d`` and ``np.unique`` would import numpy.ma)."""
+    assert _numpy_random_and_ma_after(
+        ["--q", "5", "--k", "3", "--method", "u-space", "--check-min-weight"],
+        ["--q", "4", "--k", "3", "--method", "u-space", "--distribution"],
+        ["--q", "3", "--k", "2", "--method", "all", "--check-min-weight", "--distribution"],
+    ) == "[]"
