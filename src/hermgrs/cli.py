@@ -12,7 +12,8 @@ Output is UTF-8 JSON (schema 1) or CSV; diagnostics go to stderr only.
 JSON is the indent=2 form of the ``json`` module, written by ``_dumps``
 through the C encoder, and integer arrays (a P(C) basis, a generator) from
 a table of tokens, so the output bytes are those ``json`` writes.  The text
-goes out as a list of pieces, one per row of an array, never joined.
+goes out as a stream of pieces, one per row of an array, each made as it is
+written and never joined.
 Exit codes: 0 success, 2 validation refusal (a math-level precondition),
 3 enumeration cap exceeded, 4 malformed input file.
 """
@@ -23,10 +24,12 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 
 import numpy as np
@@ -88,7 +91,7 @@ def _envelope(command: str, config: dict, result: dict | list) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, pieces: list[str]) -> None:
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -111,8 +114,9 @@ def _int_row(tokens: np.ndarray, row: np.ndarray, level: int) -> str:
     return f"[{''.join(tokens[row].tolist())[1:]}\n{'  ' * level}]"
 
 
-def _int_array(a: np.ndarray, level: int) -> list[str]:
-    """``_dumps`` of a 1-D or 2-D array of integers in 0..MAX_Q**2, one piece per row."""
+def _int_array(a: np.ndarray, level: int) -> list[str] | Iterator[str]:
+    """``_dumps`` of a 1-D or 2-D array of integers in 0..MAX_Q**2, one piece
+    per row: a checked array's rows are made as they are written."""
     if a.dtype.kind not in "iu" or a.ndim not in (1, 2):
         raise TypeError(f"a {a.ndim}-D array of {a.dtype} is not written")
     low, top = (int(a.min()), int(a.max())) if a.size else (0, 0)
@@ -124,15 +128,19 @@ def _int_array(a: np.ndarray, level: int) -> list[str]:
         return [_int_row(_tokens(level + 1, bound), a, level)]
     if not len(a):
         return ["[]"]
+    return _int_rows(a, level, bound)
+
+
+def _int_rows(a: np.ndarray, level: int, bound: int) -> Iterator[str]:
     tokens, pad = _tokens(level + 2, bound), "  " * (level + 1)
-    pieces = [f"{',' if i else '['}\n{pad}{_int_row(tokens, row, level + 1)}" for i, row in enumerate(a)]
-    pieces.append(f"\n{pad[2:]}]")
-    return pieces
+    for i, row in enumerate(a):
+        yield f"{',' if i else '['}\n{pad}{_int_row(tokens, row, level + 1)}"
+    yield f"\n{pad[2:]}]"
 
 
-def _dumps(obj, level: int = 0) -> str | list[str]:
-    """The JSON text of obj indented by two spaces: one string, or a list of
-    pieces to be written in order if obj holds a numpy array.
+def _dumps(obj, level: int = 0) -> str | Iterable[str]:
+    """The JSON text of obj indented by two spaces: one string, or pieces to
+    be written in order if obj holds a numpy array.
 
     The text is byte for byte what ``json`` writes with ``indent=2`` (of
     ``a.tolist()`` for an array ``a``), but any ``indent`` sends ``json`` to
@@ -140,9 +148,10 @@ def _dumps(obj, level: int = 0) -> str | list[str]:
     has its body written by one C encoder call whose item separator carries
     the newline and padding; other containers recurse.  An array of
     integers in 0..MAX_Q**2 is written from a cached table of tokens
-    (separator, padding and digits), one ``join`` and one piece per row, so
-    a large basis is never copied into one string.  Other arrays and
-    unsupported types raise ``TypeError``.
+    (separator, padding and digits), one ``join`` and one piece per row,
+    each row made only as the pieces are read, so a large basis is never
+    held as text.  Other arrays and unsupported types raise ``TypeError``
+    from this call, before any piece is read.
     """
     if isinstance(obj, dict):
         items, open_, close = obj.values(), "{", "}"
@@ -161,20 +170,23 @@ def _dumps(obj, level: int = 0) -> str | list[str]:
     parts = [_dumps(item, level + 1) for item in items]
     # json.dumps({key: 0}) is '{<key as json writes it>: 0}'
     heads = [json.dumps({key: 0})[1:-4] + ": " for key in obj] if open_ == "{" else [""] * len(parts)
-    if list not in map(type, parts):
+    if all(isinstance(part, str) for part in parts):
         return f"{open_}\n{pad}{sep.join(map(str.__add__, heads, parts))}\n{pad[2:]}{close}"
-    pieces = []
-    for head, part in zip(heads, parts):
-        pieces += [sep, head]
-        pieces += [part] if isinstance(part, str) else part
-    pieces[0] = f"{open_}\n{pad}"
-    pieces.append(f"\n{pad[2:]}{close}")
-    return pieces
+    return _container_pieces(f"{open_}\n{pad}", sep, heads, parts, f"\n{pad[2:]}{close}")
+
+
+def _container_pieces(first: str, sep: str, heads: list[str], parts: list, last: str) -> Iterator[str]:
+    """The pieces of a container whose items are strings or pieces."""
+    yield first
+    for i, (head, part) in enumerate(zip(heads, parts)):
+        yield f"{sep if i else ''}{head}"
+        yield from [part] if isinstance(part, str) else part
+    yield last
 
 
 def _emit_json(args: argparse.Namespace, command: str, config: dict, result: dict | list) -> None:
     text = _dumps(_envelope(command, config, result))
-    _emit(args, [text + "\n"] if isinstance(text, str) else [*text, "\n"])
+    _emit(args, [text + "\n"] if isinstance(text, str) else itertools.chain(text, ["\n"]))
 
 
 # ----------------------------------------------------------------------

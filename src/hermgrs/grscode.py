@@ -9,8 +9,9 @@ Gram matrix H N(theta) of the scaled Hermitian form on the monomial basis
 
 MDS-ness (d = n-k+1) is checked on every k-column minor by one elimination
 along the lexicographic tree of column subsets (``check_mds``): minors that
-share a prefix share its work, and a node with two rows left closes all the
-minors below it by one sort of projective points.
+share a prefix share its work, and a node with three rows left builds its
+children's two rows and closes all the minors below them in one step, by
+one sort of projective points per child.
 """
 
 from __future__ import annotations
@@ -150,52 +151,195 @@ def is_hermitian_self_orthogonal(code: GrsCode) -> bool:
     return not hermitian_gram(code).any()
 
 
+def _top_code(ctx: FieldCtx, x: np.ndarray) -> np.ndarray:
+    """The top-row code of entries x (element indices, log x = x - 1 for a
+    unit): 2(q^2-1) - 1 - log x, or 0 for x = 0 (see ``_walk_tables``)."""
+    return np.where(x == 0, 0, 2 * ctx.n_units - x)
+
+
+def _bottom_code(ctx: FieldCtx, x: np.ndarray) -> np.ndarray:
+    """The code of bottom-row entries x: log x, or 3(q^2-1) for x = 0."""
+    return np.where(x == 0, 3 * ctx.n_units, x - 1)
+
+
+@dataclass(frozen=True)
+class _WalkTables:
+    """The tables of the MDS minor walk for one field, each read once per entry.
+
+    The entries of three-row residuals are read as logs (``FieldCtx._log``)
+    and as additive codes: the polynomial-basis integer at p = 2, where
+    codes add by XOR, and the spread code (``FieldCtx._spread``) at odd p,
+    where they add without carry; ``combine`` adds two codes.  The two
+    rows that ``_distinct_points`` closes are read as the codes of
+    ``_top_code`` and ``_bottom_code``, whose sum indexes ``keys``.
+    """
+
+    combine: np.ufunc
+    code: np.ndarray  # element index -> code
+    product: np.ndarray  # log a + log b -> the code of ab
+    log_product: np.ndarray  # log a + log b -> log ab
+    scale: np.ndarray  # log a -> log(-1/a), for a unit
+    top_of_sum: np.ndarray  # a sum of two codes -> the top code of the sum
+    bottom_of_sum: np.ndarray  # a sum of two codes -> the bottom code of the sum
+    keys: np.ndarray  # top code + bottom code -> the key of the column, int32 for the sort
+
+
+@functools.cache
+def _walk_tables(ctx: FieldCtx) -> _WalkTables:
+    """The walk's tables, built on the first walk over the field.
+
+    The key of a column [a : b] is the index of b/a for units, 0 when
+    b = 0, q^2 when a = 0, and q^2 + 1, past every point, when a = b = 0.
+    With u = q^2 - 1 the sum of the codes is 2u - 1 + log b - log a in
+    u .. 3u - 2 for units, log b in 0 .. u - 1 for a = 0, 3u for a = b = 0
+    and 5u - 1 - log a in 4u .. 5u - 1 for b = 0.
+    """
+    if ctx.p == 2:
+        combine, code, index_of_sum = np.bitwise_xor, ctx._polyint.astype(np.int64), ctx._idx_of_poly
+    else:
+        combine, code, index_of_sum = np.add, ctx._spread, ctx._pair_sum
+    u = ctx.n_units
+    keys = np.full(5 * u, ctx.q2, dtype=np.int32)
+    keys[u : 3 * u - 1] = 1 + np.arange(u + 1, 3 * u) % u
+    keys[3 * u] = ctx.q2 + 1
+    keys[4 * u :] = 0
+    tables = _WalkTables(
+        combine=combine,
+        code=code,
+        product=code[ctx._exp],
+        log_product=ctx._log[ctx._exp],
+        scale=(ctx._log[ctx.vneg(1)] - np.arange(u)) % u,
+        top_of_sum=_top_code(ctx, index_of_sum),
+        bottom_of_sum=_bottom_code(ctx, index_of_sum),
+        keys=keys,
+    )
+    for table in vars(tables).values():
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return tables
+
+
+def _children(last: np.ndarray, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot column and the node of every child, in column order: node
+    b has a child at each column from last[b] + 1 to n - r, which leaves
+    r - 1 columns after it."""
+    return np.nonzero(last[None, :] < np.arange(n - r + 1)[:, None])
+
+
+def _pieces(col: np.ndarray, r: int, n: int):
+    """(slice, start) per piece of the children with the sorted pivot
+    columns ``col``, of nodes with r rows over n columns.  A piece keeps
+    only the columns from start = c0 + 1 on, after its first pivot c0, and
+    holds at most ``_MDS_BLOCK`` entries of r rows over n - c0 columns per
+    child, or one child if even that is more."""
+    lo = 0
+    while lo < col.size:
+        start = int(col[lo]) + 1
+        hi = lo + max(1, _MDS_BLOCK // (r * (n - start + 1)))
+        yield slice(lo, hi), start
+        lo = hi
+
+
+def _distinct_points(ctx: FieldCtx, top: np.ndarray, bottom: np.ndarray, last: np.ndarray) -> bool:
+    """Whether every node with a two-row residual closes: no later column
+    zero and no two later columns proportional (see ``check_mds``).
+
+    ``top`` and ``bottom`` hold the codes of the two rows (``_top_code``,
+    ``_bottom_code``) laid out (columns, nodes), so that every step runs
+    along the nodes; node b's prefix ends at column last[b].  A later
+    column's key is read at the sum of its codes (``_walk_tables``), the
+    columns at or before ``last`` take distinct negative sentinels, and one
+    sort along the columns decides: a repeated key is a pair of
+    proportional columns, and a zero column sorts last, with the key
+    q^2 + 1.
+    """
+    cols = np.arange(top.shape[0], dtype=np.int32)[:, None]
+    key = np.where(cols > last, _walk_tables(ctx).keys[top + bottom], -1 - cols)
+    key.sort(axis=0)
+    return not ((key[1:] == key[:-1]).any() or (key[-1] == ctx.q2 + 1).any())
+
+
 def _prefix_walk(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
     """Whether every minor below the given prefix nodes is nonsingular (see ``check_mds``).
 
     ``res[b]`` is the (r, n) residual of node b, whose prefix ends at column
     ``last[b]`` and leaves r columns to choose.  Each child is one
-    pivot-and-eliminate step, taken in column order; a piece of children
+    pivot-and-eliminate step, taken in column order in ``_pieces``; a piece
     keeps only the columns after its first pivot c0, so the prefix of a
-    child with pivot c ends at c - c0 - 1.  A two-row residual closes its
-    node by one sort of the points [a : b] of its later columns, keyed by
-    b/a (q^2 when a = 0) with distinct negative sentinels at or before
-    ``last``.  A one-row residual (k = 1) needs only its nonzero test.
+    child with pivot c ends at c - c0 - 1.  Nodes with three rows build
+    their children's two rows and close them in the same step
+    (``_close_three_rows``); a two-row root closes at once.  A one-row
+    residual (k = 1) needs only its nonzero test.
     """
     _, r, n = res.shape
-    later = np.arange(n)[None, :] > last[:, None]
     if r == 1:
-        return bool(((res[:, 0, :] != 0) | ~later).all())
+        return bool(((res[:, 0, :] != 0) | (np.arange(n)[None, :] <= last[:, None])).all())
     if r == 2:
-        top, bottom = res[:, 0, :], res[:, 1, :]
-        if (later & (top == 0) & (bottom == 0)).any():
-            return False
-        key = np.where(top == 0, ctx.q2, ctx.vmul(bottom, ctx._vinv0(top)))
-        key = np.sort(np.where(later, key, -1 - np.arange(n)), axis=1)
-        return not (key[:, 1:] == key[:, :-1]).any()
-    # children last+1 .. n-r leave r-1 columns after them, taken in column order
-    col, parent = np.nonzero(last[None, :] < np.arange(n - r + 1)[:, None])
-    lo = 0
-    while lo < col.size:
-        start = col[lo] + 1  # a piece keeps only the columns after its first pivot
-        hi = lo + max(1, _MDS_BLOCK // (r * (n - start + 1)))
-        c, node = col[lo:hi], parent[lo:hi]
+        rows = res.transpose(1, 2, 0)
+        return _distinct_points(ctx, _top_code(ctx, rows[0]), _bottom_code(ctx, rows[1]), last)
+    if r == 3:
+        return _close_three_rows(ctx, res, last)
+    others = np.array([[i for i in range(r) if i != p] for p in range(r)])  # row p: every row but p
+    col, parent = _children(last, r, n)
+    for piece, start in _pieces(col, r, n):
+        c, node = col[piece], parent[piece]
         rows = np.arange(c.size)
         at_c = res[node, :, c]  # (B, r)
-        nonzero = at_c != 0
-        if not nonzero.any(axis=1).all():
+        prow = (at_c != 0).argmax(axis=1)
+        lead = at_c[rows, prow]  # 0 where column c is zero: a singular minor
+        if not lead.all():
             return False
-        prow = nonzero.argmax(axis=1)
-        other = np.arange(r - 1)[None, :]
-        other = other + (other >= prow[:, None])  # (B, r-1): every row but the pivot's
-        inv = ctx._vinv0(at_c[rows, prow])
+        other = others[prow]  # (B, r-1)
+        inv = ctx._vinv0(lead)
         factor = ctx.vmul(at_c[rows[:, None], other], ctx.vneg(inv)[:, None])
         pivot = res[node, prow, start:]  # (B, n - start)
         rest = res[node[:, None], other, start:]  # (B, r-1, n - start)
         child = ctx.vadd(rest, ctx.vmul(factor[:, :, None], pivot[:, None, :]))
         if not _prefix_walk(ctx, child, c - start):
             return False
-        lo = hi
+    return True
+
+
+def _close_three_rows(ctx: FieldCtx, res: np.ndarray, last: np.ndarray) -> bool:
+    """``_prefix_walk`` of three-row nodes, each piece's children closed as
+    they are built.
+
+    The residuals are read once as logs and as codes (``_WalkTables``),
+    laid out [column, row * nodes + node], and then the heads of all the
+    children: the pivot row of a child with pivot column c is its node's
+    first row nonzero at c (none is a singular minor), and the other two
+    rows, in order, gain the multiples of it that clear them at c.  A
+    piece's two child rows are built over its columns as (columns,
+    children): per entry, one product read at log factor + log pivot, one
+    ``combine`` with the other row's code and one read of the sum's code
+    for ``_distinct_points``.
+    """
+    b_n, _, n = res.shape
+    tables = _walk_tables(ctx)
+    zero = ctx._log[0]
+    flat = res.transpose(2, 1, 0).reshape(n, 3 * b_n)
+    logs, codes = ctx._log[flat], tables.code[flat]
+    col, parent = _children(last, 3, n)
+    at = col * (3 * b_n) + parent  # row 0 of each child's column c in logs.ravel()
+    l0, l1, l2 = (logs.ravel()[at + i * b_n] for i in range(3))
+    z0 = l0 == zero
+    z01 = z0 & (l1 == zero)
+    if (z01 & (l2 == zero)).any():
+        return False
+    # the pivot row is z0 + z01, and the other two rows, in order, are ~z0 and 2 - z01
+    scale = tables.scale[np.where(z0, np.where(z01, l2, l1), l0)]
+    f0 = tables.log_product[np.where(z0, l0, l1) + scale]
+    f1 = tables.log_product[np.where(z01, l1, l2) + scale]
+    z01 = z01.astype(np.int64)
+    p_at = (z0 + z01) * b_n + parent
+    o0_at = (~z0) * b_n + parent
+    o1_at = (2 - z01) * b_n + parent
+    for piece, start in _pieces(col, 3, n):
+        pivot = logs[start:, p_at[piece]]  # (n - start, B)
+        top = tables.combine(codes[start:, o0_at[piece]], tables.product[pivot + f0[piece]])
+        bottom = tables.combine(codes[start:, o1_at[piece]], tables.product[pivot + f1[piece]])
+        if not _distinct_points(ctx, tables.top_of_sum[top], tables.bottom_of_sum[bottom], col[piece] - start):
+            return False
     return True
 
 
@@ -219,17 +363,25 @@ def check_mds(code: GrsCode, cap: int = MDS_CAP) -> bool:
     is.  Every minor below the node is therefore nonsingular iff no later
     column of R is zero and no two are proportional, i.e. their points
     [a : b] on the projective line PG(1, q^2) are distinct.  One sort along
-    the row decides this: the key of a later column is the index of b/a, or
-    q^2 when a = 0, and the earlier columns take distinct negative
-    sentinels.  For k = 2 the whole check is that one sort.  The walk goes
-    depth first and takes a node's children in column order, in pieces of
-    at most ``_MDS_BLOCK`` = 2^14 entries (128 KB of int64) per working
-    array unless a piece is one child, so its temporaries stay in cache
-    and are not mapped afresh.  A piece keeps only the columns after its
-    first pivot, the only ones its children can take.  In process (2-core
-    Xeon guest), odd-min (24, 6), odd-min (20, 6) and even-min (16, 8) took
-    9.0 ms together at 2^14 and 2^15, 10.3 at 2^13, 11.1 at 2^16, 13.8 at
-    2^12, 16.0 at 2^17 and 18.4 at 2^18.
+    the row decides this (``_distinct_points``): the key of a later column
+    is the index of b/a, q^2 when a = 0 and q^2 + 1 past every point when
+    a = b = 0, read off the logs of a and b, and the earlier columns take
+    distinct negative sentinels.  For k = 2 the whole check is that one
+    sort.  Two-row nodes are never held: a node with three rows builds its
+    children's two rows and closes them in the same step
+    (``_close_three_rows``), laid out (columns, children) so that every
+    step runs along a piece's children, not along the few columns after
+    its pivot.
+
+    The walk goes depth first and takes a node's children in column order,
+    in pieces of at most ``_MDS_BLOCK`` = 2^14 entries (128 KB of int64)
+    per working array unless a piece is one child, so its temporaries stay
+    in cache and are not mapped afresh.  A piece keeps only the columns
+    after its first pivot, the only ones its children can take.  In process
+    (2-core Xeon guest, medians of 21 rounds), odd-min (24, 6), odd-min
+    (20, 6) and even-min (16, 8) took 6.6 ms together at 2^14, 7.6 ms at
+    2^13, 8.4 ms at 2^15, 10.5 ms at 2^12 and 2^16, and 13.6-15.1 ms at
+    2^17 and 2^18; ``BENCH_40.json`` has each code's time.
     """
     n, k = code.n, code.k
     total = math.comb(n, k)

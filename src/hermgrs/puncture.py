@@ -34,6 +34,7 @@ when k^2 <= dim = q^2+1-k^2 and the u-space otherwise.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -125,6 +126,7 @@ def _labels(ctx: FieldCtx, vals: np.ndarray) -> np.ndarray:
     return comp.astype(np.uint8)
 
 
+@functools.cache
 def _pairs(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row layout of H, for ``parity_check`` and ``power_sums`` alike.
 
@@ -133,9 +135,14 @@ def _pairs(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     GF(q^2)*.  H's k^2 rows are the ``_component_rows`` of these pairs.
     For lambda over GF(q), S_(s,r) = S_(r,s)^q and S_(r,r) lies in GF(q),
     so they span the conditions of all k^2 sums, and they are independent.
+    Built once per (q, k), as ``np.triu_indices`` costs tens of
+    microseconds a call, and read-only, as every caller shares them.
     """
     r, s = np.triu_indices(k)
-    return r, s, r * q + s
+    pairs = r, s, r * q + s
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def parity_check(ctx: FieldCtx, k: int, cols) -> np.ndarray:

@@ -1088,8 +1088,17 @@ def test_dumps_writes_empty_and_single_entry_arrays(shape):
 def test_an_array_is_written_one_piece_per_row_and_a_container_without_one_as_one_string():
     assert isinstance(cli._dumps({"a": [1, {"b": [2, 3]}]}), str)
     basis = np.arange(12).reshape(3, 4)
-    assert len(cli._dumps(basis)) == len(basis) + 1  # and the closing bracket
-    assert len(cli._dumps({"a": 1, "basis": basis})) > len(basis)
+    assert len(list(cli._dumps(basis))) == len(basis) + 1  # and the closing bracket
+    assert len(list(cli._dumps({"a": 1, "basis": basis}))) > len(basis)
+
+
+def test_an_array_is_made_row_by_row_as_its_pieces_are_read():
+    cli._tokens.cache_clear()
+    basis = np.arange(12).reshape(3, 4)
+    pieces = cli._dumps({"a": 1, "basis": basis})
+    assert cli._tokens.cache_info().currsize == 0  # no row made yet
+    assert "".join(pieces) == json.dumps({"a": 1, "basis": basis.tolist()}, indent=2)
+    assert cli._tokens.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("a", [

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermgrs import constructions, grscode, linalg
@@ -595,38 +595,200 @@ def test_check_mds_finds_the_one_singular_minor(k, cols, scale):
 def test_check_mds_pieces_keep_only_the_columns_after_their_first_pivot(monkeypatch, block):
     """Odd-min (24, 6): each piece takes the next children of its level in
     column order and keeps the node's columns after the piece's first pivot
-    c0, so a child's prefix ends at c - c0 - 1.  Its working arrays, r rows
-    of n - c0 entries per child, hold at most the block unless the piece is
-    one child, and every piece but a level's last would pass the block with
-    one more child.  A level whose minors are all nonsingular takes every
-    child."""
+    c0, so a child's prefix ends at c - c0 - 1.  A level of r-row nodes
+    holds r rows of n - c0 entries per child of a piece, at most the block
+    unless the piece is one child, and every piece but a level's last would
+    pass the block with one more child.  Below four-row and larger nodes a
+    piece's children arrive as one (B, r - 1, n - c0 - 1) residual; below
+    three-row nodes as two (n - c0 - 1, B) rows for ``_distinct_points``.
+    A level whose minors are all nonsingular takes every child."""
     code = constructions.build_odd_q_min(make_field(7, 1), 6).code
-    walk = grscode._prefix_walk
-    open_levels = []  # [n, r, children in column order, children taken] per open call with r > 2
+    walk, pieces, close = grscode._prefix_walk, grscode._pieces, grscode._distinct_points
+    open_levels = []  # {n, r, children in column order, taken, piece} per open _prefix_walk call
+    seen = {"walks": 0, "closes": 0}
 
-    def checked(ctx, res, last):
-        if open_levels:
-            n, r, children, taken = open_levels[-1]
-            piece = children[taken : taken + res.shape[0]]
-            c0 = piece[0][0]
-            assert res.shape == (len(piece), r - 1, n - c0 - 1)
-            assert last.tolist() == [c - c0 - 1 for c, _ in piece]
-            assert len(piece) == 1 or len(piece) * r * (n - c0) <= block
-            assert taken + len(piece) == len(children) or (len(piece) + 1) * r * (n - c0) > block
-            open_levels[-1][3] += len(piece)
+    def children_of_the_open_piece():
+        level = open_levels[-1]
+        c, start = level["piece"]
+        assert start == c[0] + 1
+        return level["n"], c, start
+
+    def checked_walk(ctx, res, last):
         b, r, n = res.shape
-        if r > 2:
-            children = sorted((c, i) for i in range(b) for c in range(int(last[i]) + 1, n - r + 1))
-            open_levels.append([n, r, children, 0])
+        if open_levels:
+            parent_n, c, start = children_of_the_open_piece()
+            assert open_levels[-1]["r"] == r + 1 > 3
+            assert res.shape == (len(c), r, parent_n - start)
+            assert last.tolist() == (c - start).tolist()
+            seen["walks"] += 1
+        children = sorted((c, i) for i in range(b) for c in range(int(last[i]) + 1, n - r + 1))
+        open_levels.append({"n": n, "r": r, "children": [c for c, _ in children], "taken": 0, "piece": None})
         ok = walk(ctx, res, last)
-        if r > 2:
-            _, _, children, taken = open_levels.pop()
-            assert taken == len(children)
+        level = open_levels.pop()
+        assert level["taken"] == len(level["children"])
         return ok
 
+    def checked_pieces(col, r, n):
+        level = open_levels[-1]
+        assert (level["r"], level["n"]) == (r, n)
+        assert col.tolist() == level["children"]
+        for piece, start in pieces(col, r, n):
+            c = col[piece]
+            c0, taken = start - 1, level["taken"]
+            assert c.tolist() == level["children"][taken : taken + len(c)]
+            assert len(c) == 1 or len(c) * r * (n - c0) <= block
+            assert taken + len(c) == len(col) or (len(c) + 1) * r * (n - c0) > block
+            level["taken"] += len(c)
+            level["piece"] = (c, start)
+            yield piece, start
+
+    def checked_close(ctx, top, bottom, last):
+        parent_n, c, start = children_of_the_open_piece()
+        assert open_levels[-1]["r"] == 3
+        assert top.shape == bottom.shape == (parent_n - start, len(c))
+        assert last.tolist() == (c - start).tolist()
+        seen["closes"] += 1
+        return close(ctx, top, bottom, last)
+
     monkeypatch.setattr(grscode, "_MDS_BLOCK", block)
-    monkeypatch.setattr(grscode, "_prefix_walk", checked)
+    monkeypatch.setattr(grscode, "_prefix_walk", checked_walk)
+    monkeypatch.setattr(grscode, "_pieces", checked_pieces)
+    monkeypatch.setattr(grscode, "_distinct_points", checked_close)
     assert check_mds(code) is True
+    assert seen["walks"] > 0 and seen["closes"] > 0
+
+
+def _newton_rs(ctx, k, n):
+    """RS on the first n field elements x_j (index j) with rows
+    prod_(t < k-1-r) (X - x_t), r < k: row r vanishes at x_0 .. x_(k-2-r),
+    so the first row nonzero at column j < k-1 is row k-1-j, at the root and
+    at each node whose residual keeps these rows."""
+    points = np.arange(n, dtype=np.int64)
+    gen = np.ones((k, n), dtype=np.int64)
+    for r in range(k - 1):
+        for t in range(k - 1 - r):
+            gen[r] = ctx.vmul(gen[r], ctx.vadd(points, ctx.vneg(np.int64(t))))
+    return gen
+
+
+def _combine_columns(ctx, gen, target, sources, shift=0):
+    """gen with column ``target`` replaced by a combination of the columns
+    ``sources``, every coefficient nonzero."""
+    gen = gen.copy()
+    gen[:, target] = 0
+    for i, s in enumerate(sources):
+        gen[:, target] = ctx.vadd(gen[:, target], ctx.vmul(gen[:, s], np.int64(1 + (1 + i + shift) % ctx.n_units)))
+    return gen
+
+
+# the three-row node of each layout: its prefix, the pivot column and three
+# later columns, below which the walk's fused step builds and closes two rows
+FUSED_LAYOUTS = {
+    "k3-root": (3, 9, (), 1, (3, 5, 7)),
+    "k5-below-a-prefix": (5, 10, (1, 2), 4, (5, 7, 9)),
+}
+
+
+def _fused_case(ctx, layout, case):
+    k, n, prefix, c, (j1, j2, j3) = FUSED_LAYOUTS[layout]
+    gen = _newton_rs(ctx, k, n)
+    if case == "zero-later-column":
+        gen[:, j1] = 0
+    elif case == "in-the-span-of-the-prefix-and-pivot":
+        gen = _combine_columns(ctx, gen, j2, (*prefix, c))
+    elif case == "two-proportional-later-columns":
+        gen = _combine_columns(ctx, gen, j2, (*prefix, c, j1))
+    elif case == "three-collinear-later-columns":
+        gen = _combine_columns(ctx, gen, j2, (*prefix, c, j1))
+        gen = _combine_columns(ctx, gen, j3, (*prefix, c, j1), shift=1)
+    return _code_with_gen(ctx, gen)
+
+
+@pytest.mark.parametrize("q", [9, 16])
+@pytest.mark.parametrize("layout", sorted(FUSED_LAYOUTS))
+@pytest.mark.parametrize(
+    "case,expected",
+    [
+        ("mds", True),
+        ("zero-later-column", False),
+        ("in-the-span-of-the-prefix-and-pivot", False),
+        ("two-proportional-later-columns", False),
+        ("three-collinear-later-columns", False),
+    ],
+)
+def test_check_mds_fused_three_row_step(q, layout, case, expected):
+    """The fused step's verdict is the scalar oracle's, at the root (k = 3)
+    and below a two-column prefix (k = 5), with pivot rows 0, 1 and 2 in
+    its heads (``_newton_rs``), over GF(81) (spread codes) and GF(256)
+    (XOR codes), at every piece size."""
+    ctx = make_field(*{9: (3, 2), 16: (2, 4)}[q])
+    code = _fused_case(ctx, layout, case)
+    assert minors_by_oracle(code) is expected
+    for block in (1, 7, grscode._MDS_BLOCK, 10**6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grscode, "_MDS_BLOCK", block)
+            assert check_mds(code) is expected
+
+
+@st.composite
+def fused_candidates(draw):
+    """Codes with k in {3, 4, 5} and n <= 16, past the n <= 12 of
+    ``mds_candidates``; half the draws overwrite one generator column by a
+    combination of up to four others."""
+    ctx = make_field(*MDS_FIELDS[draw(st.sampled_from([4, 5, 7, 8, 9]))])
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(k, min(ctx.q2 + 1, 16)))
+    support = sorted(draw(st.lists(st.integers(1, ctx.q2 + 1), min_size=n, max_size=n, unique=True)))
+    thetas = draw(st.lists(st.integers(1, ctx.q2 - 1), min_size=n, max_size=n))
+    code = GrsCode(ctx, k, tuple(support), np.array(thetas, dtype=np.int64))
+    gen = code.gen.copy()
+    if draw(st.booleans()):
+        target = draw(st.integers(0, n - 1))
+        sources = draw(st.lists(st.integers(0, n - 1).filter(lambda j: j != target), min_size=1, max_size=4, unique=True))
+        gen = _combine_columns(ctx, gen, target, sources, shift=draw(st.integers(0, ctx.q2)))
+    code.gen = gen
+    return code
+
+
+@settings(max_examples=30)
+@given(fused_candidates())
+def test_check_mds_with_split_three_row_levels_matches_scalar_minors(code):
+    """At a piece size of 2^10 a three-row level of these codes splits into
+    pieces of a few dozen children; at 1, into single children."""
+    expected = minors_by_oracle(code)
+    for block in (1, 1 << 10, grscode._MDS_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grscode, "_MDS_BLOCK", block)
+            assert check_mds(code) is expected
+
+
+# every q <= 16, and the larger fields of both kinds of additive code
+WALK_TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                     (5, 2), (3, 3), (2, 5), (7, 2)]
+
+
+@pytest.mark.parametrize("p,h", WALK_TABLE_FIELDS, ids=[f"q={p**h}" for p, h in WALK_TABLE_FIELDS])
+def test_walk_tables_match_the_field_arithmetic(p, h):
+    """Every table of the minor walk against ``vadd``, ``vmul`` and
+    ``_vinv0``, for every pair of elements a, b (one row of a at a time)."""
+    ctx = make_field(p, h)
+    tables = grscode._walk_tables(ctx)
+    u, elements = ctx.n_units, np.arange(ctx.q2, dtype=np.int64)
+    units = elements[1:]
+    assert all(not t.flags.writeable for t in vars(tables).values() if isinstance(t, np.ndarray))
+    assert np.array_equal(tables.scale[ctx._log[units]], ctx._log[ctx.vneg(ctx._vinv0(units))])
+    for a in elements:
+        total = tables.combine(tables.code[a], tables.code[elements])
+        assert np.array_equal(tables.top_of_sum[total], grscode._top_code(ctx, ctx.vadd(a, elements)))
+        assert np.array_equal(tables.bottom_of_sum[total], grscode._bottom_code(ctx, ctx.vadd(a, elements)))
+        logs = ctx._log[a] + ctx._log[elements]
+        assert np.array_equal(tables.product[logs], tables.code[ctx.vmul(a, elements)])
+        assert np.array_equal(tables.log_product[logs], ctx._log[ctx.vmul(a, elements)])
+        # the key of the column [a : b] for every b: b/a, q^2 at a = 0 and q^2 + 1 at a = b = 0
+        key = tables.keys[grscode._top_code(ctx, a) + grscode._bottom_code(ctx, elements)]
+        want = ctx.vmul(elements, ctx._vinv0(a)) if a else np.where(elements == 0, ctx.q2 + 1, ctx.q2)
+        assert np.array_equal(key, want)
+    assert tables.top_of_sum.min() >= 0 and tables.bottom_of_sum.max() == 3 * u
 
 
 def test_check_mds_at_k2_is_one_sort_of_projective_points():

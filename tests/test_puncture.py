@@ -397,6 +397,23 @@ def test_direct_basis_reads_its_pivots_off_the_kernel(small_grid, monkeypatch):
         assert direct.pivots == rref(ctx.fq, direct.matrix)[1] == u_space_basis(ctx, k).pivots
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (4, 3), (9, 6), (64, 2), (64, 65)])
+def test_pairs_are_built_once_and_read_only(q, k):
+    """``_pairs`` is cached per (q, k): the pairs r <= s < k of
+    ``np.triu_indices`` and their exponents rq+s, shared by every
+    ``parity_check`` and ``power_sums``, so no caller may write them."""
+    pairs = puncture._pairs(q, k)
+    r, s, exps = pairs
+    want_r, want_s = np.triu_indices(k)
+    assert np.array_equal(r, want_r) and np.array_equal(s, want_s)
+    assert np.array_equal(exps, want_r * q + want_s)
+    assert not any(a.flags.writeable for a in pairs)
+    with pytest.raises(ValueError):
+        exps[0] = 1
+    again = puncture._pairs(q, k)
+    assert all(a is b for a, b in zip(again, pairs))
+
+
 def parity_check_holds(ctx, k, v) -> bool:
     """H v = 0, read off the support of v as ``min_weight_pc`` checks its witness."""
     return not power_sums(ctx, k, v.support(), v.v[v.v != 0]).any()
